@@ -7,7 +7,7 @@ use crate::event::{AddRecord, OpContext};
 use crate::peek::{peek, PeekOutcome};
 use crate::predictor::{Predictor, PredictorActivity};
 use crate::sink::{EventSink, NullSink};
-use crate::slice::{evaluate, SliceEval};
+use crate::slice::evaluate_effective;
 use crate::stats::AdderStats;
 
 /// The observable result of one speculative addition.
@@ -167,7 +167,7 @@ pub fn execute_op_with_sink(
     stats: &mut AdderStats,
     sink: &mut dyn EventSink,
 ) -> AddOutcome {
-    let (a_eff, b_eff, _) = effective_operands(layout, a, b, sub);
+    let (a_eff, b_eff, cin0) = effective_operands(layout, a, b, sub);
     let pk = if config.peek {
         peek(layout, a_eff, b_eff)
     } else {
@@ -177,7 +177,15 @@ pub fn execute_op_with_sink(
     let mut activity = PredictorActivity::default();
     let predictions = predictor.predict(ctx, layout, a_eff, b_eff, &mut activity);
 
-    let eval: SliceEval = evaluate(layout, a, b, sub, predictions, pk, config.recompute);
+    let eval = evaluate_effective(
+        layout,
+        a_eff,
+        b_eff,
+        cin0,
+        predictions,
+        pk,
+        config.recompute,
+    );
 
     predictor.update(
         ctx,

@@ -1,7 +1,33 @@
 //! Slice layouts and carry-chain arithmetic shared by every adder model.
+//!
+//! Everything here is word-parallel: a layout is described to the
+//! arithmetic by two masks, `L` (`SliceLayout::lsb_mask`, every slice's
+//! least significant bit) and `H` (`SliceLayout::msb_mask`, every slice's
+//! most significant bit), and per-slice facts are computed for all slices
+//! at once in one `u64` and then compacted, one bit per slice, by
+//! `SliceLayout::gather_msbs`. See the [`slice`](crate::slice) module
+//! docs for how the slice engine uses them.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// `LSB_PATTERNS[w]` has bit `i·w` set for every `i·w < 64`: the slice-LSB
+/// mask of width-`w` slices before it is cut to a layout's total width.
+const LSB_PATTERNS: [u64; 65] = lsb_patterns();
+
+const fn lsb_patterns() -> [u64; 65] {
+    let mut table = [0u64; 65];
+    let mut w = 1;
+    while w <= 64 {
+        let mut bit = 0;
+        while bit < 64 {
+            table[w] |= 1 << bit;
+            bit += w;
+        }
+        w += 1;
+    }
+    table
+}
 
 /// How a wide adder is decomposed into equal-width slices.
 ///
@@ -105,6 +131,45 @@ impl SliceLayout {
         assert!(i < self.count, "slice index out of range");
         (u32::from(i) + 1) * u32::from(self.width) - 1
     }
+
+    /// Mask selecting the `boundaries()` low bits of a compact
+    /// boundary-carry vector.
+    #[must_use]
+    pub(crate) fn boundary_mask(self) -> u64 {
+        mask(u32::from(self.boundaries()))
+    }
+
+    /// `L`: the least significant bit of every slice.
+    #[must_use]
+    pub(crate) fn lsb_mask(self) -> u64 {
+        LSB_PATTERNS[usize::from(self.width)] & self.value_mask()
+    }
+
+    /// `H`: the most significant bit of every slice.
+    #[must_use]
+    pub(crate) fn msb_mask(self) -> u64 {
+        self.lsb_mask() << (self.width - 1)
+    }
+
+    /// Compacts the slice-MSB bits of `v` into one bit per slice: bit `i`
+    /// of the result is bit [`msb_of_slice(i)`](Self::msb_of_slice) of
+    /// `v`. Other bits of `v` are ignored.
+    #[must_use]
+    pub(crate) fn gather_msbs(self, v: u64) -> u64 {
+        let h = v & self.msb_mask();
+        match self.width {
+            // Slice i's MSB, shifted down to bit 8i, is copied by the
+            // multiply to bit 8i + 7j + 7 for every j < 8; j = 7 − i lands
+            // it on bit 56 + i. No two (i, j) pairs share a bit, so the
+            // partial products never carry into each other.
+            8 => (h >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56,
+            1 => h,
+            w => {
+                let w = u32::from(w);
+                (0..u32::from(self.count)).fold(0, |out, i| out | (h >> ((i + 1) * w - 1) & 1) << i)
+            }
+        }
+    }
 }
 
 impl Default for SliceLayout {
@@ -129,35 +194,22 @@ pub fn mask(bits: u32) -> u64 {
     }
 }
 
-/// One slice's combinational result: masked sum and carry-out.
-#[must_use]
-pub fn slice_add(layout: SliceLayout, a_slice: u64, b_slice: u64, cin: bool) -> (u64, bool) {
-    let raw = a_slice + b_slice + u64::from(cin);
-    let sum = raw & layout.slice_mask();
-    let cout = raw >> layout.width != 0;
-    (sum, cout)
-}
-
 /// The true carry chain of `a + b + cin0` under `layout`.
 ///
 /// Returns `(sum, carries)` where `carries` bit `i` (for `i` in
 /// `0..count`) is the **carry-out of slice i** — equivalently the true
 /// carry-in of slice `i + 1`. The final carry-out of the whole adder is
 /// bit `count - 1`.
+///
+/// One wide add does the work: bit `k` of `a ^ b ^ (a + b + cin0)` is the
+/// carry into bit `k`, and slice `i`'s carry-out is the carry into the bit
+/// just above its MSB.
 #[must_use]
 pub fn carry_chain(layout: SliceLayout, a: u64, b: u64, cin0: bool) -> (u64, u64) {
-    let mut carries = 0u64;
-    let mut sum = 0u64;
-    let mut cin = cin0;
-    for i in 0..layout.count() {
-        let (s, cout) = slice_add(layout, layout.slice_of(a, i), layout.slice_of(b, i), cin);
-        sum |= s << (u32::from(i) * u32::from(layout.width()));
-        if cout {
-            carries |= 1 << i;
-        }
-        cin = cout;
-    }
-    (sum, carries)
+    let wide = u128::from(a) + u128::from(b) + u128::from(cin0);
+    let carry_in = wide ^ u128::from(a ^ b);
+    let carries = layout.gather_msbs((carry_in >> 1) as u64);
+    (wide as u64 & layout.value_mask(), carries)
 }
 
 /// Effective operands of an add/sub as seen by the adder hardware.

@@ -8,7 +8,6 @@
 //! exploration does before committing to the implementable design.
 
 use crate::adder::execute_op;
-use crate::bits::mask;
 use crate::config::{PcIndex, SpeculationConfig, ThreadKey};
 use crate::event::AddRecord;
 use crate::history::HistoryTable;
@@ -80,27 +79,21 @@ impl CorrelationResult {
 #[must_use]
 pub fn carry_correlation(records: &[AddRecord], scheme: CorrelationScheme) -> CorrelationResult {
     let mut table = HistoryTable::new(scheme.pc_index, scheme.thread_key, 1);
-    let mut seen = std::collections::HashSet::new();
     let mut result = CorrelationResult {
         compared: 0,
         matched: 0,
     };
     for rec in records {
         let layout = rec.width.layout();
-        let boundaries = layout.boundaries();
-        let bm = mask(u32::from(boundaries));
+        let bm = layout.boundary_mask();
         let (a_eff, b_eff, cin0) = crate::bits::effective_operands(layout, rec.a, rec.b, rec.sub);
         let (_, carries) = crate::bits::carry_chain(layout, a_eff, b_eff, cin0);
         let truth = carries & bm;
-        let key = table.key(&rec.ctx);
-        if seen.contains(&key) {
-            let predicted = table.predict(&rec.ctx) & bm;
-            result.compared += u64::from(boundaries);
-            result.matched += u64::from((!(predicted ^ truth) & bm).count_ones() as u8);
-        } else {
-            seen.insert(key);
+        if let Some(previous) = table.lookup(&rec.ctx) {
+            result.compared += u64::from(layout.boundaries());
+            result.matched += u64::from((!(previous ^ truth) & bm).count_ones());
         }
-        table.record(&rec.ctx, truth, boundaries);
+        table.record(&rec.ctx, truth);
     }
     result
 }

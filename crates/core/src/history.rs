@@ -11,9 +11,15 @@ use crate::bits::mask;
 use crate::config::{PcIndex, ThreadKey};
 use crate::event::OpContext;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Maximum supported history depth (the paper's design uses depth 1).
 pub const MAX_DEPTH: usize = 4;
+
+/// Widest PC index kept in directly indexed storage: with lane keying that
+/// is at most 32 × 2⁸ entries. Wider indices, full PCs and global thread
+/// ids are kept in a map.
+const DENSE_PC_BITS: u8 = 8;
 
 /// One table entry: a small ring of the most recent boundary-carry vectors.
 #[derive(Debug, Clone, Copy, Default)]
@@ -25,50 +31,81 @@ struct Entry {
 
 impl Entry {
     fn push(&mut self, v: u64, depth: u8) {
-        let depth = depth.clamp(1, MAX_DEPTH as u8);
         self.vals[usize::from(self.head)] = v;
-        self.head = (self.head + 1) % depth;
-        self.len = self.len.saturating_add(1).min(depth);
+        self.head = if self.head + 1 == depth {
+            0
+        } else {
+            self.head + 1
+        };
+        self.len = (self.len + 1).min(depth);
     }
 
     /// Per-bit majority over the retained vectors (ties predict 1, since a
-    /// tie means the carry fired in half the recent past).
-    fn majority(&self, boundaries: u8) -> u64 {
-        if self.len == 0 {
-            return 0;
+    /// tie means the carry fired in half the recent past), for all bits at
+    /// once. Until the ring wraps, the retained vectors are the first
+    /// `len` slots.
+    fn majority(&self) -> u64 {
+        let [a, b, c, d] = self.vals;
+        match self.len {
+            0 => 0,
+            1 => a,
+            2 => a | b,
+            3 => a & b | a & c | b & c,
+            _ => (a | b) & (c | d) | a & b | c & d,
         }
-        if self.len == 1 {
-            // Depth-1 fast path: the previous carry vector verbatim.
-            let idx = if self.head == 0 {
-                MAX_DEPTH - 1
-            } else {
-                usize::from(self.head) - 1
-            };
-            // With len==1 the single value is at slot 0 regardless.
-            let _ = idx;
-            return self.vals[0];
+    }
+}
+
+/// Where a table keeps its entries.
+#[derive(Debug, Clone)]
+enum Storage {
+    /// A bounded key space, indexed by `thread << pc_bits | pc`.
+    Dense {
+        pc_bits: u8,
+        entries: Vec<Entry>,
+        occupied: usize,
+    },
+    /// An unbounded key space (full PC or global thread id), keyed by
+    /// [`HistoryTable::key`].
+    Map(HashMap<u64, Entry, BuildHasherDefault<IntHasher>>),
+}
+
+/// A multiply-xorshift hasher for integer keys. The keys are simulator
+/// state, not attacker input, so SipHash's flooding resistance buys
+/// nothing; the final xorshift folds the high (thread) half of a key into
+/// the low bits a hash table indexes by.
+#[derive(Debug, Clone, Copy, Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
         }
-        let mut out = 0u64;
-        for j in 0..boundaries {
-            let ones: u8 = (0..usize::from(self.len))
-                .map(|s| (self.vals[s] >> j & 1) as u8)
-                .sum();
-            if u16::from(ones) * 2 >= u16::from(self.len) {
-                out |= 1 << j;
-            }
-        }
-        out
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        let h = (self.0 ^ v ^ v >> 32).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ h >> 29;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
 /// A behavioural `Prev` history table.
+///
+/// Tables with a bounded key space (no PC, or a PC index of at most 8
+/// bits, shared or lane-keyed) keep their entries in a flat array; the
+/// idealised unbounded ones (full PC, global thread id) use a map.
 ///
 /// ```
 /// use st2_core::{history::HistoryTable, OpContext, PcIndex, ThreadKey};
 /// let mut t = HistoryTable::new(PcIndex::ModPc(4), ThreadKey::Ltid, 1);
 /// let ctx = OpContext { pc: 0x13, gtid: 100, ltid: 4 };
 /// assert_eq!(t.predict(&ctx), 0); // cold: predict no carries
-/// t.record(&ctx, 0b0000101, 7);
+/// t.record(&ctx, 0b0000101);
 /// assert_eq!(t.predict(&ctx), 0b0000101);
 /// // A different warp, same lane, same PC slot shares the entry:
 /// let other = OpContext { pc: 0x13, gtid: 900, ltid: 4 };
@@ -79,7 +116,7 @@ pub struct HistoryTable {
     pc_index: PcIndex,
     thread_key: ThreadKey,
     depth: u8,
-    entries: HashMap<u64, Entry>,
+    storage: Storage,
 }
 
 impl HistoryTable {
@@ -90,6 +127,28 @@ impl HistoryTable {
     /// Panics if `depth` is 0 or exceeds [`MAX_DEPTH`].
     #[must_use]
     pub fn new(pc_index: PcIndex, thread_key: ThreadKey, depth: u8) -> Self {
+        let pc_bits = match pc_index {
+            PcIndex::None => Some(0),
+            PcIndex::ModPc(k) | PcIndex::XorFold(k) => Some(k).filter(|&k| k <= DENSE_PC_BITS),
+            PcIndex::Full => None,
+        };
+        let thread_slots = match thread_key {
+            ThreadKey::Shared => Some(1),
+            ThreadKey::Ltid => Some(32),
+            ThreadKey::Gtid => None,
+        };
+        let storage = match (pc_bits, thread_slots) {
+            (Some(pc_bits), Some(threads)) => Storage::Dense {
+                pc_bits,
+                entries: vec![Entry::default(); threads << pc_bits],
+                occupied: 0,
+            },
+            _ => Storage::Map(HashMap::default()),
+        };
+        Self::with_storage(pc_index, thread_key, depth, storage)
+    }
+
+    fn with_storage(pc_index: PcIndex, thread_key: ThreadKey, depth: u8, storage: Storage) -> Self {
         assert!(
             depth >= 1 && usize::from(depth) <= MAX_DEPTH,
             "history depth must be 1..={MAX_DEPTH}"
@@ -98,14 +157,12 @@ impl HistoryTable {
             pc_index,
             thread_key,
             depth,
-            entries: HashMap::new(),
+            storage,
         }
     }
 
-    /// The table index for an operation: spatial (PC) bits in the low word,
-    /// thread-sharing bits in the high word.
-    #[must_use]
-    pub fn key(&self, ctx: &OpContext) -> u64 {
+    /// The (thread, PC) parts of an operation's index.
+    fn parts(&self, ctx: &OpContext) -> (u64, u64) {
         let pc_part = match self.pc_index {
             PcIndex::None => 0,
             PcIndex::ModPc(k) => u64::from(ctx.pc) & mask(u32::from(k)),
@@ -117,41 +174,84 @@ impl HistoryTable {
             ThreadKey::Gtid => u64::from(ctx.gtid),
             ThreadKey::Ltid => u64::from(ctx.ltid & 31),
         };
+        (thread_part, pc_part)
+    }
+
+    /// The table index for an operation: spatial (PC) bits in the low word,
+    /// thread-sharing bits in the high word.
+    #[must_use]
+    pub fn key(&self, ctx: &OpContext) -> u64 {
+        let (thread_part, pc_part) = self.parts(ctx);
         thread_part << 32 | pc_part
+    }
+
+    /// The predicted boundary-carry vector for this operation, or `None`
+    /// when its entry has never been written.
+    #[must_use]
+    pub(crate) fn lookup(&self, ctx: &OpContext) -> Option<u64> {
+        let (thread_part, pc_part) = self.parts(ctx);
+        match &self.storage {
+            Storage::Dense {
+                pc_bits, entries, ..
+            } => {
+                let e = &entries[(thread_part << pc_bits | pc_part) as usize];
+                (e.len > 0).then(|| e.majority())
+            }
+            Storage::Map(map) => map.get(&(thread_part << 32 | pc_part)).map(Entry::majority),
+        }
     }
 
     /// The predicted boundary-carry vector for this operation (0 when cold).
     #[must_use]
     pub fn predict(&self, ctx: &OpContext) -> u64 {
-        self.entries
-            .get(&self.key(ctx))
-            .map_or(0, |e| e.majority(63))
+        self.lookup(ctx).unwrap_or(0)
     }
 
     /// Records the true boundary carries of a completed operation.
-    pub fn record(&mut self, ctx: &OpContext, true_carries: u64, boundaries: u8) {
-        let _ = boundaries;
-        self.entries
-            .entry(self.key(ctx))
-            .or_default()
-            .push(true_carries, self.depth);
+    pub fn record(&mut self, ctx: &OpContext, true_carries: u64) {
+        let (thread_part, pc_part) = self.parts(ctx);
+        let depth = self.depth;
+        let entry = match &mut self.storage {
+            Storage::Dense {
+                pc_bits,
+                entries,
+                occupied,
+            } => {
+                let e = &mut entries[(thread_part << *pc_bits | pc_part) as usize];
+                *occupied += usize::from(e.len == 0);
+                e
+            }
+            Storage::Map(map) => map.entry(thread_part << 32 | pc_part).or_default(),
+        };
+        entry.push(true_carries, depth);
     }
 
     /// Number of distinct entries currently allocated.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        match &self.storage {
+            Storage::Dense { occupied, .. } => *occupied,
+            Storage::Map(map) => map.len(),
+        }
     }
 
     /// Whether the table is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Clears all history.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        match &mut self.storage {
+            Storage::Dense {
+                entries, occupied, ..
+            } => {
+                entries.fill(Entry::default());
+                *occupied = 0;
+            }
+            Storage::Map(map) => map.clear(),
+        }
     }
 }
 
@@ -205,9 +305,9 @@ mod tests {
     fn record_then_predict_roundtrip() {
         let mut t = HistoryTable::new(PcIndex::ModPc(4), ThreadKey::Ltid, 1);
         let c = ctx(9, 41, 9);
-        t.record(&c, 0b101_0101, 7);
+        t.record(&c, 0b101_0101);
         assert_eq!(t.predict(&c), 0b101_0101);
-        t.record(&c, 0b000_0001, 7);
+        t.record(&c, 0b000_0001);
         assert_eq!(t.predict(&c), 0b000_0001, "depth-1 keeps only the latest");
     }
 
@@ -215,10 +315,68 @@ mod tests {
     fn deeper_history_votes_majority() {
         let mut t = HistoryTable::new(PcIndex::None, ThreadKey::Shared, 3);
         let c = ctx(0, 0, 0);
-        t.record(&c, 0b1, 7);
-        t.record(&c, 0b1, 7);
-        t.record(&c, 0b0, 7);
+        t.record(&c, 0b1);
+        t.record(&c, 0b1);
+        t.record(&c, 0b0);
         assert_eq!(t.predict(&c) & 1, 1, "2-of-3 majority");
+    }
+
+    #[test]
+    fn dense_and_map_storage_agree() {
+        let pc_indices = [
+            PcIndex::None,
+            PcIndex::ModPc(1),
+            PcIndex::ModPc(4),
+            PcIndex::ModPc(8),
+            PcIndex::ModPc(12),
+            PcIndex::XorFold(4),
+            PcIndex::XorFold(8),
+            PcIndex::Full,
+        ];
+        let thread_keys = [ThreadKey::Shared, ThreadKey::Gtid, ThreadKey::Ltid];
+        for pc_index in pc_indices {
+            for thread_key in thread_keys {
+                for depth in 1..=MAX_DEPTH as u8 {
+                    let mut table = HistoryTable::new(pc_index, thread_key, depth);
+                    let mut map = HistoryTable::with_storage(
+                        pc_index,
+                        thread_key,
+                        depth,
+                        Storage::Map(HashMap::default()),
+                    );
+                    let mut state = 0x2545_f491_4f6c_dd1du64;
+                    for _ in 0..4000 {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        let gtid = (state >> 8) as u32 & 0x3ff;
+                        let c = ctx((state >> 20) as u32 & 0x7ff, gtid, gtid & 31);
+                        assert_eq!(table.lookup(&c), map.lookup(&c));
+                        table.record(&c, state >> 40 & 0x7f);
+                        map.record(&c, state >> 40 & 0x7f);
+                        assert_eq!(table.len(), map.len());
+                    }
+                    table.clear();
+                    assert!(table.is_empty());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn majority_votes_every_bit_at_once() {
+        let mut e = Entry::default();
+        for v in [0b0011, 0b0101, 0b0110] {
+            e.push(v, 4);
+        }
+        // Three vectors: a bit needs two of three votes.
+        assert_eq!(e.majority(), 0b0111);
+        e.push(0b0000, 4);
+        // Four vectors: two of four is a tie, which predicts 1.
+        assert_eq!(e.majority(), 0b0111);
+        e.push(0b0000, 4);
+        // The ring dropped 0b0011, leaving only bit 2 with two votes.
+        assert_eq!(e.majority(), 0b0100);
     }
 
     #[test]

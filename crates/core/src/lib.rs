@@ -66,6 +66,8 @@ pub mod float;
 pub mod history;
 pub mod peek;
 pub mod predictor;
+#[cfg(test)]
+mod reference;
 pub mod sink;
 pub mod slice;
 pub mod stats;

@@ -32,7 +32,9 @@ impl PeekOutcome {
 
 /// Inspects the MSbs of each slice's *effective* operands (`a`, and `b`
 /// already inverted for subtraction) and returns the statically known
-/// boundary carries.
+/// boundary carries. All slices are inspected at once: the equal-MSb and
+/// both-ones tests run on whole words and `SliceLayout::gather_msbs`
+/// compacts them to one bit per boundary.
 ///
 /// Why this is sound: the carry out of slice `j` is
 /// `g | (p & cin)` evaluated over the slice, and its MSb pair alone gives
@@ -51,22 +53,10 @@ impl PeekOutcome {
 /// ```
 #[must_use]
 pub fn peek(layout: SliceLayout, a_eff: u64, b_eff: u64) -> PeekOutcome {
-    let mut static_mask = 0u64;
-    let mut static_bits = 0u64;
-    for j in 0..layout.boundaries() {
-        let msb = layout.msb_of_slice(j);
-        let a_bit = (a_eff >> msb) & 1;
-        let b_bit = (b_eff >> msb) & 1;
-        if a_bit == b_bit {
-            static_mask |= 1 << j;
-            if a_bit == 1 {
-                static_bits |= 1 << j;
-            }
-        }
-    }
+    let boundaries = layout.boundary_mask();
     PeekOutcome {
-        static_mask,
-        static_bits,
+        static_mask: layout.gather_msbs(!(a_eff ^ b_eff)) & boundaries,
+        static_bits: layout.gather_msbs(a_eff & b_eff) & boundaries,
     }
 }
 

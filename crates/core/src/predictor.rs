@@ -19,7 +19,6 @@ use crate::bits::{mask, SliceLayout};
 use crate::config::{PredictorKind, SpeculationConfig, UpdatePolicy};
 use crate::event::OpContext;
 use crate::history::HistoryTable;
-use std::collections::HashMap;
 
 /// A carry predictor instance (state + mechanism).
 #[derive(Debug, Clone)]
@@ -37,7 +36,7 @@ pub enum Predictor {
     /// uninformative.
     Valhalla {
         /// Per-thread (gtid) 1-bit histories (tie-breaker).
-        hist: HashMap<u32, bool>,
+        hist: ThreadBits,
     },
     /// Stateless operand lookahead over a `window`-bit suffix of the
     /// previous slice, assuming no carry enters the window (CASA/VLSA).
@@ -52,6 +51,31 @@ pub enum Predictor {
         /// Write-back policy.
         update: UpdatePolicy,
     },
+}
+
+/// One bit per global thread id, growing to the highest id written;
+/// unwritten bits read as 0.
+#[derive(Debug, Clone, Default)]
+pub struct ThreadBits {
+    words: Vec<u64>,
+}
+
+impl ThreadBits {
+    /// The bit for thread `gtid`.
+    #[must_use]
+    pub(crate) fn get(&self, gtid: u32) -> bool {
+        let (word, bit) = (gtid as usize / 64, gtid % 64);
+        self.words.get(word).is_some_and(|w| w >> bit & 1 != 0)
+    }
+
+    /// Sets the bit for thread `gtid`.
+    pub(crate) fn set(&mut self, gtid: u32, value: bool) {
+        let (word, bit) = (gtid as usize / 64, gtid % 64);
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] = self.words[word] & !(1 << bit) | u64::from(value) << bit;
+    }
 }
 
 /// Bookkeeping the predictor reports back for energy accounting.
@@ -71,7 +95,7 @@ impl Predictor {
             PredictorKind::StaticZero => Predictor::Static(false),
             PredictorKind::StaticOne => Predictor::Static(true),
             PredictorKind::Valhalla => Predictor::Valhalla {
-                hist: HashMap::new(),
+                hist: ThreadBits::default(),
             },
             PredictorKind::Windowed { window } => Predictor::Windowed { window },
             PredictorKind::Prev => Predictor::Prev {
@@ -113,7 +137,7 @@ impl Predictor {
                 let bit = match (a_top, b_top) {
                     (1, 1) => true,
                     (0, 0) => false,
-                    _ => hist.get(&ctx.gtid).copied().unwrap_or(false),
+                    _ => hist.get(ctx.gtid),
                 };
                 if bit {
                     bm
@@ -151,7 +175,7 @@ impl Predictor {
                 }
                 let ones = (true_carries & mask(u32::from(boundaries))).count_ones();
                 let bit = ones * 2 >= u32::from(boundaries);
-                hist.insert(ctx.gtid, bit);
+                hist.set(ctx.gtid, bit);
                 activity.writes += 1;
             }
             Predictor::Prev { table, update } => {
@@ -160,7 +184,7 @@ impl Predictor {
                     UpdatePolicy::Always => true,
                 };
                 if write {
-                    table.record(ctx, true_carries, layout.boundaries());
+                    table.record(ctx, true_carries);
                     activity.writes += 1;
                 }
             }

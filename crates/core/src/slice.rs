@@ -7,8 +7,46 @@
 //! carry out of slice `j`, which is the carry **into slice `j + 1`**.
 //! Slice 0 always receives the architectural carry-in and is never
 //! speculated.
+//!
+//! # Word-parallel evaluation
+//!
+//! The engine evaluates every slice at once in `u64` words instead of
+//! looping over slices. With `w`-bit slices, let `H` be the mask of slice
+//! MSBs, `L` the mask of slice LSBs and `x = a ^ b`:
+//!
+//! * **True carries.** One wide add `s = a + b + cin` in a `u128`: bit `k`
+//!   of `a ^ b ^ s` is the carry into bit `k`, so slice `i`'s true
+//!   carry-out is that word's bit `(i + 1)·w`.
+//! * **Generate / propagate.** `(a & !H) + (b & !H)` adds every slice's
+//!   low `w − 1` bits at once; with the MSBs cleared no carry can leave a
+//!   slice, so the sum's bit at each MSB is the carry into that MSB. The
+//!   slice generates (carries out with carry-in 0) where
+//!   `a & b | x & that-carry` is set at `H`. In `(x & !H) + L` the `+1`
+//!   reaches a slice's MSB exactly when its low bits all propagate, so the
+//!   slice propagates (passes its carry-in through) where `x & ((x & !H) +
+//!   L)` is set at `H`.
+//! * **Gather.** `SliceLayout::gather_msbs` compacts the `H` bits of a
+//!   word to one bit per slice (one multiply for 8-bit slices, which every
+//!   layout the simulator uses). With `G`, `P` gathered this way, the
+//!   first-cycle carry-outs under the supplied carry-ins `c` (the
+//!   architectural carry-in for slice 0, the predictions above it) are
+//!   `G | (P & c)`.
+//! * **Peek.** The static knowledge of [`crate::peek`] is
+//!   `gather(!x & H)` (both MSBs equal, so the carry is known) with value
+//!   `gather(a & b & H)`. It is sound because a slice's carry-out is the
+//!   majority of its two MSBs and the carry into its MSB: when the two MSBs
+//!   agree, they decide the majority whatever arrives from below.
+//! * **Recompute wave.** Under [`RecomputePolicy::CutAtStaticPeek`] a wave
+//!   starts at every detected error and climbs through dynamic (non-Peek)
+//!   boundaries until it meets a static one. With `D` the dynamic
+//!   boundaries and `E ⊆ D` the errors, adding `E` to `D` ripples a carry
+//!   from the lowest error of each run of `D` to the run's top, flipping
+//!   every bit it crosses, so the wave is `((D + E) ^ D) & D | E`.
+//!
+//! A per-slice loop is kept as a test-only reference, and property tests
+//! pin the two together field by field.
 
-use crate::bits::{carry_chain, effective_operands, slice_add, SliceLayout};
+use crate::bits::{carry_chain, effective_operands, SliceLayout};
 use crate::config::RecomputePolicy;
 use crate::peek::PeekOutcome;
 
@@ -65,8 +103,10 @@ impl SliceEval {
 ///
 /// The returned [`SliceEval::sum`] is always the exact two's-complement
 /// result — speculation affects only latency and energy, never correctness.
-/// This property is asserted (in debug builds) by re-deriving the sum via
-/// the carry-select mechanism the hardware actually uses.
+/// In debug builds every operation checks that each wrongly predicted
+/// boundary falls inside the recompute wave, which is what makes the
+/// hardware's carry-select (keep the cycle-1 slice result, or take the
+/// cycle-2 one computed with the inverted carry-in) produce that sum.
 #[must_use]
 pub fn evaluate(
     layout: SliceLayout,
@@ -78,63 +118,57 @@ pub fn evaluate(
     policy: RecomputePolicy,
 ) -> SliceEval {
     let (a_eff, b_eff, cin0) = effective_operands(layout, a, b, sub);
-    let (sum, true_carries) = carry_chain(layout, a_eff, b_eff, cin0);
-    let n = layout.count();
-    let boundaries = layout.boundaries();
-    let boundary_mask = crate::bits::mask(u32::from(boundaries));
-    let static_mask = peek.static_mask & boundary_mask;
+    evaluate_effective(layout, a_eff, b_eff, cin0, predictions, peek, policy)
+}
+
+/// [`evaluate`] on effective operands (already masked to the layout, the
+/// second one inverted for subtraction) and the architectural carry-in.
+pub(crate) fn evaluate_effective(
+    layout: SliceLayout,
+    a: u64,
+    b: u64,
+    cin0: bool,
+    predictions: u64,
+    peek: PeekOutcome,
+    policy: RecomputePolicy,
+) -> SliceEval {
+    debug_assert_eq!((a | b) & !layout.value_mask(), 0, "unmasked operands");
+    let h = layout.msb_mask();
+    let boundary_mask = layout.boundary_mask();
+    let x = a ^ b;
+
+    let (sum, carries) = carry_chain(layout, a, b, cin0);
+    let true_carries = carries & boundary_mask;
+
     // Statically known carries override whatever was speculated.
+    let static_mask = peek.static_mask & boundary_mask;
     let predictions =
         ((predictions & !static_mask) | (peek.static_bits & static_mask)) & boundary_mask;
 
     // --- Cycle 1: every slice computes with its supplied carry-in. -------
-    let mut cycle1_carries = 0u64;
-    for i in 0..n.saturating_sub(1) {
-        let cin = if i == 0 {
-            cin0
-        } else {
-            predictions >> (i - 1) & 1 != 0
-        };
-        let (_, cout) = slice_add(
-            layout,
-            layout.slice_of(a_eff, i),
-            layout.slice_of(b_eff, i),
-            cin,
-        );
-        if cout {
-            cycle1_carries |= 1 << i;
-        }
-    }
+    let msb_carry_in = (a & !h) + (b & !h);
+    let generate = layout.gather_msbs(a & b | x & msb_carry_in);
+    let propagate = layout.gather_msbs(x & ((x & !h) + layout.lsb_mask()));
+    let carry_ins = predictions << 1 | u64::from(cin0);
+    let cycle1_carries = (generate | propagate & carry_ins) & boundary_mask;
 
     // --- Detection: E[j] fires when the prediction for boundary j differs
     // from the neighbour slice's first-cycle carry-out. ------------------
-    let error_mask = (predictions ^ cycle1_carries) & boundary_mask;
+    let error_mask = predictions ^ cycle1_carries;
     let mispredicted = error_mask != 0;
 
     // --- Recompute wave (cycle 2). ---------------------------------------
-    let recompute_mask = if !mispredicted {
-        0
-    } else {
-        match policy {
-            RecomputePolicy::PropagateToTop => {
-                // Everything at or above the first error is suspect.
-                let first = error_mask.trailing_zeros();
-                boundary_mask & !crate::bits::mask(first)
-            }
-            RecomputePolicy::CutAtStaticPeek => {
-                let mut m = 0u64;
-                let mut suspect_below = false;
-                for j in 0..boundaries {
-                    let is_static = static_mask >> j & 1 != 0;
-                    let err = error_mask >> j & 1 != 0;
-                    let suspect = !is_static && (err || suspect_below);
-                    if suspect {
-                        m |= 1 << j;
-                    }
-                    suspect_below = suspect;
-                }
-                m
-            }
+    let recompute_mask = match policy {
+        RecomputePolicy::PropagateToTop => {
+            // Everything at or above the first error is suspect.
+            let first = error_mask & error_mask.wrapping_neg();
+            boundary_mask & !first.wrapping_sub(1)
+        }
+        RecomputePolicy::CutAtStaticPeek => {
+            // Each error's wave climbs its run of dynamic boundaries.
+            let dynamic = boundary_mask & !static_mask;
+            let seeds = error_mask & dynamic;
+            ((dynamic + seeds) ^ dynamic) & dynamic | seeds
         }
     };
 
@@ -142,25 +176,15 @@ pub fn evaluate(
     // the *true* carry must recompute (statically guaranteed boundaries can
     // never disagree, by the Peek soundness property).
     debug_assert_eq!(
-        (predictions ^ true_carries) & boundary_mask & !recompute_mask,
+        (predictions ^ true_carries) & !recompute_mask,
         0,
         "a wrongly-predicted slice escaped the recompute wave"
     );
 
-    // Re-derive the sum the way the hardware does: each slice keeps its
-    // cycle-1 result if its true carry-in matches the supplied one,
-    // otherwise takes the cycle-2 (inverted carry-in) result.
-    debug_assert_eq!(
-        select_sum(layout, a_eff, b_eff, cin0, true_carries),
-        sum,
-        "carry-select reconstruction diverged from the reference sum"
-    );
-
-    let carry_out = true_carries >> (n - 1) & 1 != 0;
     SliceEval {
         sum,
-        carry_out,
-        true_carries: true_carries & boundary_mask,
+        carry_out: carries >> (layout.count() - 1) & 1 != 0,
+        true_carries,
         cycle1_carries,
         supplied_predictions: predictions,
         error_mask,
@@ -168,29 +192,6 @@ pub fn evaluate(
         mispredicted,
         cycles: if mispredicted { 2 } else { 1 },
     }
-}
-
-/// The hardware's final selection: per slice, pick the computation whose
-/// carry-in equals the now-known true carry-in. (Both candidate values
-/// exist after cycle 2: one computed with the prediction, one with its
-/// inverse — a carry-in is one bit, so one of them used the truth.)
-fn select_sum(layout: SliceLayout, a_eff: u64, b_eff: u64, cin0: bool, true_carries: u64) -> u64 {
-    let mut sum = 0u64;
-    for i in 0..layout.count() {
-        let true_cin = if i == 0 {
-            cin0
-        } else {
-            true_carries >> (i - 1) & 1 != 0
-        };
-        let (s, _) = slice_add(
-            layout,
-            layout.slice_of(a_eff, i),
-            layout.slice_of(b_eff, i),
-            true_cin,
-        );
-        sum |= s << (u32::from(i) * u32::from(layout.width()));
-    }
-    sum
 }
 
 #[cfg(test)]

@@ -34,8 +34,6 @@ pub mod metrics;
 pub mod profile;
 pub mod summary;
 
-use std::collections::HashMap;
-
 use st2_core::adder::AddOutcome;
 use st2_core::bits::SliceLayout;
 use st2_core::event::OpContext;
@@ -192,7 +190,9 @@ pub struct Telemetry {
     span_names: Vec<String>,
     ids: Option<HotIds>,
     profile: ProfileCollector,
-    pc_stats: HashMap<u32, PcStat>,
+    /// Per-PC adder statistics indexed by PC (an instruction index);
+    /// PCs that never added hold zero ops.
+    pc_stats: Vec<PcStat>,
     last_issue: Vec<u64>,
     cur_sm: usize,
     cur_cycle: u64,
@@ -279,7 +279,7 @@ impl Telemetry {
             span_names: Vec::new(),
             ids: None,
             profile: ProfileCollector::new(0, 1),
-            pc_stats: HashMap::new(),
+            pc_stats: Vec::new(),
             last_issue: Vec::new(),
             cur_sm: 0,
             cur_cycle: 0,
@@ -350,7 +350,7 @@ impl Telemetry {
             span_names: Vec::new(),
             ids: Some(ids),
             profile: ProfileCollector::new(num_sms, config.profile_pc_capacity),
-            pc_stats: HashMap::new(),
+            pc_stats: Vec::new(),
             last_issue: vec![u64::MAX; num_sms.max(1)],
             cur_sm: 0,
             cur_cycle: 0,
@@ -425,8 +425,11 @@ impl Telemetry {
         }
         self.registry.absorb(&other.registry);
         self.profile.absorb(&other.profile, sm);
-        for (&pc, s) in &other.pc_stats {
-            let e = self.pc_stats.entry(pc).or_default();
+        if self.pc_stats.len() < other.pc_stats.len() {
+            self.pc_stats
+                .resize(other.pc_stats.len(), PcStat::default());
+        }
+        for (e, s) in self.pc_stats.iter_mut().zip(&other.pc_stats) {
             e.ops += s.ops;
             e.mispredicts += s.mispredicts;
         }
@@ -896,10 +899,10 @@ impl Telemetry {
     /// `(pc, ops, mispredicts)`.
     #[must_use]
     pub fn pc_accuracy(&self) -> Vec<(u32, u64, u64)> {
-        let mut v: Vec<(u32, u64, u64)> = self
-            .pc_stats
-            .iter()
-            .map(|(&pc, s)| (pc, s.ops, s.mispredicts))
+        let mut v: Vec<(u32, u64, u64)> = (0u32..)
+            .zip(&self.pc_stats)
+            .filter(|(_, s)| s.ops > 0)
+            .map(|(pc, s)| (pc, s.ops, s.mispredicts))
             .collect();
         v.sort_by(|a, b| {
             let ra = a.2 as f64 / a.1.max(1) as f64;
@@ -923,7 +926,11 @@ impl EventSink for Telemetry {
         }
         let Some(ids) = self.ids else { return };
         self.registry.inc(ids.adder_ops, 1);
-        let stat = self.pc_stats.entry(ctx.pc).or_default();
+        let pc = ctx.pc as usize;
+        if pc >= self.pc_stats.len() {
+            self.pc_stats.resize(pc + 1, PcStat::default());
+        }
+        let stat = &mut self.pc_stats[pc];
         stat.ops += 1;
         if outcome.mispredicted {
             stat.mispredicts += 1;

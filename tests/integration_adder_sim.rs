@@ -176,6 +176,6 @@ fn crf_hardware_matches_behavioural_table_for_st2_config() {
             "divergence at pc={pc} lane={lane}"
         );
         crf.write(pc, lane, carries);
-        table.record(&ctx, carries, 7);
+        table.record(&ctx, carries);
     }
 }
