@@ -46,12 +46,12 @@ fn bench_simulator(c: &mut Criterion) {
         b.iter(|| {
             let mut mem = spec.memory.clone();
             let mut tele = Telemetry::disabled();
-            black_box(run_timed_with_telemetry(
+            black_box(run_timed_with(
                 &spec.program,
                 spec.launch,
                 &mut mem,
                 &st2,
-                &mut tele,
+                RunOptions::with_telemetry(&mut tele),
             ))
         });
     });
@@ -59,12 +59,12 @@ fn bench_simulator(c: &mut Criterion) {
         b.iter(|| {
             let mut mem = spec.memory.clone();
             let mut tele = Telemetry::for_run(st2.num_sms as usize, TelemetryConfig::default());
-            black_box(run_timed_with_telemetry(
+            black_box(run_timed_with(
                 &spec.program,
                 spec.launch,
                 &mut mem,
                 &st2,
-                &mut tele,
+                RunOptions::with_telemetry(&mut tele),
             ))
         });
     });

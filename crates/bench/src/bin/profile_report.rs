@@ -6,7 +6,7 @@
 //! ```text
 //! cargo run --release --bin profile_report -- \
 //!     [--scale test|tiny|full] [--kernels <substring>] \
-//!     [--sim-threads <n>] [--out <dir>] \
+//!     [--out <dir>] \
 //!     [--mshr-entries <n>] [--l2-bw <n>] [--dram-bw <n>] \
 //!     [--l2-partitions <n>] [--xbar-queue <n>] \
 //!     [--gpu harness|titan-v|titan-v-full] \
@@ -36,7 +36,7 @@ fn main() -> ExitCode {
     let args = BenchArgs::parse();
     if !args.rest.is_empty() {
         eprintln!("unexpected arguments: {:?}", args.rest);
-        eprintln!("usage: profile_report [--scale test|tiny|full] [--kernels <substring>] [--sim-threads <n>] [--out <dir>] [--mshr-entries <n>] [--l2-bw <n>] [--dram-bw <n>] [--l2-partitions <n>] [--xbar-queue <n>] [--gpu harness|titan-v|titan-v-full] [--no-event-driven] [--no-mem-calendar]");
+        eprintln!("usage: profile_report [--scale test|tiny|full] [--kernels <substring>] [--out <dir>] [--mshr-entries <n>] [--l2-bw <n>] [--dram-bw <n>] [--l2-partitions <n>] [--xbar-queue <n>] [--gpu harness|titan-v|titan-v-full] [--no-event-driven] [--no-mem-calendar]");
         return ExitCode::FAILURE;
     }
     let cfg = args.gpu().with_st2();

@@ -7,7 +7,7 @@
 //! * per-kernel text summary on stdout
 //!
 //! ```text
-//! cargo run --bin trace_report -- pathfinder [out_dir] [--sim-threads <n>]
+//! cargo run --bin trace_report -- pathfinder [out_dir]
 //! ```
 //!
 //! Run with no arguments to list the available kernels.
@@ -36,10 +36,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
 
-    let mut cfg = GpuConfig::scaled(2).with_st2();
-    if let Some(t) = args.sim_threads {
-        cfg = cfg.with_sim_threads(t);
-    }
+    let cfg = GpuConfig::scaled(2).with_st2();
     let mut tele = Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
     let mut mem = spec.memory.clone();
     let out = run_timed_with(

@@ -23,9 +23,6 @@ use st2::sim::ActivityCounters;
 /// * `--out <dir>` — also write machine-readable CSV artifacts there
 /// * `--kernels <substring>` — restrict suite runs to kernels whose name
 ///   contains the substring
-/// * `--sim-threads <n>` — worker threads per timed run
-///   ([`GpuConfig::sim_threads`]; `0` = auto, default leaves the config
-///   untouched)
 /// * `--mshr-entries <n>` / `--l2-bw <n>` / `--dram-bw <n>` — memory
 ///   subsystem overrides for boundedness studies (defaults leave the
 ///   config untouched; see [`GpuConfig::with_mshr_entries`] etc.)
@@ -42,8 +39,9 @@ use st2::sim::ActivityCounters;
 ///   overrides: the 4-SM harness slice (default),
 ///   [`GpuConfig::titan_v`], or the 80-SM [`GpuConfig::titan_v_full`]
 ///
-/// Unrecognised tokens land in [`BenchArgs::rest`] for binaries with
-/// positional arguments (e.g. `trace_report <kernel> [out_dir]`).
+/// Other tokens land in [`BenchArgs::rest`] for binaries with
+/// positional arguments (e.g. `trace_report <kernel> [out_dir]`); an
+/// unrecognised `--flag` is rejected rather than taken as positional.
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
     /// Problem scale (`--scale`).
@@ -52,8 +50,6 @@ pub struct BenchArgs {
     pub out: Option<std::path::PathBuf>,
     /// Kernel-name substring filter (`--kernels`).
     pub kernels: Option<String>,
-    /// Simulation worker threads (`--sim-threads`).
-    pub sim_threads: Option<u32>,
     /// Per-SM MSHR file capacity override (`--mshr-entries`).
     pub mshr_entries: Option<u32>,
     /// L2 requests-per-cycle override (`--l2-bw`).
@@ -102,8 +98,9 @@ impl BenchArgs {
     ///
     /// # Panics
     ///
-    /// Panics with a usage message on malformed flags — these binaries
-    /// are operator tools, so failing loudly beats guessing.
+    /// Panics with a usage message on malformed or unrecognised flags —
+    /// these binaries are operator tools, so failing loudly beats
+    /// guessing.
     #[must_use]
     pub fn parse() -> Self {
         Self::from_tokens(std::env::args().skip(1))
@@ -134,13 +131,6 @@ impl BenchArgs {
                 }
                 "--out" => args.out = Some(std::path::PathBuf::from(value("--out"))),
                 "--kernels" => args.kernels = Some(value("--kernels")),
-                "--sim-threads" => {
-                    let v = value("--sim-threads");
-                    args.sim_threads =
-                        Some(v.parse().unwrap_or_else(|_| {
-                            panic!("--sim-threads must be an integer, got {v:?}")
-                        }));
-                }
                 "--mshr-entries" | "--l2-bw" | "--dram-bw" | "--l2-partitions" | "--xbar-queue" => {
                     let v = value(&tok);
                     let n = v
@@ -166,6 +156,7 @@ impl BenchArgs {
                         }
                     });
                 }
+                flag if flag.starts_with("--") => panic!("unrecognised flag {flag:?}"),
                 _ => args.rest.push(tok),
             }
         }
@@ -178,14 +169,11 @@ impl BenchArgs {
         self.kernels.as_deref().is_none_or(|f| name.contains(f))
     }
 
-    /// The harness GPU with any `--sim-threads` and memory-subsystem
+    /// The selected GPU preset with any memory-subsystem and calendar
     /// overrides applied.
     #[must_use]
     pub fn gpu(&self) -> GpuConfig {
         let mut cfg = self.gpu_preset.map_or_else(harness_gpu, GpuPreset::config);
-        if let Some(t) = self.sim_threads {
-            cfg = cfg.with_sim_threads(t);
-        }
         if let Some(n) = self.mshr_entries {
             cfg = cfg.with_mshr_entries(n);
         }
@@ -420,8 +408,6 @@ mod tests {
             "art",
             "--kernels",
             "path",
-            "--sim-threads",
-            "2",
             "--mshr-entries",
             "4",
             "--l2-bw",
@@ -441,10 +427,8 @@ mod tests {
         assert_eq!(args.scale, Scale::Test);
         assert_eq!(args.out.as_deref(), Some(std::path::Path::new("art")));
         assert_eq!(args.kernels.as_deref(), Some("path"));
-        assert_eq!(args.sim_threads, Some(2));
         assert!(args.rest.is_empty());
         let gpu = args.gpu();
-        assert_eq!(gpu.sim_threads, 2);
         assert_eq!(gpu.mshr_entries, 4);
         assert_eq!(gpu.l2_bw, 3);
         assert_eq!(gpu.dram_bw, 1);
@@ -463,7 +447,7 @@ mod tests {
         let toks = ["pathfinder", "out_dir"];
         let args = BenchArgs::from_tokens(toks.iter().map(ToString::to_string));
         assert_eq!(args.scale, Scale::Full);
-        assert!(args.out.is_none() && args.kernels.is_none() && args.sim_threads.is_none());
+        assert!(args.out.is_none() && args.kernels.is_none());
         assert!(args.mshr_entries.is_none() && args.l2_bw.is_none() && args.dram_bw.is_none());
         assert!(args.l2_partitions.is_none() && args.xbar_queue.is_none());
         assert!(!args.no_event_driven && !args.no_mem_calendar);
@@ -475,6 +459,15 @@ mod tests {
             "no overrides leaves the config untouched"
         );
         assert!(args.matches("anything"));
+    }
+
+    #[test]
+    #[should_panic(expected = "unrecognised flag \"--sim-threads\"")]
+    fn bench_args_reject_unknown_flags() {
+        // A stale flag must not fall through to the positionals, where
+        // `trace_report` would take it for a kernel name.
+        let toks = ["pathfinder", "--sim-threads", "2"];
+        let _ = BenchArgs::from_tokens(toks.iter().map(ToString::to_string));
     }
 
     #[test]

@@ -34,8 +34,7 @@ fn probe() {
     let starved = GpuConfig::scaled(16)
         .with_mshr_entries(4)
         .with_dram_bw(1)
-        .with_l2_bw(1)
-        .with_sim_threads(1);
+        .with_l2_bw(1);
     let (program, launch, memory) = memory_starved_kernel(starved.num_sms);
     // Interleave the legs round-robin so CPU frequency / load drift over
     // the probe's lifetime biases every leg equally, then take each

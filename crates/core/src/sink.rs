@@ -19,8 +19,8 @@ use crate::event::OpContext;
 /// Observer for speculative-adder, history and CRF events.
 ///
 /// All methods have empty default bodies; implement the ones you need.
-/// Sinks must be [`Send`] so per-SM simulator state (which owns or
-/// borrows a sink) can move to worker threads in parallel runs.
+/// Sinks must be [`Send`] so simulator state that owns or borrows a
+/// sink can move between threads.
 pub trait EventSink: Send {
     /// One completed speculative add: its context, layout and outcome
     /// (including misprediction / recompute details).

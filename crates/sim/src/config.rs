@@ -110,25 +110,18 @@ pub struct GpuConfig {
     /// latency adders.
     pub speculation: Option<SpeculationConfig>,
 
-    /// Host worker threads stepping SMs in the timed engine: `0` = use
-    /// the machine's available parallelism, `1` = the serial driver.
-    /// Results are bit-identical at every setting; this is purely a
-    /// wall-clock knob.
-    pub sim_threads: u32,
-
     /// Event-driven per-SM fast-forward: an SM that issued nothing and
     /// whose wake hints all lie beyond the next global cycle sleeps on a
     /// driver-owned wake calendar and is not stepped again until a fill
     /// retires into one of its MSHR slices or its wake time arrives.
     /// Results are bit-identical either way (the determinism suite
     /// asserts it); `false` forces the legacy step-everything path as an
-    /// escape hatch and cross-check. Like `sim_threads`, purely a
-    /// wall-clock knob.
+    /// escape hatch and cross-check. Purely a wall-clock knob.
     pub event_driven: bool,
 
-    /// Memory-side wake calendar: when every SM is asleep, the drivers
-    /// consult each partition's provable next event (earliest pending
-    /// fill completion) and fast-forward the whole machine to the global
+    /// Memory-side wake calendar: when every SM is asleep, the driver
+    /// consults each partition's provable next event (earliest pending
+    /// fill completion) and fast-forwards the whole machine to the global
     /// next event instead of stepping the drain/route/arbiter phases
     /// through cycles where they are no-ops. Skipped integrals are
     /// replayed in aggregate at wake, so results are bit-identical
@@ -196,7 +189,6 @@ impl GpuConfig {
             clock_ghz: 1.2,
             scheduler: SchedulerKind::Gto,
             speculation: None,
-            sim_threads: 0,
             event_driven: default_event_driven(),
             mem_calendar: default_mem_calendar(),
         }
@@ -271,13 +263,6 @@ impl GpuConfig {
     #[must_use]
     pub fn with_issue_width(mut self, width: u32) -> Self {
         self.issue_width = width.max(1);
-        self
-    }
-
-    /// Sets the host worker-thread count for timed runs (`0` = auto).
-    #[must_use]
-    pub fn with_sim_threads(mut self, threads: u32) -> Self {
-        self.sim_threads = threads;
         self
     }
 
@@ -399,24 +384,6 @@ impl GpuConfig {
         }
         Ok(())
     }
-
-    /// Resolves [`GpuConfig::sim_threads`] to a concrete worker count:
-    /// `0` becomes the machine's available parallelism, and the result is
-    /// clamped to `1..=num_sms` (more workers than SMs cannot help).
-    #[must_use]
-    pub fn effective_sim_threads(&self) -> u32 {
-        let auto = || {
-            std::thread::available_parallelism()
-                .map(|n| n.get() as u32)
-                .unwrap_or(1)
-        };
-        let requested = if self.sim_threads == 0 {
-            auto()
-        } else {
-            self.sim_threads
-        };
-        requested.clamp(1, self.num_sms.max(1))
-    }
 }
 
 impl Default for GpuConfig {
@@ -443,22 +410,6 @@ mod tests {
         assert_eq!(c.num_sms, 4);
         assert_eq!(c.alu_pipes, GpuConfig::titan_v().alu_pipes);
         assert!(c.l2_bytes < GpuConfig::titan_v().l2_bytes);
-    }
-
-    #[test]
-    fn sim_threads_resolution() {
-        let c = GpuConfig::scaled(4);
-        assert_eq!(c.sim_threads, 0, "default is auto");
-        assert!(c.effective_sim_threads() >= 1);
-        assert!(c.effective_sim_threads() <= 4, "clamped to num_sms");
-        assert_eq!(c.with_sim_threads(1).effective_sim_threads(), 1);
-        assert_eq!(c.with_sim_threads(99).effective_sim_threads(), 4);
-        assert_eq!(
-            GpuConfig::scaled(2)
-                .with_sim_threads(2)
-                .effective_sim_threads(),
-            2
-        );
     }
 
     #[test]

@@ -68,36 +68,16 @@ pub fn run_functional(
     run_functional_with(program, launch, global, opts, RunOptions::default())
 }
 
-/// [`run_functional`] with a telemetry collector observing the run.
-///
-/// The functional engine has no clock, so events are stamped with
-/// *logical time* — the running warp-instruction count. Each block batch
-/// becomes a span, warp issues and barriers are recorded, and the
-/// collector is finalized at the total instruction count (so "IPC" reads
-/// as instructions per logical step, ≈ 1).
-///
-/// # Panics
-///
-/// Same conditions as [`run_functional`].
-pub fn run_functional_with_telemetry(
-    program: &Program,
-    launch: LaunchConfig,
-    global: &mut MemImage,
-    opts: &FunctionalOptions,
-    tele: &mut Telemetry,
-) -> FunctionalOutput {
-    run_functional_with(
-        program,
-        launch,
-        global,
-        opts,
-        RunOptions::with_telemetry(tele),
-    )
-}
-
-/// The unified functional entry point, mirroring
+/// [`run_functional`] with options, mirroring
 /// [`crate::timed::run_timed_with`]: one signature for plain and observed
 /// runs.
+///
+/// With a telemetry collector ([`RunOptions::with_telemetry`]), events
+/// are stamped with *logical time* — the running warp-instruction count,
+/// since the functional engine has no clock. Each block batch becomes a
+/// span, warp issues and barriers are recorded, and the collector is
+/// finalized at the total instruction count (so "IPC" reads as
+/// instructions per logical step, ≈ 1).
 ///
 /// # Panics
 ///

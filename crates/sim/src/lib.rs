@@ -19,16 +19,13 @@
 //!   counts the power model consumes (Fig. 7).
 //!
 //! The timed mode is layered: [`sm::SmCore`] is a self-contained per-SM
-//! core (scheduler, scoreboard, pipes, ST² speculation) that talks to the
-//! outside world only through [`gmem::GlobalMem`] and
-//! [`memory::MemInterface`]; [`timed`] is the driver that owns block
-//! dispatch, the shared [`memory::MemoryHierarchy`] (sharded into
-//! [`memory::Partition`] banks by [`addrdec::AddressDecoder`]), and the
-//! global clock. Because cores queue their memory transactions and the
-//! driver routes them in SM-index order and drains partitions in
-//! partition-index order each cycle, the driver can step cores — and
-//! drain partitions — on worker threads ([`GpuConfig::sim_threads`])
-//! with **bit-identical** results to the serial path.
+//! core (scheduler, scoreboard, pipes, ST² speculation) that reaches the
+//! cache hierarchy only through a [`memory::RequestQueue`]; [`timed`] is
+//! the driver that owns block dispatch, the shared
+//! [`memory::MemoryHierarchy`] (sharded into [`memory::Partition`] banks
+//! by [`addrdec::AddressDecoder`]), and the global clock. One loop steps
+//! every core in SM-index order, then serves the queued memory
+//! transactions in (SM-index, issue) order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +34,6 @@ pub mod addrdec;
 pub mod config;
 pub mod engine;
 pub mod exec;
-pub mod gmem;
 pub mod memory;
 pub mod simt;
 pub mod sm;
@@ -47,13 +43,9 @@ pub mod trace;
 
 pub use addrdec::AddressDecoder;
 pub use config::{GpuConfig, SchedulerKind};
-pub use engine::{
-    run_functional, run_functional_with, run_functional_with_telemetry, FunctionalOptions,
-    FunctionalOutput,
-};
-pub use gmem::{GlobalMem, SharedGlobal};
-pub use memory::{MemInterface, RequestQueue};
+pub use engine::{run_functional, run_functional_with, FunctionalOptions, FunctionalOutput};
+pub use memory::RequestQueue;
 pub use sm::{CycleReport, SmCore};
 pub use stats::{ActivityCounters, InstMix, SimStats};
-pub use timed::{run_timed, run_timed_with, run_timed_with_telemetry, RunOptions, TimedOutput};
+pub use timed::{run_timed, run_timed_with, RunOptions, TimedOutput};
 pub use trace::ValueTrace;

@@ -18,11 +18,11 @@
 //! touches after decode — per-SM L1 bank and MSHR file slices, an L2
 //! bank, its own L2/DRAM bandwidth arbiters, and per-SM crossbar
 //! injection ports — so two requests routed to different partitions
-//! share **no** mutable state. That disjointness is what lets the
-//! drivers drain partitions concurrently ([`Partition::access`] is
-//! pure per-partition work) while the per-SM completion phase
+//! share **no** mutable state: each partition's timing depends only on
+//! the order of its own requests. [`Partition::access`] touches no
+//! counters; the per-SM completion phase
 //! ([`crate::sm::SmCore::complete_memory`]) replays counter and
-//! telemetry updates in deterministic (SM-index, issue) order. With
+//! telemetry updates in (SM-index, issue) order. With
 //! one partition, the model degenerates to the legacy monolithic L2:
 //! same geometry, no crossbar, bit-identical timing.
 
@@ -247,7 +247,7 @@ impl BwSlots {
     }
 }
 
-/// One SM's bounded injection port into one partition's request lane.
+/// One SM's bounded crossbar injection port into one partition.
 ///
 /// The port holds at most `depth` requests between their arrival and
 /// their L2 slot grant. When a request arrives with the port full, it
@@ -290,8 +290,8 @@ impl XbarPort {
 /// One address slice of the memory subsystem: the per-SM L1 bank and
 /// MSHR file slices for the lines this partition serves, an L2 bank,
 /// private L2/DRAM bandwidth arbiters, and the per-SM crossbar
-/// injection ports. Partitions share no mutable state, so the drivers
-/// may drain different partitions concurrently.
+/// injection ports. Partitions share no mutable state, so interleaving
+/// requests across partitions never changes a result.
 #[derive(Debug, Clone)]
 pub struct Partition {
     l1s: Vec<Cache>,
@@ -315,9 +315,7 @@ pub struct Partition {
 
 /// L1s + MSHR files + partitioned L2 + DRAM with latency, bandwidth and
 /// occupancy accounting. A thin owner around the [`Partition`] slices
-/// plus the address decoder that routes between them; the parallel
-/// driver takes the partitions out ([`MemoryHierarchy::into_partitions`])
-/// to put each behind its own lock.
+/// plus the address decoder that routes between them.
 #[derive(Debug, Clone)]
 pub struct MemoryHierarchy {
     parts: Vec<Partition>,
@@ -331,10 +329,8 @@ pub struct MemoryHierarchy {
 /// fill could start. The stage waits are zero for L1 hits and merges
 /// (neither allocates a new fill). Every counter a transaction implies
 /// is reconstructible from this record
-/// ([`apply_access_counters`]), which is what lets partitions compute
-/// results concurrently and the per-SM completion phase apply the
-/// counters deterministically afterwards. (`Default` exists only as
-/// the routing placeholder in [`Completion`].)
+/// ([`apply_access_counters`]), which is what lets the per-SM
+/// completion phase apply the counters in issue order afterwards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessResult {
     /// Absolute cycle the result is available to the issuing warp.
@@ -400,8 +396,8 @@ impl AccessResult {
 }
 
 /// One SM's view of its MSHR slice in one partition: free entries,
-/// earliest in-flight fill, and current occupancy. The drivers snapshot
-/// one per partition after the drain and hand the slice to
+/// earliest in-flight fill, and current occupancy. The driver snapshots
+/// one per partition after the drain and hands the slice to
 /// [`crate::sm::SmCore::complete_memory`], which refreshes the core's
 /// per-partition credit mirror and wake hint from it.
 #[derive(Debug, Clone, Copy)]
@@ -471,7 +467,7 @@ impl Partition {
     /// Touches only this partition's state and performs **no** counter
     /// or telemetry updates — those are reconstructed from the returned
     /// [`AccessResult`] by [`apply_access_counters`] in the per-SM
-    /// completion phase, so partition drains can run concurrently.
+    /// completion phase.
     pub fn access(&mut self, sm: usize, addr: u64, now: u64) -> AccessResult {
         let line_id = addr / self.line;
         if let Some(fill) = self.mshrs[sm].find(line_id, now) {
@@ -537,7 +533,7 @@ impl Partition {
     }
 
     /// Retires SM `sm`'s MSHR entries in this partition whose fills
-    /// have landed by `now`. The drivers call this for every partition
+    /// have landed by `now`. The driver calls this for every partition
     /// at the start of each drain, before any access, so the cycle's
     /// requests see the post-retirement files.
     pub fn retire_fills(&mut self, sm: usize, now: u64) {
@@ -661,25 +657,17 @@ impl MemoryHierarchy {
         self.decoder
     }
 
-    /// Mutable access to partition `p` (the serial driver's
-    /// partition-index-order drain).
+    /// Mutable access to partition `p`.
     pub fn partition_mut(&mut self, p: usize) -> &mut Partition {
         &mut self.parts[p]
-    }
-
-    /// Takes the partitions out of the hierarchy so the parallel driver
-    /// can put each behind its own lock and drain them concurrently.
-    #[must_use]
-    pub fn into_partitions(self) -> Vec<Partition> {
-        self.parts
     }
 
     /// One coalesced global-memory transaction from SM `sm` touching the
     /// line containing `addr` at cycle `now`, with counter updates:
     /// routes through the address decoder, accesses the partition, and
     /// applies the implied counters. The single-structure convenience
-    /// path (unit tests, single-SM tools); the drivers instead route,
-    /// drain and complete in separate phases.
+    /// path (unit tests, single-SM tools); the driver instead routes,
+    /// accesses and completes in separate phases.
     pub fn access(
         &mut self,
         sm: usize,
@@ -703,8 +691,7 @@ impl MemoryHierarchy {
 
     /// The hierarchy's provable next event: the minimum of
     /// [`Partition::next_event`] over every partition (`u64::MAX` when
-    /// the whole memory side is idle). The serial driver's memory
-    /// calendar entry.
+    /// the whole memory side is idle).
     #[must_use]
     pub fn next_event(&self) -> u64 {
         self.parts
@@ -753,51 +740,8 @@ impl MemoryHierarchy {
     }
 }
 
-/// One request routed to a partition lane: which SM sent it and the
-/// position (`seq`) in that SM's issue-order completion list where the
-/// result lands at gather time.
-#[derive(Debug, Clone, Copy)]
-pub struct LaneReq {
-    /// Issuing SM.
-    pub sm: usize,
-    /// Index into the SM's completion list for this cycle.
-    pub seq: usize,
-    /// Coalesced line address.
-    pub addr: u64,
-}
-
-/// One partition's request lane for a drain round: the routed requests
-/// in (SM-index, issue) order and the results the partition produced
-/// for them. The pair lives next to its [`Partition`] so the parallel
-/// driver can hand both to a worker behind one lock.
-#[derive(Debug, Default)]
-pub struct PartitionLane {
-    /// Routed requests, (SM-index, issue) order.
-    pub reqs: Vec<LaneReq>,
-    /// One result per request, filled by [`PartitionLane::drain`].
-    pub results: Vec<AccessResult>,
-}
-
-impl PartitionLane {
-    /// An empty lane.
-    #[must_use]
-    pub fn new() -> Self {
-        PartitionLane::default()
-    }
-
-    /// Runs every routed request through `part` in lane order, filling
-    /// `results`. Pure per-partition work — safe to run concurrently
-    /// with other partitions' drains.
-    pub fn drain(&mut self, part: &mut Partition, now: u64) {
-        self.results.clear();
-        self.results
-            .extend(self.reqs.iter().map(|r| part.access(r.sm, r.addr, now)));
-    }
-}
-
 /// One completed transaction handed back to its SM in issue order:
-/// the request identity plus the partition's [`AccessResult`]
-/// (placeholder-default until [`gather_results`] fills it).
+/// the request identity plus the partition's [`AccessResult`].
 #[derive(Debug, Clone, Copy)]
 pub struct Completion {
     /// Core-local token matching the result to a scoreboard entry.
@@ -812,70 +756,19 @@ pub struct Completion {
     pub result: AccessResult,
 }
 
-/// Routes one SM's queued requests into the per-partition lanes,
-/// recording a placeholder [`Completion`] per request in issue order.
-/// Called per SM in SM-index order, so every lane ends up in
-/// (SM-index, issue) order — with one partition, exactly the total
-/// order the pre-partitioning drain used.
-pub fn route_requests(
-    queue: &mut RequestQueue,
-    sm: usize,
-    decoder: &AddressDecoder,
-    lanes: &mut [PartitionLane],
-    completions: &mut Vec<Completion>,
-) {
-    for (token, addr, store) in queue.drain() {
-        let p = decoder.decode(addr);
-        lanes[p].reqs.push(LaneReq {
-            sm,
-            seq: completions.len(),
-            addr,
-        });
-        completions.push(Completion {
-            token,
-            addr,
-            store,
-            partition: p as u32,
-            result: AccessResult::default(),
-        });
-    }
-}
-
-/// Scatters every lane's results back into the per-SM completion lists
-/// (issue order), leaving the lanes empty for the next cycle.
-pub fn gather_results(lanes: &mut [PartitionLane], completions: &mut [Vec<Completion>]) {
-    for lane in lanes {
-        for (req, r) in lane.reqs.drain(..).zip(lane.results.drain(..)) {
-            completions[req.sm][req.seq].result = r;
-        }
-    }
-}
-
 fn saturate(cycles: u64) -> u32 {
     u32::try_from(cycles).unwrap_or(u32::MAX)
 }
 
 /// How an SM core submits global-memory transactions without calling
-/// into the shared hierarchy mid-step.
+/// into the shared hierarchy mid-step: a FIFO of `(token, addr, store)`
+/// entries preserving issue order.
 ///
 /// [`crate::sm::SmCore::step_cycle`] queues one request per coalesced
-/// segment, tagged with a core-local `token`; the driver drains the
+/// segment, tagged with a core-local `token`; the driver serves the
 /// queues against the [`MemoryHierarchy`] in SM-index order at the end of
-/// the cycle (the barrier, in parallel runs), then hands completion
-/// times back via [`crate::sm::SmCore::drain_memory`]. This keeps the
-/// L2/DRAM access sequence — and therefore every latency, queue depth
-/// and counter — identical between serial and parallel drivers.
-pub trait MemInterface {
-    /// Queues one coalesced transaction touching the line at `addr`.
-    /// `token` identifies the issuing access so the core can match the
-    /// worst-case completion time back to its scoreboard entry;
-    /// `store` discriminates write traffic for telemetry (stores take
-    /// the same write-allocate path through the hierarchy).
-    fn request(&mut self, token: u32, addr: u64, store: bool);
-}
-
-/// The standard [`MemInterface`]: a FIFO of `(token, addr, store)`
-/// entries preserving issue order.
+/// the cycle, then hands the results back via
+/// [`crate::sm::SmCore::complete_memory`].
 #[derive(Debug, Default)]
 pub struct RequestQueue {
     entries: Vec<(u32, u64, bool)>,
@@ -894,16 +787,19 @@ impl RequestQueue {
         self.entries.drain(..)
     }
 
+    /// Queues one coalesced transaction touching the line at `addr`.
+    /// `token` identifies the issuing access so the core can match the
+    /// worst-case completion time back to its scoreboard entry;
+    /// `store` discriminates write traffic for telemetry (stores take
+    /// the same write-allocate path through the hierarchy).
+    pub fn request(&mut self, token: u32, addr: u64, store: bool) {
+        self.entries.push((token, addr, store));
+    }
+
     /// Whether any requests are queued.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-}
-
-impl MemInterface for RequestQueue {
-    fn request(&mut self, token: u32, addr: u64, store: bool) {
-        self.entries.push((token, addr, store));
     }
 }
 

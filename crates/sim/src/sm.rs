@@ -4,12 +4,10 @@
 //! a cycle — resident warps, block slots, the register scoreboard,
 //! functional-unit pipes, the ST² predictor with its Carry Register File,
 //! and per-SM activity counters — and nothing shared with other SMs.
-//! Global memory reaches it through [`crate::gmem::GlobalMem`] and the
-//! cache hierarchy through [`crate::memory::MemInterface`], so cores can
-//! step concurrently; the driver ([`crate::timed`]) routes the queued
-//! memory requests to the L2 partitions in SM-index order at the end of
-//! every cycle and drains the partitions in partition-index order,
-//! which keeps serial and parallel runs bit-identical.
+//! It reads and writes global memory directly but reaches the cache
+//! hierarchy only through a [`RequestQueue`]: the driver
+//! ([`crate::timed`]) serves the queued requests in SM-index order at
+//! the end of every cycle.
 //!
 //! One cycle is three phases, all driven from outside:
 //!
@@ -17,22 +15,19 @@
 //!    warp instructions, executing them functionally and queueing global
 //!    memory transactions (scoreboard destinations of in-flight loads are
 //!    parked at `u64::MAX`).
-//! 2. The driver routes the queued transactions to the L2 partitions
-//!    ([`crate::memory::route_requests`]), drains the partitions —
-//!    concurrently, in parallel runs — and hands the completed results
-//!    back through [`SmCore::complete_memory`], which resolves the
-//!    parked scoreboard entries ([`SmCore::drain_memory`] bundles the
-//!    whole phase for single-SM callers).
+//! 2. The driver runs the queued transactions through their L2
+//!    partitions and hands the completed results back through
+//!    [`SmCore::complete_memory`], which resolves the parked scoreboard
+//!    entries ([`SmCore::drain_memory`] bundles the whole phase for
+//!    single-SM callers).
 //! 3. [`SmCore::finish_cycle`] — release satisfied block barriers and
 //!    retire finished blocks.
 
 use crate::addrdec::AddressDecoder;
 use crate::config::{GpuConfig, SchedulerKind};
 use crate::exec::{step, ExecEnv, StepHooks, WarpAdderOp, WarpCtx};
-use crate::gmem::GlobalMem;
 use crate::memory::{
-    apply_access_counters, coalesce, Completion, MemInterface, MemoryHierarchy, MshrView,
-    RequestQueue,
+    apply_access_counters, coalesce, Completion, MemoryHierarchy, MshrView, RequestQueue,
 };
 use crate::stats::ActivityCounters;
 use st2_core::adder::execute_op_with_sink;
@@ -280,7 +275,7 @@ pub struct CycleReport {
     /// `MemPending` reports `ready_at.max(pipe_free)` (load completions
     /// resolve the same cycle the fill lands, via `complete_memory`) and
     /// `MemThrottle` reports the MSHR wake hint — only `Done`/`Barrier`
-    /// warps are `u64::MAX`. That exactness is what lets the drivers
+    /// warps are `u64::MAX`. That exactness is what lets the driver
     /// park the SM until this cycle with no intermediate polling, and
     /// why a machine-wide `next_wake == u64::MAX` means every warp is
     /// finished or barrier-parked (the quiet-machine jump in
@@ -470,15 +465,15 @@ impl SmCore {
 
     /// Schedules and issues up to `issue_width` warp instructions at
     /// cycle `now`, executing them functionally against `global` and
-    /// queueing coalesced global-memory transactions on `iface` (resolved
-    /// later by [`SmCore::drain_memory`]).
+    /// queueing coalesced global-memory transactions on `queue` (resolved
+    /// later by [`SmCore::complete_memory`]).
     pub fn step_cycle(
         &mut self,
         now: u64,
         program: &Program,
         launch: LaunchConfig,
-        global: &mut dyn GlobalMem,
-        iface: &mut dyn MemInterface,
+        global: &mut MemImage,
+        queue: &mut RequestQueue,
         tele: &mut Telemetry,
     ) -> CycleReport {
         let mut report = CycleReport::default();
@@ -745,7 +740,7 @@ impl SmCore {
             }
 
             // Memory timing. Shared memory is SM-local and resolves
-            // inline; global transactions are queued on `iface` and
+            // inline; global transactions are queued on `queue` and
             // their worst-case completion time lands on the scoreboard
             // at drain time. A fully predicated-off access (every lane
             // masked) touches nothing and is not modeled at all.
@@ -765,7 +760,7 @@ impl SmCore {
                         let segs = coalesce(&m.addrs, cfg.l1_line);
                         let token = self.pending.len() as u32;
                         for seg in &segs {
-                            iface.request(token, *seg, m.store);
+                            queue.request(token, *seg, m.store);
                             // Each segment may allocate an MSHR entry in
                             // its partition at the drain; spend the
                             // credit now so one cycle cannot
@@ -969,12 +964,10 @@ impl SmCore {
         tele.profile_commit(self.index, cycles, &self.cycle_profile);
     }
 
-    /// Single-SM bundle of the whole memory phase: retire fills, route
-    /// this core's queued requests through the decoder, drain every
-    /// partition in index order, and apply the completions. The drivers
-    /// run the phases separately (so multi-SM lanes and partition
-    /// parallelism work); this wrapper serves single-core callers and
-    /// tests.
+    /// Single-SM bundle of the whole memory phase: retire fills, run
+    /// this core's queued requests through their partitions, and apply
+    /// the completions. The driver runs the phases separately across all
+    /// SMs; this wrapper serves single-core callers and tests.
     pub fn drain_memory(
         &mut self,
         queue: &mut RequestQueue,

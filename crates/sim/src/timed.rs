@@ -1,56 +1,40 @@
 //! The cycle-level driver layer: launch bookkeeping, the global clock,
-//! and the serial/parallel stepping strategies over [`SmCore`]s.
+//! and the one loop that steps every [`SmCore`].
 //!
 //! All per-SM behaviour (scheduling, scoreboard, FU pipes, ST²
 //! speculation) lives in [`crate::sm`]; this module owns only what is
 //! shared across SMs — block dispatch, the memory hierarchy, and time.
-//! Every cycle runs the same three-phase protocol regardless of driver:
+//! Every cycle runs the same three phases:
 //!
 //! 1. admit at most one block per SM (SM-index order),
-//! 2. step every core ([`SmCore::step_cycle`]) — concurrently in the
-//!    parallel driver, which is safe because cores only touch global
-//!    memory through [`crate::gmem::GlobalMem`] and queue their cache
+//! 2. step every core ([`SmCore::step_cycle`]); cores queue their cache
 //!    transactions instead of touching the hierarchy,
-//! 3. drain memory: retire landed fills, route the queued transactions
-//!    through the address decoder into per-partition lanes (SM-index
-//!    order), drain the L2 partitions in partition-index order —
-//!    concurrently in the parallel driver, each partition behind its
-//!    own lock — gather the results back per SM, apply them
-//!    ([`SmCore::complete_memory`]), finish the cycle, and advance the
-//!    clock (fast-forwarding idle stretches to the earliest wake-up).
+//! 3. drain memory: retire landed fills, run the queued transactions
+//!    through their L2 partitions in (SM-index, issue) order, apply the
+//!    results per SM ([`SmCore::complete_memory`]), finish the cycle,
+//!    and advance the clock (fast-forwarding idle stretches to the
+//!    earliest wake-up).
 //!
-//! Because phase 3 routes requests in the same (SM-index, issue) total
-//! order the serial driver produces and each partition serves its lane
-//! in exactly that order — partitions share no mutable state, so the
-//! drain schedule across partitions is irrelevant — cycles, activity
-//! counters and adder accuracy are **bit-identical** at every
-//! `sim_threads` setting; the knob is purely wall-clock. The timing
-//! model itself is deliberately "GPGPU-Sim-shaped but lighter": each
-//! warp instruction issues atomically to a functional-unit pipe,
-//! occupying it for an issue interval and producing its results after a
-//! latency. ST² mispredictions lengthen both by one cycle — the stall
-//! signal of the paper's Fig. 4 — which is exactly how the design's
-//! ~0.36 % average performance overhead arises. Global-memory latency
-//! is not a constant: the drain phase runs every miss through per-SM
-//! MSHR slices, bounded crossbar injection ports and finite per-partition
-//! L2/DRAM request bandwidth (see [`crate::memory`]), so loaded memory
-//! systems stretch completion times and a full MSHR slice
-//! back-pressures the issue stage.
+//! The timing model itself is deliberately "GPGPU-Sim-shaped but
+//! lighter": each warp instruction issues atomically to a
+//! functional-unit pipe, occupying it for an issue interval and
+//! producing its results after a latency. ST² mispredictions lengthen
+//! both by one cycle — the stall signal of the paper's Fig. 4 — which is
+//! exactly how the design's ~0.36 % average performance overhead
+//! arises. Global-memory latency is not a constant: the drain phase
+//! runs every miss through per-SM MSHR slices, bounded crossbar
+//! injection ports and finite per-partition L2/DRAM request bandwidth
+//! (see [`crate::memory`]), so loaded memory systems stretch completion
+//! times and a full MSHR slice back-pressures the issue stage.
 
 use crate::config::GpuConfig;
-use crate::gmem::SharedGlobal;
-use crate::memory::{
-    gather_results, route_requests, AccessResult, Completion, LaneReq, MemoryHierarchy, MshrView,
-    Partition, PartitionLane, RequestQueue,
-};
+use crate::memory::{Completion, MemoryHierarchy, MshrView, RequestQueue};
 use crate::sm::{CycleReport, SmCore};
 use crate::stats::ActivityCounters;
 use st2_isa::{LaunchConfig, MemImage, Program};
 use st2_telemetry::Telemetry;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, RwLock};
 
 /// Result of a timed run.
 #[derive(Debug, Clone, Default)]
@@ -117,36 +101,14 @@ pub fn run_timed(
     run_timed_with(program, launch, global, cfg, RunOptions::default())
 }
 
-/// [`run_timed`] with a telemetry collector observing the run.
+/// [`run_timed`] with options: one signature for plain and observed
+/// runs.
 ///
-/// Pass [`Telemetry::disabled`] (what [`run_timed`] does) for zero
-/// overhead, or an enabled collector from [`Telemetry::for_run`] to
-/// record scheduler, adder, CRF and memory events plus interval metric
-/// snapshots. The collector is [`Telemetry::finalize`]d before return.
-///
-/// # Panics
-///
-/// Same conditions as [`run_timed`].
-pub fn run_timed_with_telemetry(
-    program: &Program,
-    launch: LaunchConfig,
-    global: &mut MemImage,
-    cfg: &GpuConfig,
-    tele: &mut Telemetry,
-) -> TimedOutput {
-    run_timed_with(
-        program,
-        launch,
-        global,
-        cfg,
-        RunOptions::with_telemetry(tele),
-    )
-}
-
-/// The unified timed entry point: one signature for plain and observed
-/// runs, dispatching on [`GpuConfig::effective_sim_threads`] between the
-/// serial driver and the cycle-barrier parallel driver. Results are
-/// bit-identical across thread counts.
+/// Without a collector (what [`run_timed`] passes) nothing is recorded
+/// at zero overhead. With an enabled collector from
+/// [`Telemetry::for_run`] ([`RunOptions::with_telemetry`]) the run
+/// records scheduler, adder, CRF and memory events plus interval metric
+/// snapshots; the collector is [`Telemetry::finalize`]d before return.
 ///
 /// # Panics
 ///
@@ -163,12 +125,7 @@ pub fn run_timed_with(
     cfg.validate().expect("invalid GPU configuration");
     let mut disabled = Telemetry::disabled();
     let tele = opts.telemetry.unwrap_or(&mut disabled);
-    let threads = cfg.effective_sim_threads();
-    if threads <= 1 {
-        run_serial(program, launch, global, cfg, tele)
-    } else {
-        run_parallel(program, launch, global, cfg, tele, threads as usize)
-    }
+    drive(program, launch, global, cfg, tele)
 }
 
 /// Resident-block slots per SM for this launch.
@@ -212,8 +169,8 @@ fn next_cycle(now: u64, any_issued: bool, next_wake: u64) -> u64 {
 /// pending fill completion, refreshed on every retirement and drain, so
 /// it is exact at every decision point. Strictly before that cycle a
 /// partition's retire/drain/arbiter phases are provable no-ops (given
-/// no new request, which the drivers check separately), so the drivers
-/// skip them. Combined with the SM heap it yields the machine's global
+/// no new request, which the driver checks separately), so the driver
+/// skips them. Combined with the SM heap it yields the machine's global
 /// next event: when every SM is parked and the frozen wake aggregate is
 /// `u64::MAX`, the lockstep path would single-step the clock doing
 /// nothing until the earliest SM calendar entry or telemetry boundary —
@@ -311,7 +268,7 @@ impl WakeCalendar {
     }
 
     /// The fully-quiet-machine fast-forward. Preconditions (checked by
-    /// the callers): every SM is parked and the frozen wake aggregate is
+    /// the caller): every SM is parked and the frozen wake aggregate is
     /// `u64::MAX`, so `next_cycle` chose `now + 1` and the lockstep
     /// path would single-step through iterations in which nothing can
     /// happen — no admission, no step, no queued request, no due
@@ -436,9 +393,9 @@ impl WakeCalendar {
     }
 }
 
-/// The serial driver (`sim_threads = 1`): steps SMs in index order on
-/// the calling thread.
-fn run_serial(
+/// The driver loop: steps SMs in index order, then serves their queued
+/// memory requests in (SM-index, issue) order.
+fn drive(
     program: &Program,
     launch: LaunchConfig,
     global: &mut MemImage,
@@ -452,9 +409,10 @@ fn run_serial(
     let mut queues: Vec<RequestQueue> = (0..cfg.num_sms).map(|_| RequestQueue::new()).collect();
     let mut hier = MemoryHierarchy::new(cfg);
     let decoder = hier.decoder();
-    let mut lanes: Vec<PartitionLane> = (0..hier.num_partitions())
-        .map(|_| PartitionLane::new())
-        .collect();
+    let num_parts = hier.num_partitions();
+    // Partitions whose fill set changed this round (retired or
+    // accessed): their cached next events need a refresh.
+    let mut touched = vec![false; num_parts];
     let mut completions: Vec<Vec<Completion>> = (0..cfg.num_sms).map(|_| Vec::new()).collect();
     // Seed each SM's view cache with the initial (all-free) MSHR views:
     // the memory calendar lets phase 3c skip refreshing them on cycles
@@ -471,13 +429,13 @@ fn run_serial(
     let mut next_block = 0u32;
     let mut now = 0u64;
     let mut reports: Vec<CycleReport> = vec![CycleReport::default(); cfg.num_sms as usize];
-    let mut cal = WakeCalendar::new(cfg, tele, cfg.num_sms as usize, hier.num_partitions());
+    let mut cal = WakeCalendar::new(cfg, tele, cfg.num_sms as usize, num_parts);
     let mut due: Vec<usize> = Vec::new();
 
     loop {
         // Phase 1: admission, at most one block per SM per cycle.
         // Sleeping SMs have no free slot (they would not have slept),
-        // so skipping them cannot steal a block from the serial order.
+        // so skipping them cannot steal a block from the SM-index order.
         for (sm, core) in cores.iter_mut().enumerate() {
             if cal.is_asleep(sm) {
                 debug_assert!(
@@ -502,7 +460,7 @@ fn run_serial(
         let mut any_queued = false;
         for (sm, (core, queue)) in cores.iter_mut().zip(queues.iter_mut()).enumerate() {
             if !cal.is_asleep(sm) {
-                reports[sm] = core.step_cycle(now, program, launch, &mut *global, queue, tele);
+                reports[sm] = core.step_cycle(now, program, launch, global, queue, tele);
                 awake_sms += 1;
                 any_queued |= !queue.is_empty();
             }
@@ -529,11 +487,11 @@ fn run_serial(
         }
         let dt = next_now - now;
         // With the memory calendar on, the whole memory round — fill
-        // retirement, routing, drains and the MSHR view refresh — is
-        // skipped when no partition has a due fill and no awake SM
-        // queued a request this cycle: partition state is then provably
+        // retirement, accesses and the MSHR view refresh — is skipped
+        // when no partition has a due fill and no awake SM queued a
+        // request this cycle: partition state is then provably
         // untouched, so the cached views stay exact.
-        let mem_round = (0..lanes.len()).any(|p| cal.mem_due(p, now)) || any_queued;
+        let mem_round = (0..num_parts).any(|p| cal.mem_due(p, now)) || any_queued;
         if mem_round {
             // 3a: retire landed fills. Retirement touches only the
             // owning SM's MSHR slices — no shared arbiter state — so
@@ -545,42 +503,42 @@ fn run_serial(
             // retirement would be a no-op anyway. The memory calendar
             // skips whole partitions the same way: a cached next event
             // beyond `now` proves every entry outlives this cycle.
-            for p in 0..lanes.len() {
+            for (p, t) in touched.iter_mut().enumerate() {
                 if !cal.mem_due(p, now) {
                     continue;
                 }
+                *t = true;
                 let part = hier.partition_mut(p);
                 for sm in 0..cores.len() {
                     if !cal.is_asleep(sm) {
                         part.retire_fills(sm, now);
                     }
                 }
-                if cal.mem_enabled {
-                    let next = part.next_event();
+            }
+            // 3b: run every queued request through its partition in
+            // (SM-index, issue) order. Partitions share no state, so
+            // each one sees exactly its own requests in that order, and
+            // the results wait in the SM's completion list. Sleeping SMs
+            // queued nothing.
+            for (sm, queue) in queues.iter_mut().enumerate() {
+                for (token, addr, store) in queue.drain() {
+                    let p = decoder.decode(addr);
+                    touched[p] = true;
+                    completions[sm].push(Completion {
+                        token,
+                        addr,
+                        store,
+                        partition: p as u32,
+                        result: hier.partition_mut(p).access(sm, addr, now),
+                    });
+                }
+            }
+            for (p, t) in touched.iter_mut().enumerate() {
+                if std::mem::take(t) && cal.mem_enabled {
+                    let next = hier.partition_mut(p).next_event();
                     cal.mem_refresh(p, next);
                 }
             }
-            // 3b: route every queue into the partition lanes (SM-index,
-            // issue order), drain the partitions in index order, and
-            // gather the results back per SM. Sleeping SMs queued
-            // nothing, and lanes with no queued requests have nothing
-            // to serve.
-            for (sm, queue) in queues.iter_mut().enumerate() {
-                if !cal.is_asleep(sm) {
-                    route_requests(queue, sm, &decoder, &mut lanes, &mut completions[sm]);
-                }
-            }
-            for (p, lane) in lanes.iter_mut().enumerate() {
-                if !lane.reqs.is_empty() {
-                    let part = hier.partition_mut(p);
-                    lane.drain(part, now);
-                    if cal.mem_enabled {
-                        let next = part.next_event();
-                        cal.mem_refresh(p, next);
-                    }
-                }
-            }
-            gather_results(&mut lanes, &mut completions);
         } else {
             cal.note_round_skip(dt);
         }
@@ -617,395 +575,6 @@ fn run_serial(
         act.merge(core.activity());
     }
     act.cycles = now;
-    tele.finalize(now);
-    TimedOutput {
-        cycles: now,
-        activity: act,
-        sm_sleep_cycles: cal.sleep_cycles,
-        ff_wakeups: cal.wakeups,
-        mem_skip_cycles: cal.mem_skip_cycles,
-    }
-}
-
-/// One SM's worker-side state bundle: the core, its request queue, its
-/// private telemetry collector, and the last cycle's report. Workers and
-/// the driver alternate exclusive access across the cycle barrier.
-struct SmUnit {
-    core: SmCore,
-    queue: RequestQueue,
-    tele: Telemetry,
-    report: CycleReport,
-}
-
-/// One L2 partition's worker-side bundle: the partition and its request
-/// lane, behind one lock so a worker can drain the lane into the
-/// partition without touching anything else.
-struct PartUnit {
-    part: Partition,
-    lane: PartitionLane,
-}
-
-/// The parallel driver: `threads` workers step disjoint SM subsets each
-/// cycle and then drain disjoint partition subsets; the main thread
-/// owns everything shared (block dispatch, routing, the clock) and runs
-/// the route and completion phases between the barriers in SM-index
-/// order, which makes results bit-identical to [`run_serial`].
-fn run_parallel(
-    program: &Program,
-    launch: LaunchConfig,
-    global: &mut MemImage,
-    cfg: &GpuConfig,
-    tele: &mut Telemetry,
-    threads: usize,
-) -> TimedOutput {
-    let slots = block_slots(cfg, launch);
-    let num_sms = cfg.num_sms as usize;
-    // Move the image behind a lock for the workers; restored on exit.
-    let image = RwLock::new(std::mem::replace(global, MemImage::new(0)));
-
-    let units: Vec<Mutex<SmUnit>> = (0..num_sms)
-        .map(|i| {
-            Mutex::new(SmUnit {
-                core: SmCore::new(i, cfg, slots),
-                queue: RequestQueue::new(),
-                tele: if tele.is_enabled() {
-                    Telemetry::for_run(1, tele.config())
-                } else {
-                    Telemetry::disabled()
-                },
-                report: CycleReport::default(),
-            })
-        })
-        .collect();
-
-    // Four rendezvous per cycle: release the workers into the step
-    // phase, hand exclusive access back to the driver for routing,
-    // release the workers into the partition drain, and hand access
-    // back for the completion phase.
-    let barrier = Barrier::new(threads + 1);
-    let clock = AtomicU64::new(0);
-    let done = AtomicBool::new(false);
-
-    let hier = MemoryHierarchy::new(cfg);
-    let decoder = hier.decoder();
-    // Seed each SM's view cache with the initial (all-free) MSHR views:
-    // the memory calendar lets phase 3c skip refreshing them on cycles
-    // where no partition state changed, so the cache must start valid.
-    let mut views: Vec<Vec<MshrView>> = (0..num_sms)
-        .map(|sm| {
-            let mut v = Vec::new();
-            hier.mshr_views(sm, &mut v);
-            v
-        })
-        .collect();
-    let parts: Vec<Mutex<PartUnit>> = hier
-        .into_partitions()
-        .into_iter()
-        .map(|part| {
-            Mutex::new(PartUnit {
-                part,
-                lane: PartitionLane::new(),
-            })
-        })
-        .collect();
-    let mut completions: Vec<Vec<Completion>> = (0..num_sms).map(|_| Vec::new()).collect();
-    let mut act = ActivityCounters::default();
-    let mut next_block = 0u32;
-    let mut now = 0u64;
-    let mut cal = WakeCalendar::new(cfg, tele, num_sms, parts.len());
-    let mut due: Vec<usize> = Vec::new();
-    // Set by any worker whose SM queued a memory request this cycle;
-    // barrier B publishes it to the driver, which uses it (with the
-    // memory calendar) to skip the partition-lock rounds on cycles with
-    // provably no memory-side work.
-    let queued_flag = AtomicBool::new(false);
-    // Shared work queues: the driver publishes the awake-SM worklist and
-    // the nonempty-lane drain list each cycle; workers pull indices with
-    // an atomic cursor instead of striding fixed ranges, so a lopsided
-    // sleep pattern cannot idle a worker while another is saturated.
-    let worklist: RwLock<Vec<usize>> = RwLock::new(Vec::new());
-    let sm_cursor = AtomicUsize::new(0);
-    let drain_list: RwLock<Vec<usize>> = RwLock::new(Vec::new());
-    let part_cursor = AtomicUsize::new(0);
-
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let (barrier, clock, done) = (&barrier, &clock, &done);
-            let (units, parts, image) = (&units, &parts, &image);
-            let (worklist, sm_cursor) = (&worklist, &sm_cursor);
-            let (drain_list, part_cursor) = (&drain_list, &part_cursor);
-            let queued_flag = &queued_flag;
-            s.spawn(move || {
-                let mut global = SharedGlobal::new(image);
-                loop {
-                    barrier.wait(); // A: start of cycle
-                    if done.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let now = clock.load(Ordering::Acquire);
-                    {
-                        // The barrier pair publishes the list and zeroed
-                        // cursor; Relaxed suffices for claiming slots.
-                        let awake = worklist.read().expect("awake worklist lock");
-                        loop {
-                            let k = sm_cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&i) = awake.get(k) else { break };
-                            let mut unit = units[i].lock().expect("sm unit lock");
-                            let unit = &mut *unit;
-                            unit.report = unit.core.step_cycle(
-                                now,
-                                program,
-                                launch,
-                                &mut global,
-                                &mut unit.queue,
-                                &mut unit.tele,
-                            );
-                            if !unit.queue.is_empty() {
-                                queued_flag.store(true, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    barrier.wait(); // B: end of step phase (main routes)
-                    barrier.wait(); // C: start of partition drain
-                    {
-                        let drains = drain_list.read().expect("drain list lock");
-                        loop {
-                            let k = part_cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&p) = drains.get(k) else { break };
-                            let mut pu = parts[p].lock().expect("partition lock");
-                            let pu = &mut *pu;
-                            pu.lane.drain(&mut pu.part, now);
-                        }
-                    }
-                    barrier.wait(); // D: end of drain (main completes)
-                }
-            });
-        }
-
-        loop {
-            // Phase 1: admission (workers are parked at barrier A).
-            // Sleeping SMs have no free slot, so skipping them cannot
-            // steal a block from the SM-index admission order.
-            for (sm, unit) in units.iter().enumerate() {
-                if next_block >= launch.grid_dim {
-                    break;
-                }
-                if cal.is_asleep(sm) {
-                    continue;
-                }
-                let mut unit = unit.lock().expect("sm unit lock");
-                if unit.core.admit_block(next_block, program, launch) {
-                    next_block += 1;
-                }
-            }
-
-            // Phase 2: publish the awake worklist and let the workers
-            // step this cycle.
-            let all_asleep = {
-                let mut awake = worklist.write().expect("awake worklist lock");
-                awake.clear();
-                awake.extend((0..num_sms).filter(|&sm| !cal.is_asleep(sm)));
-                awake.is_empty()
-            };
-            sm_cursor.store(0, Ordering::Relaxed);
-            queued_flag.store(false, Ordering::Relaxed);
-            clock.store(now, Ordering::Release);
-            barrier.wait(); // A
-            barrier.wait(); // B
-
-            // Sleeping units keep their frozen `report` — a fixed point
-            // of the state they slept in — so this aggregation matches
-            // the step-everything path bit for bit.
-            let mut any_resident = false;
-            let mut any_issued = false;
-            let mut next_wake = u64::MAX;
-            let mut busy_sms = 0u64;
-            for unit in units.iter() {
-                let r = unit.lock().expect("sm unit lock").report;
-                any_resident |= r.resident;
-                any_issued |= r.issued;
-                next_wake = next_wake.min(r.next_wake);
-                busy_sms += u64::from(r.resident);
-            }
-            if !any_resident && next_block >= launch.grid_dim {
-                for (sm, unit) in units.iter().enumerate() {
-                    if cal.is_asleep(sm) {
-                        let mut unit = unit.lock().expect("sm unit lock");
-                        let unit = &mut *unit;
-                        cal.flush_at_exit(sm, &mut unit.core, now, &mut unit.tele);
-                    }
-                }
-                drain_list.write().expect("drain list lock").clear();
-                part_cursor.store(0, Ordering::Relaxed);
-                done.store(true, Ordering::Release);
-                barrier.wait(); // C: workers drain their (empty) lanes
-                barrier.wait(); // D
-                barrier.wait(); // A of the next cycle: workers observe
-                                // `done` and exit
-                break;
-            }
-
-            // Phase 3a: retire landed fills and route every queue into
-            // the partition lanes in (SM-index, issue) order. Workers
-            // are parked between barriers B and C, so the driver takes
-            // all partition locks without contention. With the memory
-            // calendar on, the whole round — locks included — is
-            // skipped when no partition has a due fill and no awake SM
-            // queued a request this cycle; partition state is then
-            // provably untouched, which also lets phase 3c reuse the
-            // cached MSHR views.
-            let mem_round = (0..parts.len()).any(|p| cal.mem_due(p, now))
-                || queued_flag.load(Ordering::Relaxed);
-            if mem_round {
-                let mut guards: Vec<_> = parts
-                    .iter()
-                    .map(|p| p.lock().expect("partition lock"))
-                    .collect();
-                for (p, g) in guards.iter_mut().enumerate() {
-                    if !cal.mem_due(p, now) {
-                        continue;
-                    }
-                    for sm in 0..num_sms {
-                        if !cal.is_asleep(sm) {
-                            // A sleeper's fills cannot land before its
-                            // wake, so only awake SMs' slices retire.
-                            g.part.retire_fills(sm, now);
-                        }
-                    }
-                    if cal.mem_enabled {
-                        let next = g.part.next_event();
-                        cal.mem_refresh(p, next);
-                    }
-                }
-                for (sm, unit) in units.iter().enumerate() {
-                    if cal.is_asleep(sm) {
-                        continue; // did not step: queue is empty
-                    }
-                    let mut unit = unit.lock().expect("sm unit lock");
-                    for (token, addr, store) in unit.queue.drain() {
-                        let p = decoder.decode(addr);
-                        guards[p].lane.reqs.push(LaneReq {
-                            sm,
-                            seq: completions[sm].len(),
-                            addr,
-                        });
-                        completions[sm].push(Completion {
-                            token,
-                            addr,
-                            store,
-                            partition: p as u32,
-                            result: AccessResult::default(),
-                        });
-                    }
-                }
-                // Publish the drain list: only lanes that received
-                // requests this cycle are worth a worker's visit.
-                let mut drains = drain_list.write().expect("drain list lock");
-                drains.clear();
-                drains.extend(
-                    guards
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, g)| !g.lane.reqs.is_empty())
-                        .map(|(p, _)| p),
-                );
-                part_cursor.store(0, Ordering::Relaxed);
-            } else {
-                drain_list.write().expect("drain list lock").clear();
-                part_cursor.store(0, Ordering::Relaxed);
-            }
-
-            // Phase 3b: workers drain the partitions concurrently
-            // (disjoint state — the schedule across partitions cannot
-            // affect any result).
-            barrier.wait(); // C
-            barrier.wait(); // D
-
-            // Phase 3c: gather results per SM, snapshot the MSHR views,
-            // and run the per-SM completion phase in SM-index order.
-            let mut next_now = next_cycle(now, any_issued, next_wake);
-            if all_asleep && next_wake == u64::MAX {
-                debug_assert!(!any_issued, "a sleeping SM cannot have issued");
-                next_now = cal.quiet_jump(next_now);
-            }
-            let dt = next_now - now;
-            if !mem_round {
-                cal.note_round_skip(dt);
-            }
-            // Skipped entirely on calendar-skipped rounds: nothing was
-            // routed (completions are empty) and no partition state
-            // changed, so the cached views are still exact.
-            if mem_round {
-                let mut guards: Vec<_> = parts
-                    .iter()
-                    .map(|p| p.lock().expect("partition lock"))
-                    .collect();
-                for g in guards.iter_mut() {
-                    let lane = &mut g.lane;
-                    for (req, r) in lane.reqs.drain(..).zip(lane.results.drain(..)) {
-                        completions[req.sm][req.seq].result = r;
-                    }
-                }
-                if cal.mem_enabled {
-                    // Drains allocate (and may evict) fills; refresh the
-                    // drained partitions' next events.
-                    let drains = drain_list.read().expect("drain list lock");
-                    for &p in drains.iter() {
-                        let next = guards[p].part.next_event();
-                        cal.mem_refresh(p, next);
-                    }
-                }
-                for (sm, v) in views.iter_mut().enumerate() {
-                    if cal.is_asleep(sm) {
-                        continue; // frozen credit mirror stays valid
-                    }
-                    v.clear();
-                    v.extend(guards.iter().map(|g| g.part.mshr_view(sm)));
-                }
-            }
-            for (sm, unit) in units.iter().enumerate() {
-                if cal.is_asleep(sm) {
-                    continue; // fixed point: replayed on wake/boundary
-                }
-                let mut unit = unit.lock().expect("sm unit lock");
-                let unit = &mut *unit;
-                unit.core.complete_memory(
-                    &mut completions[sm],
-                    &views[sm],
-                    now,
-                    dt,
-                    &mut unit.tele,
-                );
-                unit.core.finish_cycle();
-                unit.core.commit_profile(dt, &mut unit.tele);
-                unit.tele.advance(next_now);
-                let admissible = unit.core.has_free_slot() && next_block < launch.grid_dim;
-                cal.try_sleep(sm, &unit.core, unit.report, next_now, admissible);
-            }
-            act.active_sm_cycles += busy_sms * dt;
-            act.idle_sm_cycles += (num_sms as u64 - busy_sms) * dt;
-            cal.due(next_now, &mut due);
-            for &sm in &due {
-                let mut unit = units[sm].lock().expect("sm unit lock");
-                let unit = &mut *unit;
-                cal.flush(sm, &mut unit.core, next_now, &mut unit.tele);
-                unit.tele.advance(next_now);
-            }
-            cal.end_iteration();
-            now = next_now;
-            assert!(now < MAX_CYCLES, "simulation exceeded cycle limit");
-        }
-    });
-
-    for unit in units {
-        let unit = unit.into_inner().expect("sm unit lock");
-        act.merge(unit.core.activity());
-        if tele.is_enabled() {
-            tele.absorb(&unit.tele, unit.core.index());
-        }
-    }
-    act.cycles = now;
-    *global = image.into_inner().expect("global image lock");
     tele.finalize(now);
     TimedOutput {
         cycles: now,
@@ -1096,17 +665,6 @@ mod tests {
             "full MSHR file was never hit"
         );
         assert!(throttled.cycles > base.cycles);
-
-        // Backpressured configurations stay bit-identical across the
-        // serial and parallel drivers.
-        let stress = tight_cfg.with_mshr_entries(4);
-        let mut g4 = g0.clone();
-        let mut g5 = g0.clone();
-        let serial = run_timed(&p, launch, &mut g4, &stress.with_sim_threads(1));
-        let parallel = run_timed(&p, launch, &mut g5, &stress.with_sim_threads(2));
-        assert_eq!(serial.cycles, parallel.cycles);
-        assert_eq!(serial.activity, parallel.activity);
-        assert_eq!(g4.as_bytes(), g5.as_bytes());
     }
 
     #[test]
@@ -1119,23 +677,20 @@ mod tests {
             .with_mshr_entries(4)
             .with_dram_bw(1)
             .with_l2_bw(1);
-        for threads in [1u32, 2] {
-            let cfg = starved.with_sim_threads(threads);
-            let mut g1 = g0.clone();
-            let mut g2 = g0.clone();
-            let on = run_timed(&p, launch, &mut g1, &cfg);
-            let off = run_timed(&p, launch, &mut g2, &cfg.with_mem_calendar(false));
-            assert_eq!(on.cycles, off.cycles, "threads={threads}");
-            assert_eq!(on.activity, off.activity, "threads={threads}");
-            assert_eq!(on.sm_sleep_cycles, off.sm_sleep_cycles);
-            assert_eq!(on.ff_wakeups, off.ff_wakeups);
-            assert_eq!(g1.as_bytes(), g2.as_bytes());
-            assert!(
-                on.mem_skip_cycles > 0,
-                "threads={threads}: memory calendar never skipped a round"
-            );
-            assert_eq!(off.mem_skip_cycles, 0, "knob off must not skip");
-        }
+        let mut g1 = g0.clone();
+        let mut g2 = g0.clone();
+        let on = run_timed(&p, launch, &mut g1, &starved);
+        let off = run_timed(&p, launch, &mut g2, &starved.with_mem_calendar(false));
+        assert_eq!(on.cycles, off.cycles);
+        assert_eq!(on.activity, off.activity);
+        assert_eq!(on.sm_sleep_cycles, off.sm_sleep_cycles);
+        assert_eq!(on.ff_wakeups, off.ff_wakeups);
+        assert_eq!(g1.as_bytes(), g2.as_bytes());
+        assert!(
+            on.mem_skip_cycles > 0,
+            "memory calendar never skipped a round"
+        );
+        assert_eq!(off.mem_skip_cycles, 0, "knob off must not skip");
     }
 
     #[test]
@@ -1203,56 +758,5 @@ mod tests {
         assert!(out.activity.regfile_reads > 0);
         assert!(out.activity.mix.count(st2_isa::InstClass::AluAdd) > 0);
         assert!(out.activity.adder_int_ops > 0);
-    }
-
-    #[test]
-    fn parallel_driver_is_bit_identical_to_serial() {
-        let (p, launch, g0) = compute_kernel();
-        for cfg in [GpuConfig::scaled(4), GpuConfig::scaled(4).with_st2()] {
-            let mut g1 = g0.clone();
-            let mut g2 = g0.clone();
-            let serial = run_timed(&p, launch, &mut g1, &cfg.with_sim_threads(1));
-            let parallel = run_timed(&p, launch, &mut g2, &cfg.with_sim_threads(3));
-            assert_eq!(serial.cycles, parallel.cycles);
-            assert_eq!(serial.activity, parallel.activity);
-            assert_eq!(g1.as_bytes(), g2.as_bytes());
-        }
-    }
-
-    #[test]
-    fn parallel_telemetry_merges_to_serial_totals() {
-        use st2_telemetry::TelemetryConfig;
-        let (p, launch, g0) = compute_kernel();
-        let cfg = GpuConfig::scaled(3).with_st2();
-        let run = |threads: u32| {
-            let mut g = g0.clone();
-            let mut tele = Telemetry::for_run(3, TelemetryConfig::default());
-            let out = run_timed_with_telemetry(
-                &p,
-                launch,
-                &mut g,
-                &cfg.with_sim_threads(threads),
-                &mut tele,
-            );
-            (out, tele)
-        };
-        let (out1, tele1) = run(1);
-        let (out2, tele2) = run(2);
-        assert_eq!(out1.cycles, out2.cycles);
-        assert_eq!(out1.activity, out2.activity);
-        assert_eq!(tele1.registry().counters(), tele2.registry().counters());
-        assert_eq!(
-            tele1.series().column("adder.accuracy"),
-            tele2.series().column("adder.accuracy")
-        );
-        assert_eq!(tele1.cycles(), tele2.cycles());
-        // Per-SM events land in the same per-SM rings either way.
-        let ring_lens = |t: &Telemetry| {
-            t.rings()
-                .iter()
-                .map(st2_telemetry::RingBuffer::len)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(ring_lens(&tele1), ring_lens(&tele2));
     }
 }

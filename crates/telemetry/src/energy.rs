@@ -7,8 +7,8 @@
 //! an [`EnergyWeights`] table (joules per event, produced by the
 //! calibrated `st2-power` model) turns the timeline into per-interval
 //! power and a run-level [`EnergySummary`]. Keeping joules out of the
-//! hot path is what makes the timeline merge as exact integer sums, so
-//! 1/2/4-thread and event-driven runs agree bit for bit.
+//! hot path keeps the timeline exact integers, so lockstep and
+//! event-driven runs agree bit for bit.
 
 use crate::metrics::IntervalSeries;
 
@@ -333,16 +333,14 @@ mod tests {
 
     #[test]
     fn summary_is_additive_over_merged_series() {
-        // Two per-SM children vs their merge: summaries must agree —
-        // the conservation property behind cross-thread determinism.
+        // Pricing is linear in the event counts: a series whose row is
+        // the sum of two others' rows costs what they cost together.
         let a = series(&[(100, [1.0, 2.0, 1.0, 0.0, 1.0, 500.0, 100.0])]);
         let b = series(&[(100, [3.0, 4.0, 0.0, 2.0, 0.0, 700.0, 100.0])]);
+        let merged = series(&[(100, [4.0, 6.0, 1.0, 2.0, 1.0, 1200.0, 200.0])]);
         let ma = mem_series(&[(100, 10.0, 0.0)]);
         let mb = mem_series(&[(100, 5.0, 3.0)]);
-        let mut merged = a.clone();
-        merged.merge_sum(&b);
-        let mut mm = ma.clone();
-        mm.merge_sum(&mb);
+        let mm = mem_series(&[(100, 15.0, 3.0)]);
         let w = weights();
         let s = EnergySummary::from_series(&merged, &mm, &w);
         let sa = EnergySummary::from_series(&a, &ma, &w);

@@ -117,25 +117,11 @@ impl Histogram {
         &self.buckets
     }
 
-    /// Folds another histogram into this one (bucket-wise sums, max of
-    /// maxima). Used when merging per-SM collectors after a parallel run.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
-
     /// The `p`-quantile of the recorded samples at bucket resolution:
     /// the upper bound of the bucket containing the sample of rank
     /// `ceil(p * count)` (clamped to `[1, count]`), itself clamped to
     /// the recorded maximum so a reported percentile never exceeds any
-    /// observed sample. Returns 0 on an empty histogram. Pure integer
-    /// bucket arithmetic, so per-SM histograms merged with
-    /// [`Histogram::merge`] yield bit-identical percentiles regardless
-    /// of merge order.
+    /// observed sample. Returns 0 on an empty histogram.
     #[must_use]
     pub fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
@@ -228,40 +214,6 @@ impl IntervalSeries {
     #[must_use]
     pub fn points(&self) -> &[IntervalPoint] {
         &self.points
-    }
-
-    /// Pointwise-sums another series into this one. Rows are matched by
-    /// index — callers guarantee both series snapshot at the same cycle
-    /// boundaries (per-SM collectors driven by one global clock); rows
-    /// `other` has beyond `self`'s length are appended as copies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if matched rows disagree on cycle or column count.
-    pub fn merge_sum(&mut self, other: &IntervalSeries) {
-        if self.columns.is_empty() {
-            self.columns = other.columns.clone();
-        }
-        for (i, p) in other.points.iter().enumerate() {
-            if i < self.points.len() {
-                let row = &mut self.points[i];
-                assert_eq!(row.cycle, p.cycle, "snapshot boundaries diverged");
-                assert_eq!(row.values.len(), p.values.len(), "column mismatch");
-                for (v, o) in row.values.iter_mut().zip(p.values.iter()) {
-                    *v += o;
-                }
-            } else {
-                self.points.push(p.clone());
-            }
-        }
-    }
-
-    /// Applies `f` to every row's values in time order (e.g. to recompute
-    /// a ratio column after [`IntervalSeries::merge_sum`]).
-    pub fn map_points(&mut self, mut f: impl FnMut(u64, &mut [f64])) {
-        for p in &mut self.points {
-            f(p.cycle, &mut p.values);
-        }
     }
 
     /// One named column as `(cycle, value)` pairs.
@@ -372,24 +324,6 @@ impl MetricsRegistry {
     #[must_use]
     pub fn histograms(&self) -> &[(String, Histogram)] {
         &self.histograms
-    }
-
-    /// Folds another registry into this one by metric name: counters and
-    /// histograms sum, gauges take the other's value (last write wins, as
-    /// with [`MetricsRegistry::set`]). Names absent here are registered.
-    pub fn absorb(&mut self, other: &MetricsRegistry) {
-        for (name, v) in &other.counters {
-            let id = self.counter(name);
-            self.counters[id.0].1 += v;
-        }
-        for (name, v) in &other.gauges {
-            let id = self.gauge(name);
-            self.gauges[id.0].1 = *v;
-        }
-        for (name, h) in &other.histograms {
-            let id = self.histogram(name);
-            self.histograms[id.0].1.merge(h);
-        }
     }
 
     /// Looks up a counter's value by name (exporters, tests).
@@ -510,77 +444,6 @@ mod tests {
         assert_eq!(h.percentile(1.0), u64::MAX - 3);
         assert_eq!(h.p50(), u64::MAX - 3);
         assert_eq!(h.max(), u64::MAX - 3);
-    }
-
-    #[test]
-    fn merged_percentiles_match_single_histogram() {
-        // Recording the same samples in one histogram or in two merged
-        // halves must yield bit-identical percentiles (the determinism
-        // contract for per-SM collectors).
-        let samples = [0u64, 1, 7, 7, 30, 100, 5000, 5000, 5000, 1 << 40];
-        let mut whole = Histogram::default();
-        let (mut a, mut b) = (Histogram::default(), Histogram::default());
-        for (i, &v) in samples.iter().enumerate() {
-            whole.record(v);
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a, whole);
-        for p in [0.1, 0.5, 0.95, 1.0] {
-            assert_eq!(a.percentile(p), whole.percentile(p));
-        }
-    }
-
-    mod percentile_props {
-        use super::*;
-        use proptest::prelude::*;
-
-        fn filled(samples: &[u64]) -> Histogram {
-            let mut h = Histogram::default();
-            for &v in samples {
-                h.record(v);
-            }
-            h
-        }
-
-        proptest! {
-            /// Merging two histograms keeps every percentile within the
-            /// bucket range spanned by the parts (values compare at
-            /// bucket granularity because the max-clamp can differ per
-            /// histogram), and the clamp guarantees the merged quantile
-            /// never exceeds the merged maximum.
-            #[test]
-            fn merge_preserves_percentile_bounds(
-                a in prop::collection::vec(0u64..1 << 40, 1..64),
-                b in prop::collection::vec(0u64..1 << 40, 1..64),
-                p in 0.01f64..1.0,
-            ) {
-                let (ha, hb) = (filled(&a), filled(&b));
-                let mut merged = ha.clone();
-                merged.merge(&hb);
-                let (pa, pb) = (ha.percentile(p), hb.percentile(p));
-                let pm = merged.percentile(p);
-                // The clamp lands inside the quantile's bucket (the max
-                // is ≥ that bucket's lower bound), so bucket indices
-                // compare the unclamped quantile positions.
-                let (ba, bb, bm) = (
-                    Histogram::bucket_index(pa),
-                    Histogram::bucket_index(pb),
-                    Histogram::bucket_index(pm),
-                );
-                prop_assert!(bm >= ba.min(bb) && bm <= ba.max(bb),
-                    "p{p}: merged bucket {bm} outside [{}, {}]",
-                    ba.min(bb), ba.max(bb));
-                prop_assert_eq!(merged.count(), ha.count() + hb.count());
-                prop_assert_eq!(merged.max(), ha.max().max(hb.max()));
-                prop_assert!(pm <= merged.max(),
-                    "p{p}: merged {pm} exceeds observed max {}", merged.max());
-            }
-        }
     }
 
     #[test]

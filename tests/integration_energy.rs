@@ -1,6 +1,6 @@
 //! Cross-crate energy telemetry: the integer energy-event timeline must
-//! be **bit-identical** across the whole determinism matrix (threads ×
-//! partitions × event-driven), conserve its events against the run's
+//! be **bit-identical** across the whole determinism matrix (partitions
+//! × event-driven × memory calendar), conserve its events against the run's
 //! activity counters, and — once priced by the calibrated model — move
 //! in the right direction when the memory knobs move.
 //!
@@ -55,25 +55,23 @@ fn column_total(tele: &Telemetry, col: usize) -> u64 {
 
 #[test]
 fn energy_timeline_is_bit_identical_across_the_matrix() {
-    // {1,2,4} threads × {1,4} partitions × event-driven on/off: the
-    // energy timeline merges as pure integer sums, so every cell within
-    // a partition count reproduces the serial step-everything reference
-    // bit for bit.
+    // {1,4} partitions × event-driven on/off × memory calendar on/off:
+    // the energy timeline is pure integer counts, and parked SMs credit
+    // their slept cycles on wake, so every cell within a partition count
+    // reproduces the step-everything reference bit for bit.
     for name in ["pathfinder", "histo_K1"] {
         let spec = spec_by_name(name);
         for parts in [1u32, 4] {
             let base = tight_partitioned_cfg(parts);
-            let (_, ref_tele) = observe(&spec, &base.with_event_driven(false).with_sim_threads(1));
-            for ed in [false, true] {
-                for threads in [1u32, 2, 4] {
-                    let cfg = base.with_event_driven(ed).with_sim_threads(threads);
-                    let (_, tele) = observe(&spec, &cfg);
-                    assert_eq!(
-                        tele.energy_series().points(),
-                        ref_tele.energy_series().points(),
-                        "{name}: energy timeline diverges at ed={ed} threads={threads} parts={parts}"
-                    );
-                }
+            let (_, ref_tele) = observe(&spec, &base.with_event_driven(false));
+            for (ed, mc) in [(true, false), (true, true)] {
+                let cfg = base.with_event_driven(ed).with_mem_calendar(mc);
+                let (_, tele) = observe(&spec, &cfg);
+                assert_eq!(
+                    tele.energy_series().points(),
+                    ref_tele.energy_series().points(),
+                    "{name}: energy timeline diverges at ed={ed} mc={mc} parts={parts}"
+                );
             }
         }
     }
@@ -82,47 +80,45 @@ fn energy_timeline_is_bit_identical_across_the_matrix() {
 #[test]
 fn energy_timeline_conserves_run_totals() {
     // Interval deltas must sum back to the run's cumulative activity —
-    // the identity that makes the merged timeline a lossless shard of
-    // the counters rather than a sampled approximation. SM-resident
+    // the identity that makes the timeline a lossless shard of the
+    // counters rather than a sampled approximation. SM-resident
     // cycles must cover every SM for the full run, parked iterations
     // included (the `replay_parked` credit).
     for name in ["pathfinder", "histo_K1", "sgemm"] {
         let spec = spec_by_name(name);
         for parts in [1u32, 4] {
-            for threads in [1u32, 4] {
-                let cfg = tight_partitioned_cfg(parts).with_sim_threads(threads);
-                let (out, tele) = observe(&spec, &cfg);
-                let a = &out.activity;
-                let ctx = format!("{name} parts={parts} threads={threads}");
-                assert_eq!(column_total(&tele, 0), a.dram_accesses, "{ctx}: DRAM fills");
-                assert_eq!(column_total(&tele, 2), a.mshr_merges, "{ctx}: MSHR merges");
-                assert_eq!(column_total(&tele, 3), a.xbar_hops, "{ctx}: crossbar hops");
-                assert_eq!(
-                    column_total(&tele, 4),
-                    a.write_allocates,
-                    "{ctx}: write-allocates"
-                );
-                assert_eq!(
-                    column_total(&tele, 5),
-                    a.warp_instructions,
-                    "{ctx}: instructions"
-                );
-                assert_eq!(
-                    column_total(&tele, 6),
-                    u64::from(cfg.num_sms) * out.cycles,
-                    "{ctx}: SM-resident cycles must cover every SM x every cycle"
-                );
-                assert_eq!(
-                    column_total(&tele, 6),
-                    tele.energy_sm_cycles(),
-                    "{ctx}: timeline drops SM cycles against the integral"
-                );
-                // A crossbar only exists with multiple partitions.
-                if parts == 1 {
-                    assert_eq!(a.xbar_hops, 0, "{ctx}: hops counted without a crossbar");
-                } else {
-                    assert!(a.xbar_hops > 0, "{ctx}: sharded fills never hopped");
-                }
+            let cfg = tight_partitioned_cfg(parts);
+            let (out, tele) = observe(&spec, &cfg);
+            let a = &out.activity;
+            let ctx = format!("{name} parts={parts}");
+            assert_eq!(column_total(&tele, 0), a.dram_accesses, "{ctx}: DRAM fills");
+            assert_eq!(column_total(&tele, 2), a.mshr_merges, "{ctx}: MSHR merges");
+            assert_eq!(column_total(&tele, 3), a.xbar_hops, "{ctx}: crossbar hops");
+            assert_eq!(
+                column_total(&tele, 4),
+                a.write_allocates,
+                "{ctx}: write-allocates"
+            );
+            assert_eq!(
+                column_total(&tele, 5),
+                a.warp_instructions,
+                "{ctx}: instructions"
+            );
+            assert_eq!(
+                column_total(&tele, 6),
+                u64::from(cfg.num_sms) * out.cycles,
+                "{ctx}: SM-resident cycles must cover every SM x every cycle"
+            );
+            assert_eq!(
+                column_total(&tele, 6),
+                tele.energy_sm_cycles(),
+                "{ctx}: timeline drops SM cycles against the integral"
+            );
+            // A crossbar only exists with multiple partitions.
+            if parts == 1 {
+                assert_eq!(a.xbar_hops, 0, "{ctx}: hops counted without a crossbar");
+            } else {
+                assert!(a.xbar_hops > 0, "{ctx}: sharded fills never hopped");
             }
         }
     }

@@ -13,7 +13,13 @@ use st2::telemetry::{chrome, json, jsonl, Telemetry, TelemetryConfig};
 fn traced_run(spec: &KernelSpec, cfg: &GpuConfig) -> (Telemetry, TimedOutput, Vec<u8>) {
     let mut tele = Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
     let mut mem = spec.memory.clone();
-    let out = run_timed_with_telemetry(&spec.program, spec.launch, &mut mem, cfg, &mut tele);
+    let out = run_timed_with(
+        &spec.program,
+        spec.launch,
+        &mut mem,
+        cfg,
+        RunOptions::with_telemetry(&mut tele),
+    );
     (tele, out, mem.as_bytes().to_vec())
 }
 
