@@ -1,15 +1,16 @@
-//! Criterion bench: event-driven fast-forward on/off on a
-//! memory-starved config, the wall-clock side of the
-//! `GpuConfig::event_driven` and `GpuConfig::mem_calendar` knobs
-//! (results are bit-identical by construction; see the determinism
-//! integration test).
+//! Criterion bench: the wake calendars against the step-everything
+//! lockstep reference on a memory-starved config (results are
+//! bit-identical by construction; see the determinism integration
+//! test).
 //!
-//! `event_driven/on` should beat `event_driven/off` by several × on the
-//! starved config: most SMs spend most cycles parked on in-flight fills
-//! with exact wake hints, which is exactly what the calendar skips.
+//! `calendar/starved/calendar` should beat `calendar/starved/lockstep`
+//! by several × on the starved config: most SMs spend most cycles
+//! parked on in-flight fills with exact wake hints, which is exactly
+//! what the calendar skips.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use st2::prelude::*;
+use st2::sim::run_timed_lockstep;
 use std::hint::black_box;
 
 /// A synthetic pointer-chasing-style load loop: every warp issues a
@@ -39,35 +40,37 @@ fn memory_starved_kernel(num_sms: u32) -> (Program, LaunchConfig, MemImage) {
     (k.finish(), launch, mem)
 }
 
-/// Event-driven fast-forward on a memory-starved configuration: sixteen
-/// SMs riding a single-request-per-cycle DRAM/L2 with tiny MSHR files,
-/// so nearly every SM is parked on fills nearly every cycle (the
-/// calendar sleeps ~87% of SM-cycles here). The `no-mem-cal` leg keeps
-/// the SM calendar but steps the memory side every cycle — its gap to
-/// `starved/on` is the memory calendar's own contribution (skipped
-/// retire scans and MSHR view snapshots on fill-free cycles).
-fn bench_event_driven(c: &mut Criterion) {
+/// Sixteen SMs riding a single-request-per-cycle DRAM/L2 with tiny MSHR
+/// files, so nearly every SM is parked on fills nearly every cycle (the
+/// calendar sleeps ~87% of SM-cycles here).
+fn bench_calendar(c: &mut Criterion) {
     let starved = GpuConfig::scaled(16)
         .with_mshr_entries(4)
         .with_dram_bw(1)
         .with_l2_bw(1);
     let (program, launch, memory) = memory_starved_kernel(starved.num_sms);
-    let mut group = c.benchmark_group("event_driven");
+    let mut group = c.benchmark_group("calendar");
     group.sample_size(10);
-    for (label, cfg) in [
-        ("starved/off", starved.with_event_driven(false)),
-        ("starved/no-mem-cal", starved.with_mem_calendar(false)),
-        ("starved/on", starved),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut mem = memory.clone();
-                black_box(run_timed(&program, launch, &mut mem, &cfg))
-            });
+    group.bench_function("starved/calendar", |b| {
+        b.iter(|| {
+            let mut mem = memory.clone();
+            black_box(run_timed(&program, launch, &mut mem, &starved))
         });
-    }
+    });
+    group.bench_function("starved/lockstep", |b| {
+        b.iter(|| {
+            let mut mem = memory.clone();
+            black_box(run_timed_lockstep(
+                &program,
+                launch,
+                &mut mem,
+                &starved,
+                RunOptions::default(),
+            ))
+        });
+    });
     group.finish();
 }
 
-criterion_group!(benches, bench_event_driven);
+criterion_group!(benches, bench_calendar);
 criterion_main!(benches);

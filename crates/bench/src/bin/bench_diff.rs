@@ -11,14 +11,14 @@
 //!
 //! Exit codes: `0` = within thresholds, `1` = regression (or baseline
 //! kernel missing from the candidate), `2` = usage or parse error.
-//! Legacy baselines without the version-2 latency/stall-share fields
-//! are accepted; the missing comparisons are skipped, never failed.
+//! Both documents must carry the current summary version; any other
+//! version is a parse error (exit `2`) naming the version found.
 //! With `--out`, the rendered report is also written to
 //! `<dir>/bench_diff.txt`.
 
 use std::process::ExitCode;
 
-use st2_bench::diff::{diff_summaries, parse_summary, DiffThresholds};
+use st2_bench::diff::{diff_summaries, parse_summary, DiffThresholds, SUMMARY_VERSION};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -77,8 +77,8 @@ fn main() -> ExitCode {
     let text = report.render();
     print!("{text}");
     println!(
-        "baseline {} (v{})   candidate {} (v{})",
-        paths[0], base.version, paths[1], cand.version
+        "baseline {}   candidate {}   (summary v{SUMMARY_VERSION})",
+        paths[0], paths[1]
     );
     if let Some(dir) = out_dir {
         if let Err(e) = std::fs::create_dir_all(&dir)

@@ -9,8 +9,7 @@
 //!     [--out <dir>] \
 //!     [--mshr-entries <n>] [--l2-bw <n>] [--dram-bw <n>] \
 //!     [--l2-partitions <n>] [--xbar-queue <n>] \
-//!     [--gpu harness|titan-v|titan-v-full] \
-//!     [--no-event-driven] [--no-mem-calendar]
+//!     [--gpu harness|titan-v|titan-v-full]
 //! ```
 //!
 //! With `--out`, each kernel's profile is also written as
@@ -36,7 +35,7 @@ fn main() -> ExitCode {
     let args = BenchArgs::parse();
     if !args.rest.is_empty() {
         eprintln!("unexpected arguments: {:?}", args.rest);
-        eprintln!("usage: profile_report [--scale test|tiny|full] [--kernels <substring>] [--out <dir>] [--mshr-entries <n>] [--l2-bw <n>] [--dram-bw <n>] [--l2-partitions <n>] [--xbar-queue <n>] [--gpu harness|titan-v|titan-v-full] [--no-event-driven] [--no-mem-calendar]");
+        eprintln!("usage: profile_report [--scale test|tiny|full] [--kernels <substring>] [--out <dir>] [--mshr-entries <n>] [--l2-bw <n>] [--dram-bw <n>] [--l2-partitions <n>] [--xbar-queue <n>] [--gpu harness|titan-v|titan-v-full]");
         return ExitCode::FAILURE;
     }
     let cfg = args.gpu().with_st2();
@@ -56,7 +55,7 @@ fn main() -> ExitCode {
 
     // Profile kernels in parallel (each run is deterministic and owns its
     // collector); print in suite order afterwards. Host wall-time per
-    // kernel rides along for the v4 summary's sim-rate column — noisy
+    // kernel rides along for the summary's sim-rate column — noisy
     // under parallel kernels, which is exactly why that column is
     // report-only downstream.
     let results: Mutex<Vec<(usize, KernelProfile, f64)>> = Mutex::new(Vec::new());
@@ -243,8 +242,8 @@ fn main() -> ExitCode {
         let mut doc = st2_bench::diff::summary_from_profiles(&profiles, &generator);
         for (k, wall) in doc.kernels.iter_mut().zip(&walls) {
             // Milliseconds at microsecond resolution; whole cycles/sec.
-            k.wall_ms = Some((wall * 1e6).round() / 1e3);
-            k.cycles_per_sec = Some((k.cycles as f64 / wall.max(1e-9)).round());
+            k.wall_ms = (wall * 1e6).round() / 1e3;
+            k.cycles_per_sec = (k.cycles as f64 / wall.max(1e-9)).round();
         }
         let summary = st2_bench::diff::summary_to_json(&doc);
         let path = dir.join("BENCH_profile.json");

@@ -1,13 +1,13 @@
 //! Profile-summary diffing: the `bench_diff` perf gate.
 //!
 //! A summary document is the committed `BENCH_profile.json` shape: one
-//! row per kernel with IPC, the stall mix, and (version ≥ 2) the
-//! fill-latency percentiles captured by the memory telemetry. The
-//! functions here regenerate that document from captured
-//! [`KernelProfile`]s, parse committed baselines (versioned and legacy
-//! alike), and compare a candidate against a baseline with configurable
-//! thresholds — so CI can fail a PR that silently slows a kernel down
-//! or shifts its stall mix, without any human squinting at tables.
+//! row per kernel with IPC, the stall mix, and the fill-latency
+//! percentiles captured by the memory telemetry. The functions here
+//! regenerate that document from captured [`KernelProfile`]s, parse
+//! committed baselines of the current version, and compare a candidate
+//! against a baseline with configurable thresholds — so CI can fail a
+//! PR that silently slows a kernel down or shifts its stall mix,
+//! without any human squinting at tables.
 
 use std::fmt::Write as _;
 
@@ -22,13 +22,11 @@ use st2::telemetry::profile::ALL_STALL_REASONS;
 /// wall-time and simulated cycles/sec (report-only — host-dependent, so
 /// never gated); version 5 added the modeled energy columns (report-only
 /// — model-derived, never gated) and stopped emitting `fill_imbalance`
-/// for single-partition runs, where the ratio is undefined. Older
-/// documents parse with the newer comparisons skipped.
+/// for single-partition runs, where the ratio is undefined.
+/// [`parse_summary`] rejects every other version.
 pub const SUMMARY_VERSION: u32 = 5;
 
-/// One kernel's summary row. The `Option` fields only exist from
-/// version 2 on: `None` means "baseline predates the metric, skip the
-/// comparison", never "observed zero".
+/// One kernel's summary row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelSummary {
     /// Kernel name.
@@ -49,49 +47,46 @@ pub struct KernelSummary {
     pub adder_repair_share: f64,
     /// Out-of-range instruction fetches (0 for well-formed programs).
     pub fetch_oob: u64,
-    /// Median fill latency in cycles (version ≥ 2).
-    pub fill_p50: Option<u64>,
-    /// 95th-percentile fill latency in cycles (version ≥ 2).
-    pub fill_p95: Option<u64>,
-    /// Maximum fill latency in cycles (version ≥ 2).
-    pub fill_max: Option<u64>,
-    /// Cycles requests waited purely on L2/DRAM bandwidth (version ≥ 2).
-    pub bw_starved_cycles: Option<u64>,
-    /// Cycles fills queued at a full crossbar injection port
-    /// (version ≥ 3).
-    pub xbar_wait_cycles: Option<u64>,
-    /// Busiest-partition fill count over the per-partition mean
-    /// (version ≥ 3; 0.0 when no fills).
+    /// Median fill latency in cycles.
+    pub fill_p50: u64,
+    /// 95th-percentile fill latency in cycles.
+    pub fill_p95: u64,
+    /// Maximum fill latency in cycles.
+    pub fill_max: u64,
+    /// Cycles requests waited purely on L2/DRAM bandwidth.
+    pub bw_starved_cycles: u64,
+    /// Cycles fills queued at a full crossbar injection port.
+    pub xbar_wait_cycles: u64,
+    /// Busiest-partition fill count over the per-partition mean (0.0
+    /// when no fills; `None` for a single partition, where the ratio is
+    /// undefined).
     pub fill_imbalance: Option<f64>,
     /// Per-reason stall shares (fraction of all issue slots, nonzero
-    /// reasons only, reason-name order; version ≥ 2).
-    pub stall_shares: Option<Vec<(String, f64)>>,
-    /// Host wall-clock time of the timed run in milliseconds
-    /// (version ≥ 4; machine-dependent, report-only).
-    pub wall_ms: Option<f64>,
-    /// Simulated cycles per host second (version ≥ 4;
+    /// reasons only, reason-name order).
+    pub stall_shares: Vec<(String, f64)>,
+    /// Host wall-clock time of the timed run in milliseconds (0.0 when
+    /// not measured; machine-dependent, report-only).
+    pub wall_ms: f64,
+    /// Simulated cycles per host second (0.0 when not measured;
     /// machine-dependent, report-only — the sim-rate column in
     /// `bench_diff` never gates).
-    pub cycles_per_sec: Option<f64>,
-    /// Total modeled energy in nanojoules (version ≥ 5; model-derived,
-    /// report-only — energy columns inform but never gate).
-    pub total_energy_nj: Option<f64>,
-    /// DRAM share of the modeled energy in nanojoules (version ≥ 5,
-    /// report-only).
-    pub dram_energy_nj: Option<f64>,
-    /// Peak per-interval average power in watts (version ≥ 5,
-    /// report-only).
-    pub peak_power_w: Option<f64>,
-    /// Modeled energy per warp instruction in picojoules (version ≥ 5,
-    /// report-only).
-    pub energy_per_instruction_pj: Option<f64>,
+    pub cycles_per_sec: f64,
+    /// Total modeled energy in nanojoules (0.0 for an unpriced profile;
+    /// model-derived, report-only — energy columns inform but never
+    /// gate).
+    pub total_energy_nj: f64,
+    /// DRAM share of the modeled energy in nanojoules (report-only).
+    pub dram_energy_nj: f64,
+    /// Peak per-interval average power in watts (report-only).
+    pub peak_power_w: f64,
+    /// Modeled energy per warp instruction in picojoules
+    /// (report-only).
+    pub energy_per_instruction_pj: f64,
 }
 
 /// A whole summary document (the `BENCH_profile.json` envelope).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SummaryDoc {
-    /// Document version (1 when the field is absent).
-    pub version: u32,
     /// Free-text provenance ("how to regenerate me").
     pub generator: String,
     /// Per-kernel rows, suite order.
@@ -138,28 +133,29 @@ pub fn summary_from_profiles(profiles: &[KernelProfile], generator: &str) -> Sum
                 adder_repair_slots: repair,
                 adder_repair_share: round(repair as f64 / slots, 5),
                 fetch_oob: t.fetch_oob,
-                fill_p50: Some(p.mem.fill_p50),
-                fill_p95: Some(p.mem.fill_p95),
-                fill_max: Some(p.mem.fill_max),
-                bw_starved_cycles: Some(p.mem.bw_starved_cycles),
-                xbar_wait_cycles: Some(p.mem.xbar_wait_cycles),
+                fill_p50: p.mem.fill_p50,
+                fill_p95: p.mem.fill_p95,
+                fill_max: p.mem.fill_max,
+                bw_starved_cycles: p.mem.bw_starved_cycles,
+                xbar_wait_cycles: p.mem.xbar_wait_cycles,
                 // Busiest/mean is tautologically 1 with one partition:
                 // omit the column so it never enters a comparison.
                 fill_imbalance: (p.mem.partitions > 1).then(|| round(p.mem.fill_imbalance(), 4)),
-                stall_shares: Some(shares),
+                stall_shares: shares,
                 // Profiles carry no host timing; callers that measured
                 // the runs (profile_report) fill these in afterwards.
-                wall_ms: None,
-                cycles_per_sec: None,
-                total_energy_nj: p.energy.map(|e| round(e.total_nj, 3)),
-                dram_energy_nj: p.energy.map(|e| round(e.dram_nj, 3)),
-                peak_power_w: p.energy.map(|e| round(e.peak_power_w, 4)),
-                energy_per_instruction_pj: p.energy.map(|e| round(e.energy_per_instruction_pj, 4)),
+                wall_ms: 0.0,
+                cycles_per_sec: 0.0,
+                total_energy_nj: p.energy.map_or(0.0, |e| round(e.total_nj, 3)),
+                dram_energy_nj: p.energy.map_or(0.0, |e| round(e.dram_nj, 3)),
+                peak_power_w: p.energy.map_or(0.0, |e| round(e.peak_power_w, 4)),
+                energy_per_instruction_pj: p
+                    .energy
+                    .map_or(0.0, |e| round(e.energy_per_instruction_pj, 4)),
             }
         })
         .collect();
     SummaryDoc {
-        version: SUMMARY_VERSION,
         generator: generator.to_string(),
         kernels,
     }
@@ -171,7 +167,7 @@ pub fn summary_to_json(doc: &SummaryDoc) -> String {
     let mut w = Writer::new();
     w.begin_object();
     w.field_u64("schema", 1);
-    w.field_u64("version", u64::from(doc.version));
+    w.field_u64("version", u64::from(SUMMARY_VERSION));
     w.field_str("generator", &doc.generator);
     w.key("kernels");
     w.begin_array();
@@ -186,50 +182,26 @@ pub fn summary_to_json(doc: &SummaryDoc) -> String {
         w.field_u64("adder_repair_slots", k.adder_repair_slots);
         w.field_f64("adder_repair_share", k.adder_repair_share);
         w.field_u64("fetch_oob", k.fetch_oob);
-        if let Some(v) = k.fill_p50 {
-            w.field_u64("fill_p50", v);
-        }
-        if let Some(v) = k.fill_p95 {
-            w.field_u64("fill_p95", v);
-        }
-        if let Some(v) = k.fill_max {
-            w.field_u64("fill_max", v);
-        }
-        if let Some(v) = k.bw_starved_cycles {
-            w.field_u64("bw_starved_cycles", v);
-        }
-        if let Some(v) = k.xbar_wait_cycles {
-            w.field_u64("xbar_wait_cycles", v);
-        }
+        w.field_u64("fill_p50", k.fill_p50);
+        w.field_u64("fill_p95", k.fill_p95);
+        w.field_u64("fill_max", k.fill_max);
+        w.field_u64("bw_starved_cycles", k.bw_starved_cycles);
+        w.field_u64("xbar_wait_cycles", k.xbar_wait_cycles);
         if let Some(v) = k.fill_imbalance {
             w.field_f64("fill_imbalance", v);
         }
-        if let Some(v) = k.wall_ms {
-            w.field_f64("wall_ms", v);
+        w.field_f64("wall_ms", k.wall_ms);
+        w.field_f64("cycles_per_sec", k.cycles_per_sec);
+        w.field_f64("total_energy_nj", k.total_energy_nj);
+        w.field_f64("dram_energy_nj", k.dram_energy_nj);
+        w.field_f64("peak_power_w", k.peak_power_w);
+        w.field_f64("energy_per_instruction_pj", k.energy_per_instruction_pj);
+        w.key("stall_shares");
+        w.begin_object();
+        for (name, share) in &k.stall_shares {
+            w.field_f64(name, *share);
         }
-        if let Some(v) = k.cycles_per_sec {
-            w.field_f64("cycles_per_sec", v);
-        }
-        if let Some(v) = k.total_energy_nj {
-            w.field_f64("total_energy_nj", v);
-        }
-        if let Some(v) = k.dram_energy_nj {
-            w.field_f64("dram_energy_nj", v);
-        }
-        if let Some(v) = k.peak_power_w {
-            w.field_f64("peak_power_w", v);
-        }
-        if let Some(v) = k.energy_per_instruction_pj {
-            w.field_f64("energy_per_instruction_pj", v);
-        }
-        if let Some(shares) = &k.stall_shares {
-            w.key("stall_shares");
-            w.begin_object();
-            for (name, share) in shares {
-                w.field_f64(name, *share);
-            }
-            w.end_object();
-        }
+        w.end_object();
         w.end_object();
     }
     w.end_array();
@@ -237,19 +209,16 @@ pub fn summary_to_json(doc: &SummaryDoc) -> String {
     w.finish()
 }
 
-/// Parses a summary document, accepting both the current versioned shape
-/// and legacy (pre-version) baselines.
+/// Parses a summary document of the current [`SUMMARY_VERSION`].
 ///
 /// # Errors
 ///
-/// Returns a message when the text is not valid JSON or a required
-/// field is missing.
+/// Returns a message when the text is not valid JSON, its `version` is
+/// not [`SUMMARY_VERSION`] (the message names the version found), or a
+/// required field is missing.
 pub fn parse_summary(text: &str) -> Result<SummaryDoc, String> {
     let v = json::parse(text)?;
-    let version = v
-        .get("version")
-        .and_then(Value::as_f64)
-        .map_or(1, |f| f as u32);
+    v.require_version("summary", SUMMARY_VERSION)?;
     let generator = v
         .get("generator")
         .and_then(Value::as_str)
@@ -272,14 +241,17 @@ pub fn parse_summary(text: &str) -> Result<SummaryDoc, String> {
                 .and_then(Value::as_f64)
                 .ok_or_else(|| format!("missing numeric field {key:?}"))
         };
-        let opt_u = |key: &str| k.get(key).and_then(Value::as_f64).map(|f| f as u64);
-        let stall_shares = k.get("stall_shares").map(|s| match s {
-            Value::Object(m) => m
-                .iter()
-                .filter_map(|(name, v)| v.as_f64().map(|f| (name.clone(), f)))
-                .collect(),
-            _ => Vec::new(),
-        });
+        let Some(Value::Object(shares)) = k.get("stall_shares") else {
+            return Err("missing stall_shares object".into());
+        };
+        let stall_shares = shares
+            .iter()
+            .map(|(name, v)| {
+                v.as_f64()
+                    .map(|f| (name.clone(), f))
+                    .ok_or_else(|| format!("non-numeric stall share {name:?}"))
+            })
+            .collect::<Result<_, _>>()?;
         kernels.push(KernelSummary {
             kernel: k
                 .get("kernel")
@@ -293,34 +265,27 @@ pub fn parse_summary(text: &str) -> Result<SummaryDoc, String> {
             top_stall: k
                 .get("top_stall")
                 .and_then(Value::as_str)
-                .unwrap_or("-")
+                .ok_or("missing top_stall")?
                 .to_string(),
-            adder_repair_slots: opt_u("adder_repair_slots").unwrap_or(0),
-            adder_repair_share: k
-                .get("adder_repair_share")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0),
-            fetch_oob: opt_u("fetch_oob").unwrap_or(0),
-            fill_p50: opt_u("fill_p50"),
-            fill_p95: opt_u("fill_p95"),
-            fill_max: opt_u("fill_max"),
-            bw_starved_cycles: opt_u("bw_starved_cycles"),
-            xbar_wait_cycles: opt_u("xbar_wait_cycles"),
+            adder_repair_slots: u("adder_repair_slots")?,
+            adder_repair_share: f("adder_repair_share")?,
+            fetch_oob: u("fetch_oob")?,
+            fill_p50: u("fill_p50")?,
+            fill_p95: u("fill_p95")?,
+            fill_max: u("fill_max")?,
+            bw_starved_cycles: u("bw_starved_cycles")?,
+            xbar_wait_cycles: u("xbar_wait_cycles")?,
             fill_imbalance: k.get("fill_imbalance").and_then(Value::as_f64),
             stall_shares,
-            wall_ms: k.get("wall_ms").and_then(Value::as_f64),
-            cycles_per_sec: k.get("cycles_per_sec").and_then(Value::as_f64),
-            total_energy_nj: k.get("total_energy_nj").and_then(Value::as_f64),
-            dram_energy_nj: k.get("dram_energy_nj").and_then(Value::as_f64),
-            peak_power_w: k.get("peak_power_w").and_then(Value::as_f64),
-            energy_per_instruction_pj: k.get("energy_per_instruction_pj").and_then(Value::as_f64),
+            wall_ms: f("wall_ms")?,
+            cycles_per_sec: f("cycles_per_sec")?,
+            total_energy_nj: f("total_energy_nj")?,
+            dram_energy_nj: f("dram_energy_nj")?,
+            peak_power_w: f("peak_power_w")?,
+            energy_per_instruction_pj: f("energy_per_instruction_pj")?,
         });
     }
-    Ok(SummaryDoc {
-        version,
-        generator,
-        kernels,
-    })
+    Ok(SummaryDoc { generator, kernels })
 }
 
 /// Regression thresholds for [`diff_summaries`]. All are "worse-than"
@@ -492,9 +457,7 @@ impl DiffReport {
     }
 }
 
-/// Compares a candidate summary against a baseline. Metrics the
-/// baseline does not carry (legacy documents) are skipped, never
-/// failed, so the gate stays green across a baseline format upgrade.
+/// Compares a candidate summary against a baseline.
 #[must_use]
 pub fn diff_summaries(base: &SummaryDoc, cand: &SummaryDoc, thr: &DiffThresholds) -> DiffReport {
     let mut report = DiffReport::default();
@@ -529,25 +492,12 @@ pub fn diff_summaries(base: &SummaryDoc, cand: &SummaryDoc, thr: &DiffThresholds
                 regressed: false,
             });
         }
-        // Simulation throughput, version-4 baselines only. Report-only:
-        // host wall-time is noisy and machine-dependent, so the sim-rate
-        // column informs but never gates.
-        if let (Some(bv), Some(cv)) = (b.cycles_per_sec, c.cycles_per_sec) {
-            let defined = bv > 0.0;
-            report.lines.push(DiffLine {
-                kernel: b.kernel.clone(),
-                metric: "sim_rate".into(),
-                base: bv,
-                cand: cv,
-                delta: if defined { cv / bv - 1.0 } else { 0.0 },
-                defined,
-                regressed: false,
-            });
-        }
-        // Modeled energy, version-5 baselines only. Report-only: the
-        // energy model re-prices with every calibration change, so the
-        // columns inform but never gate a cycle-accuracy PR.
+        // Simulation throughput and modeled energy, report-only. Host
+        // wall-time is noisy and machine-dependent, and the energy model
+        // re-prices with every calibration change, so these columns
+        // inform but never gate.
         for (name, bv, cv) in [
+            ("sim_rate", b.cycles_per_sec, c.cycles_per_sec),
             ("energy_nj", b.total_energy_nj, c.total_energy_nj),
             ("energy_dram_nj", b.dram_energy_nj, c.dram_energy_nj),
             (
@@ -556,9 +506,6 @@ pub fn diff_summaries(base: &SummaryDoc, cand: &SummaryDoc, thr: &DiffThresholds
                 c.energy_per_instruction_pj,
             ),
         ] {
-            let (Some(bv), Some(cv)) = (bv, cv) else {
-                continue;
-            };
             let defined = bv > 0.0;
             report.lines.push(DiffLine {
                 kernel: b.kernel.clone(),
@@ -570,16 +517,13 @@ pub fn diff_summaries(base: &SummaryDoc, cand: &SummaryDoc, thr: &DiffThresholds
                 regressed: false,
             });
         }
-        // Fill-latency percentile growth, version-2 baselines only. A
-        // zero baseline percentile (compute-only kernel: no fills)
-        // makes growth undefined — `—`, never gated.
+        // Fill-latency percentile growth. A zero baseline percentile
+        // (compute-only kernel: no fills) makes growth undefined — `—`,
+        // never gated.
         for (name, bv, cv) in [
             ("fill_p50", b.fill_p50, c.fill_p50),
             ("fill_p95", b.fill_p95, c.fill_p95),
         ] {
-            let (Some(bv), Some(cv)) = (bv, cv) else {
-                continue;
-            };
             if bv == 0 {
                 report.lines.push(DiffLine {
                     kernel: b.kernel.clone(),
@@ -604,32 +548,31 @@ pub fn diff_summaries(base: &SummaryDoc, cand: &SummaryDoc, thr: &DiffThresholds
             });
         }
         // Absolute stall-share shifts over the union of reasons.
-        if let (Some(bs), Some(cs)) = (&b.stall_shares, &c.stall_shares) {
-            let share = |v: &[(String, f64)], name: &str| {
-                v.iter().find(|(n, _)| n == name).map_or(0.0, |(_, s)| *s)
-            };
-            let mut names: Vec<&str> = bs
-                .iter()
-                .chain(cs.iter())
-                .map(|(n, _)| n.as_str())
-                .collect();
-            names.sort_unstable();
-            names.dedup();
-            for name in names {
-                let (sb, sc) = (share(bs, name), share(cs, name));
-                let shift = (sc - sb).abs();
-                report.lines.push(DiffLine {
-                    kernel: b.kernel.clone(),
-                    metric: format!("stall:{name}"),
-                    base: sb,
-                    cand: sc,
-                    delta: sc - sb,
-                    // Shares are absolute (of total slots), defined even
-                    // when the baseline share is zero.
-                    defined: true,
-                    regressed: shift > thr.max_stall_shift,
-                });
-            }
+        let (bs, cs) = (&b.stall_shares, &c.stall_shares);
+        let share = |v: &[(String, f64)], name: &str| {
+            v.iter().find(|(n, _)| n == name).map_or(0.0, |(_, s)| *s)
+        };
+        let mut names: Vec<&str> = bs
+            .iter()
+            .chain(cs.iter())
+            .map(|(n, _)| n.as_str())
+            .collect();
+        names.sort_unstable();
+        names.dedup();
+        for name in names {
+            let (sb, sc) = (share(bs, name), share(cs, name));
+            let shift = (sc - sb).abs();
+            report.lines.push(DiffLine {
+                kernel: b.kernel.clone(),
+                metric: format!("stall:{name}"),
+                base: sb,
+                cand: sc,
+                delta: sc - sb,
+                // Shares are absolute (of total slots), defined even
+                // when the baseline share is zero.
+                defined: true,
+                regressed: shift > thr.max_stall_shift,
+            });
         }
     }
     for c in &cand.kernels {
@@ -655,25 +598,24 @@ mod tests {
             adder_repair_slots: 0,
             adder_repair_share: 0.0,
             fetch_oob: 0,
-            fill_p50: Some(p95 / 2),
-            fill_p95: Some(p95),
-            fill_max: Some(p95 * 2),
-            bw_starved_cycles: Some(17),
-            xbar_wait_cycles: Some(3),
+            fill_p50: p95 / 2,
+            fill_p95: p95,
+            fill_max: p95 * 2,
+            bw_starved_cycles: 17,
+            xbar_wait_cycles: 3,
             fill_imbalance: Some(1.25),
-            stall_shares: Some(vec![("mem_pending".into(), mem_share)]),
-            wall_ms: Some(12.5),
-            cycles_per_sec: Some(80000.0),
-            total_energy_nj: Some(5000.0),
-            dram_energy_nj: Some(1500.0),
-            peak_power_w: Some(42.5),
-            energy_per_instruction_pj: Some(6.25),
+            stall_shares: vec![("mem_pending".into(), mem_share)],
+            wall_ms: 12.5,
+            cycles_per_sec: 80000.0,
+            total_energy_nj: 5000.0,
+            dram_energy_nj: 1500.0,
+            peak_power_w: 42.5,
+            energy_per_instruction_pj: 6.25,
         }
     }
 
     fn doc(kernels: Vec<KernelSummary>) -> SummaryDoc {
         SummaryDoc {
-            version: SUMMARY_VERSION,
             generator: "test".into(),
             kernels,
         }
@@ -688,29 +630,15 @@ mod tests {
     }
 
     #[test]
-    fn legacy_summary_parses_without_v2_fields() {
-        // The committed pre-version baseline shape: no version, no
-        // percentiles, no stall shares.
-        let text = r#"{"schema":1,"generator":"old","kernels":[
-            {"kernel":"sgemm","cycles":6923,"warp_instructions":4496,
-             "ipc":0.6494,"issue_slot_util":0.0406,"top_stall":"mem_pending",
-             "adder_repair_slots":578,"adder_repair_share":0.00522,"fetch_oob":0}]}"#;
-        let d = parse_summary(text).expect("legacy parses");
-        assert_eq!(d.version, 1);
-        let k = &d.kernels[0];
-        assert_eq!(k.fill_p95, None);
-        assert_eq!(k.stall_shares, None);
-        assert_eq!(k.xbar_wait_cycles, None);
-        assert_eq!(k.fill_imbalance, None);
-        assert_eq!(k.wall_ms, None);
-        assert_eq!(k.cycles_per_sec, None);
-        assert_eq!(k.total_energy_nj, None);
-        assert_eq!(k.peak_power_w, None);
-        // Diffing a v2 candidate against it only compares IPC.
-        let cand = doc(vec![row("sgemm", 0.65, 300, 0.5)]);
-        let report = diff_summaries(&d, &cand, &DiffThresholds::default());
-        assert!(report.lines.iter().all(|l| l.metric == "ipc"));
-        assert!(!report.regressed());
+    fn summary_parser_rejects_other_versions() {
+        let text = summary_to_json(&doc(vec![row("sgemm", 0.65, 300, 0.5)]));
+        let v4 = text.replacen("\"version\":5,", "\"version\":4,", 1);
+        let err = parse_summary(&v4).expect_err("version 4 rejected");
+        assert!(err.contains("version 4"), "{err}");
+        let unversioned = text.replacen("\"version\":5,", "", 1);
+        assert_ne!(unversioned, text);
+        let err = parse_summary(&unversioned).expect_err("no version rejected");
+        assert!(err.contains("(missing)"), "{err}");
     }
 
     #[test]
@@ -740,7 +668,7 @@ mod tests {
         // A collapsed sim rate is reported but never gates: host timing
         // is too noisy to fail a PR on.
         let mut crawl = row("a", 1.0, 128, 0.30);
-        crawl.cycles_per_sec = Some(800.0);
+        crawl.cycles_per_sec = 800.0;
         let report = diff_summaries(&base, &doc(vec![crawl]), &thr);
         assert!(!report.regressed(), "sim_rate must stay report-only");
         let rate = report
@@ -756,8 +684,8 @@ mod tests {
         // A doubled energy bill is reported but never gates: the model
         // re-prices with every calibration change.
         let mut hot = row("a", 1.0, 128, 0.30);
-        hot.total_energy_nj = Some(10000.0);
-        hot.dram_energy_nj = Some(3000.0);
+        hot.total_energy_nj = 10000.0;
+        hot.dram_energy_nj = 3000.0;
         let report = diff_summaries(&base, &doc(vec![hot]), &thr);
         assert!(!report.regressed(), "energy must stay report-only");
         let e = report
@@ -802,10 +730,10 @@ mod tests {
         let mut dead = row("a", 0.0, 0, 0.30);
         dead.cycles = 0;
         dead.warp_instructions = 0;
-        dead.cycles_per_sec = Some(0.0);
-        dead.total_energy_nj = Some(0.0);
-        dead.dram_energy_nj = Some(0.0);
-        dead.energy_per_instruction_pj = Some(0.0);
+        dead.cycles_per_sec = 0.0;
+        dead.total_energy_nj = 0.0;
+        dead.dram_energy_nj = 0.0;
+        dead.energy_per_instruction_pj = 0.0;
         let cand = row("a", 2.0, 512, 0.30);
         let report = diff_summaries(&doc(vec![dead]), &doc(vec![cand]), &thr);
         assert!(!report.regressed(), "degenerate baselines must never gate");
@@ -849,7 +777,6 @@ mod tests {
     #[test]
     fn summary_from_profiles_carries_mem_percentiles() {
         let mut p = KernelProfile {
-            version: st2::telemetry::profile::PROFILE_VERSION,
             kernel: "probe".into(),
             cycles: 100,
             warp_instructions: 250,
@@ -870,20 +797,19 @@ mod tests {
         p.sms[0].issued = 250;
         p.sms[0].stalls[StallReason::MemPending.index()] = 150;
         let d = summary_from_profiles(&[p], "unit");
-        assert_eq!(d.version, SUMMARY_VERSION);
         let k = &d.kernels[0];
         assert_eq!(k.ipc, 2.5);
-        assert_eq!(k.fill_p95, Some(256));
-        assert_eq!(k.bw_starved_cycles, Some(9));
-        assert_eq!(k.xbar_wait_cycles, Some(4));
+        assert_eq!(k.fill_p95, 256);
+        assert_eq!(k.bw_starved_cycles, 9);
+        assert_eq!(k.xbar_wait_cycles, 4);
         // Busiest partition filled 3 of 4 lines against a mean of 2.
         assert_eq!(k.fill_imbalance, Some(1.5));
-        let shares = k.stall_shares.as_ref().unwrap();
-        assert_eq!(shares.len(), 1);
-        assert!((shares[0].1 - 0.375).abs() < 1e-12);
+        assert_eq!(k.stall_shares.len(), 1);
+        assert!((k.stall_shares[0].1 - 0.375).abs() < 1e-12);
         // Profiles carry no priced energy until attach_energy runs, so
-        // the summary omits the energy columns rather than writing 0.
-        assert_eq!(k.total_energy_nj, None);
+        // the energy columns read zero and never gate (see
+        // degenerate_baselines_render_as_dash_and_never_gate).
+        assert_eq!(k.total_energy_nj, 0.0);
         // And the document it writes parses back identically.
         assert_eq!(parse_summary(&summary_to_json(&d)).unwrap(), d);
     }
@@ -893,7 +819,6 @@ mod tests {
         // With one partition busiest/mean is identically 1, which reads
         // as "perfectly balanced" when it is really "undefined".
         let mut p = KernelProfile {
-            version: st2::telemetry::profile::PROFILE_VERSION,
             kernel: "solo".into(),
             cycles: 100,
             warp_instructions: 100,
@@ -917,7 +842,6 @@ mod tests {
     #[test]
     fn priced_profiles_surface_energy_columns() {
         let mut p = KernelProfile {
-            version: st2::telemetry::profile::PROFILE_VERSION,
             kernel: "hot".into(),
             cycles: 100,
             warp_instructions: 200,
@@ -947,10 +871,10 @@ mod tests {
         p.sms[0].issued = 100;
         let d = summary_from_profiles(&[p], "unit");
         let k = &d.kernels[0];
-        assert_eq!(k.total_energy_nj, Some(1234.568));
-        assert_eq!(k.dram_energy_nj, Some(456.789));
-        assert_eq!(k.peak_power_w, Some(37.25));
-        assert_eq!(k.energy_per_instruction_pj, Some(6.1728));
+        assert_eq!(k.total_energy_nj, 1234.568);
+        assert_eq!(k.dram_energy_nj, 456.789);
+        assert_eq!(k.peak_power_w, 37.25);
+        assert_eq!(k.energy_per_instruction_pj, 6.1728);
         assert_eq!(parse_summary(&summary_to_json(&d)).unwrap(), d);
     }
 }

@@ -29,12 +29,6 @@ use st2::sim::ActivityCounters;
 /// * `--l2-partitions <n>` / `--xbar-queue <n>` — L2 partition count
 ///   (power of two) and per-port crossbar queue depth overrides (see
 ///   [`GpuConfig::with_l2_partitions`] / [`GpuConfig::with_xbar_queue`])
-/// * `--no-event-driven` — force the legacy step-everything driver
-///   ([`GpuConfig::event_driven`] off; results are bit-identical, this
-///   is a wall-clock cross-check / escape hatch)
-/// * `--no-mem-calendar` — keep the SM fast-forward but step the memory
-///   side every cycle ([`GpuConfig::mem_calendar`] off; bit-identical,
-///   the memory-side escape hatch)
 /// * `--gpu harness|titan-v|titan-v-full` — base GPU preset before
 ///   overrides: the 4-SM harness slice (default),
 ///   [`GpuConfig::titan_v`], or the 80-SM [`GpuConfig::titan_v_full`]
@@ -60,10 +54,6 @@ pub struct BenchArgs {
     pub l2_partitions: Option<u32>,
     /// Crossbar injection-queue depth override (`--xbar-queue`).
     pub xbar_queue: Option<u32>,
-    /// Disable the event-driven fast-forward (`--no-event-driven`).
-    pub no_event_driven: bool,
-    /// Disable the memory-side wake calendar (`--no-mem-calendar`).
-    pub no_mem_calendar: bool,
     /// Base GPU preset (`--gpu`); `None` means the harness default.
     pub gpu_preset: Option<GpuPreset>,
     /// Everything not consumed by a flag, in order.
@@ -144,8 +134,6 @@ impl BenchArgs {
                         _ => args.dram_bw = Some(n),
                     }
                 }
-                "--no-event-driven" => args.no_event_driven = true,
-                "--no-mem-calendar" => args.no_mem_calendar = true,
                 "--gpu" => {
                     args.gpu_preset = Some(match value("--gpu").as_str() {
                         "harness" => GpuPreset::Harness,
@@ -169,8 +157,8 @@ impl BenchArgs {
         self.kernels.as_deref().is_none_or(|f| name.contains(f))
     }
 
-    /// The selected GPU preset with any memory-subsystem and calendar
-    /// overrides applied.
+    /// The selected GPU preset with any memory-subsystem overrides
+    /// applied.
     #[must_use]
     pub fn gpu(&self) -> GpuConfig {
         let mut cfg = self.gpu_preset.map_or_else(harness_gpu, GpuPreset::config);
@@ -188,12 +176,6 @@ impl BenchArgs {
         }
         if let Some(n) = self.xbar_queue {
             cfg = cfg.with_xbar_queue(n);
-        }
-        if self.no_event_driven {
-            cfg = cfg.with_event_driven(false);
-        }
-        if self.no_mem_calendar {
-            cfg = cfg.with_mem_calendar(false);
         }
         cfg
     }
@@ -418,8 +400,6 @@ mod tests {
             "2",
             "--xbar-queue",
             "4",
-            "--no-event-driven",
-            "--no-mem-calendar",
             "--gpu",
             "titan-v-full",
         ];
@@ -434,8 +414,6 @@ mod tests {
         assert_eq!(gpu.dram_bw, 1);
         assert_eq!(gpu.l2_partitions, 2);
         assert_eq!(gpu.xbar_queue, 4);
-        assert!(args.no_event_driven && !gpu.event_driven);
-        assert!(args.no_mem_calendar && !gpu.mem_calendar);
         assert_eq!(args.gpu_preset, Some(GpuPreset::TitanVFull));
         assert_eq!(gpu.num_sms, GpuConfig::titan_v_full().num_sms);
         assert!(args.matches("pathfinder"));
@@ -450,7 +428,6 @@ mod tests {
         assert!(args.out.is_none() && args.kernels.is_none());
         assert!(args.mshr_entries.is_none() && args.l2_bw.is_none() && args.dram_bw.is_none());
         assert!(args.l2_partitions.is_none() && args.xbar_queue.is_none());
-        assert!(!args.no_event_driven && !args.no_mem_calendar);
         assert!(args.gpu_preset.is_none());
         assert_eq!(args.rest, vec!["pathfinder", "out_dir"]);
         assert_eq!(
@@ -466,8 +443,15 @@ mod tests {
     fn bench_args_reject_unknown_flags() {
         // A stale flag must not fall through to the positionals, where
         // `trace_report` would take it for a kernel name.
-        let toks = ["pathfinder", "--sim-threads", "2"];
-        let _ = BenchArgs::from_tokens(toks.iter().map(ToString::to_string));
+        let parse = |flag: &str| {
+            BenchArgs::from_tokens(["pathfinder", flag, "2"].iter().map(ToString::to_string))
+        };
+        for flag in ["--no-event-driven", "--no-mem-calendar"] {
+            let err = std::panic::catch_unwind(|| parse(flag)).expect_err(flag);
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert_eq!(*msg, format!("unrecognised flag {flag:?}"));
+        }
+        let _ = parse("--sim-threads");
     }
 
     #[test]

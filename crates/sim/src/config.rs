@@ -109,44 +109,6 @@ pub struct GpuConfig {
     /// ST² speculation in the execute stage; `None` = baseline fixed-
     /// latency adders.
     pub speculation: Option<SpeculationConfig>,
-
-    /// Event-driven per-SM fast-forward: an SM that issued nothing and
-    /// whose wake hints all lie beyond the next global cycle sleeps on a
-    /// driver-owned wake calendar and is not stepped again until a fill
-    /// retires into one of its MSHR slices or its wake time arrives.
-    /// Results are bit-identical either way (the determinism suite
-    /// asserts it); `false` forces the legacy step-everything path as an
-    /// escape hatch and cross-check. Purely a wall-clock knob.
-    pub event_driven: bool,
-
-    /// Memory-side wake calendar: when every SM is asleep, the driver
-    /// consults each partition's provable next event (earliest pending
-    /// fill completion) and fast-forwards the whole machine to the global
-    /// next event instead of stepping the drain/route/arbiter phases
-    /// through cycles where they are no-ops. Skipped integrals are
-    /// replayed in aggregate at wake, so results are bit-identical
-    /// either way (the determinism suite asserts it). Only consulted
-    /// when [`GpuConfig::event_driven`] is on; `false` is the escape
-    /// hatch and cross-check. Purely a wall-clock knob.
-    pub mem_calendar: bool,
-}
-
-/// Default for [`GpuConfig::event_driven`]: on. Configs built before the
-/// knob existed ran the (equivalent) step-everything path, so landing
-/// them on the fast path preserves their results. (The vendored
-/// `serde_derive` stub has no `#[serde(default)]` support; constructors
-/// apply this directly.)
-fn default_event_driven() -> bool {
-    true
-}
-
-/// Default for [`GpuConfig::mem_calendar`]: on, for the same reason as
-/// [`default_event_driven`] — the calendarized memory side is
-/// bit-identical to per-cycle stepping, so legacy configs land on the
-/// fast path safely. (Same vendored-`serde_derive` caveat: constructors
-/// apply this directly.)
-fn default_mem_calendar() -> bool {
-    true
 }
 
 impl GpuConfig {
@@ -189,8 +151,6 @@ impl GpuConfig {
             clock_ghz: 1.2,
             scheduler: SchedulerKind::Gto,
             speculation: None,
-            event_driven: default_event_driven(),
-            mem_calendar: default_mem_calendar(),
         }
     }
 
@@ -259,27 +219,11 @@ impl GpuConfig {
 
     /// Sets the per-SM dual/quad-issue width (issue slots per cycle).
     /// The warp-stall profiler attributes exactly `issue_width` slots
-    /// per SM per cycle, so this also scales its slot accounting.
+    /// per SM per cycle, so this also scales its slot accounting. Zero
+    /// is rejected by [`GpuConfig::validate`], not clamped here.
     #[must_use]
     pub fn with_issue_width(mut self, width: u32) -> Self {
-        self.issue_width = width.max(1);
-        self
-    }
-
-    /// Toggles the event-driven per-SM fast-forward (default on).
-    /// `false` steps every SM every cycle — bit-identical, just slower.
-    #[must_use]
-    pub fn with_event_driven(mut self, on: bool) -> Self {
-        self.event_driven = on;
-        self
-    }
-
-    /// Toggles the memory-side wake calendar (default on). `false`
-    /// steps the partition drain/route/arbiter phases every cycle —
-    /// bit-identical, just slower.
-    #[must_use]
-    pub fn with_mem_calendar(mut self, on: bool) -> Self {
-        self.mem_calendar = on;
+        self.issue_width = width;
         self
     }
 
@@ -331,17 +275,29 @@ impl GpuConfig {
     ///
     /// Returns a message when the L1 and L2 line sizes differ (the
     /// hierarchy tags both levels at one granularity), a line size is
-    /// not a positive power of two, a cache associativity, the MSHR
-    /// file capacity, or an L2/DRAM bandwidth is zero (a machine that
-    /// can never hold or service a request deadlocks the first miss, so
-    /// zeros are rejected here instead of silently clamped to 1 deep in
-    /// `memory.rs`), `l2_partitions` is zero or not a power of two (the
-    /// address decoder folds the line address into `log2(partitions)`
-    /// bits), the crossbar queue depth is zero, or
+    /// not a positive power of two, any count of SMs, resident warps or
+    /// blocks, issue slots or functional-unit pipes is zero, a cache
+    /// associativity, the MSHR file capacity, or an L2/DRAM bandwidth
+    /// is zero (a machine with none of a resource never finishes a
+    /// kernel that needs it, so zeros are rejected here instead of
+    /// silently clamped to 1 deep in the engine), `l2_partitions` is
+    /// zero or not a power of two (the address decoder folds the line
+    /// address into `log2(partitions)` bits), the crossbar queue depth
+    /// is zero, or
     /// `l2_bw < l2_partitions` (each partition needs at least one L2
     /// request slot per cycle).
     pub fn validate(&self) -> Result<(), String> {
         for (knob, v) in [
+            ("num_sms", self.num_sms),
+            ("max_warps_per_sm", self.max_warps_per_sm),
+            ("max_blocks_per_sm", self.max_blocks_per_sm),
+            ("issue_width", self.issue_width),
+            ("alu_pipes", self.alu_pipes),
+            ("fpu_pipes", self.fpu_pipes),
+            ("dpu_pipes", self.dpu_pipes),
+            ("muldiv_pipes", self.muldiv_pipes),
+            ("sfu_pipes", self.sfu_pipes),
+            ("ldst_pipes", self.ldst_pipes),
             ("l1_assoc", self.l1_assoc),
             ("l2_assoc", self.l2_assoc),
             ("mshr_entries", self.mshr_entries),
@@ -350,8 +306,8 @@ impl GpuConfig {
         ] {
             if v == 0 {
                 return Err(format!(
-                    "{knob} must be at least 1: a zero-{knob} machine can never \
-                     hold or service a memory request"
+                    "{knob} must be at least 1: a zero-{knob} machine never \
+                     finishes a kernel that needs one"
                 ));
             }
         }
@@ -441,6 +397,33 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_zero_sized_machines() {
+        // A zero here would otherwise run into the cycle-limit panic or,
+        // for the warp and block limits, silently get one block slot.
+        let base = GpuConfig::scaled(2);
+        let zeroed = |field: fn(&mut GpuConfig) -> &mut u32| {
+            let mut c = base;
+            *field(&mut c) = 0;
+            c
+        };
+        for (knob, c) in [
+            ("num_sms", zeroed(|c| &mut c.num_sms)),
+            ("max_warps_per_sm", zeroed(|c| &mut c.max_warps_per_sm)),
+            ("max_blocks_per_sm", zeroed(|c| &mut c.max_blocks_per_sm)),
+            ("issue_width", base.with_issue_width(0)),
+            ("alu_pipes", zeroed(|c| &mut c.alu_pipes)),
+            ("fpu_pipes", zeroed(|c| &mut c.fpu_pipes)),
+            ("dpu_pipes", zeroed(|c| &mut c.dpu_pipes)),
+            ("muldiv_pipes", zeroed(|c| &mut c.muldiv_pipes)),
+            ("sfu_pipes", zeroed(|c| &mut c.sfu_pipes)),
+            ("ldst_pipes", zeroed(|c| &mut c.ldst_pipes)),
+        ] {
+            let err = c.validate().expect_err(knob);
+            assert!(err.starts_with(knob), "{knob}: {err}");
+        }
+    }
+
+    #[test]
     fn validate_rejects_mismatched_lines() {
         let mut c = GpuConfig::scaled(1);
         assert!(c.validate().is_ok());
@@ -450,24 +433,6 @@ mod tests {
         c.l1_line = 96;
         c.l2_line = 96;
         assert!(c.validate().is_err(), "non-power-of-two line rejected");
-    }
-
-    #[test]
-    fn event_driven_defaults_on() {
-        // Pin the default (on — bit-identical to off, so legacy configs
-        // land on the fast path safely) and the builder escape hatch.
-        assert!(GpuConfig::titan_v().event_driven);
-        assert!(GpuConfig::scaled(4).event_driven, "inherited via scaled");
-        assert!(!GpuConfig::scaled(4).with_event_driven(false).event_driven);
-        assert!(super::default_event_driven());
-    }
-
-    #[test]
-    fn mem_calendar_defaults_on() {
-        assert!(GpuConfig::titan_v().mem_calendar);
-        assert!(GpuConfig::scaled(4).mem_calendar, "inherited via scaled");
-        assert!(!GpuConfig::scaled(4).with_mem_calendar(false).mem_calendar);
-        assert!(super::default_mem_calendar());
     }
 
     #[test]

@@ -47,5 +47,5 @@ pub use engine::{run_functional, run_functional_with, FunctionalOptions, Functio
 pub use memory::RequestQueue;
 pub use sm::{CycleReport, SmCore};
 pub use stats::{ActivityCounters, InstMix, SimStats};
-pub use timed::{run_timed, run_timed_with, RunOptions, TimedOutput};
+pub use timed::{run_timed, run_timed_lockstep, run_timed_with, RunOptions, TimedOutput};
 pub use trace::ValueTrace;

@@ -43,10 +43,10 @@ pub struct TimedOutput {
     pub cycles: u64,
     /// Component activity for the power model.
     pub activity: ActivityCounters,
-    /// SM-cycles the event-driven driver skipped: clock ticks spent
-    /// parked on the wake calendar, summed over SMs. Zero with
-    /// [`GpuConfig::event_driven`] off or when nothing ever slept.
-    /// Diagnostic only — deliberately not part of [`ActivityCounters`]
+    /// SM-cycles the driver skipped: clock ticks spent parked on the
+    /// wake calendar, summed over SMs. Zero in the lockstep reference
+    /// ([`run_timed_lockstep`]) or when nothing ever slept. Diagnostic
+    /// only — deliberately not part of [`ActivityCounters`]
     /// (the power model's activity is identical either way).
     pub sm_sleep_cycles: u64,
     /// Calendar wakeups: times a sleeping SM was roused (its wake time
@@ -59,8 +59,8 @@ pub struct TimedOutput {
     /// one fill was in flight (no partition's next event was due and no
     /// awake SM queued a request), plus any cycles the fully-quiet
     /// machine fast-forwarded to the combined calendar's global next
-    /// event. Zero with [`GpuConfig::mem_calendar`] off. Diagnostic
-    /// only, like `sm_sleep_cycles`.
+    /// event. Zero in the lockstep reference ([`run_timed_lockstep`]).
+    /// Diagnostic only, like `sm_sleep_cycles`.
     pub mem_skip_cycles: u64,
 }
 
@@ -121,11 +121,27 @@ pub fn run_timed_with(
     cfg: &GpuConfig,
     opts: RunOptions<'_>,
 ) -> TimedOutput {
-    program.validate().expect("invalid program");
-    cfg.validate().expect("invalid GPU configuration");
-    let mut disabled = Telemetry::disabled();
-    let tele = opts.telemetry.unwrap_or(&mut disabled);
-    drive(program, launch, global, cfg, tele)
+    drive(program, launch, global, cfg, opts, false)
+}
+
+/// [`run_timed_with`] with both wake calendars off: every SM and every
+/// L2 partition is stepped on every clock tick. This is the
+/// step-everything reference the tests compare the calendars against
+/// (every output is bit-identical, only slower), and the `lockstep` leg
+/// of the `calendar` bench. Not a user option.
+///
+/// # Panics
+///
+/// Same conditions as [`run_timed_with`].
+#[doc(hidden)]
+pub fn run_timed_lockstep(
+    program: &Program,
+    launch: LaunchConfig,
+    global: &mut MemImage,
+    cfg: &GpuConfig,
+    opts: RunOptions<'_>,
+) -> TimedOutput {
+    drive(program, launch, global, cfg, opts, true)
 }
 
 /// Resident-block slots per SM for this launch.
@@ -145,9 +161,9 @@ fn next_cycle(now: u64, any_issued: bool, next_wake: u64) -> u64 {
     }
 }
 
-/// Driver-side bookkeeping for the event-driven per-SM fast-forward
-/// ([`GpuConfig::event_driven`]): which SMs are parked, the cycle-keyed
-/// wake calendar, and the replay windows that make skipping bit-exact.
+/// Driver-side bookkeeping for the per-SM fast-forward: which SMs are
+/// parked, the cycle-keyed wake calendar, and the replay windows that
+/// make skipping bit-exact.
 ///
 /// The invariant that keeps results identical to the step-everything
 /// path is that the driver reproduces the **same global iteration
@@ -164,10 +180,10 @@ fn next_cycle(now: u64, any_issued: bool, next_wake: u64) -> u64 {
 /// retirement, reclassification or admission it could observe is ever
 /// missed.
 ///
-/// The calendar also owns the **memory side** ([`GpuConfig::mem_calendar`]):
-/// a per-partition cache of [`Partition::next_event`] — the earliest
-/// pending fill completion, refreshed on every retirement and drain, so
-/// it is exact at every decision point. Strictly before that cycle a
+/// The calendar also owns the **memory side**: a per-partition cache
+/// of [`Partition::next_event`] — the earliest pending fill completion,
+/// refreshed on every retirement and drain, so it is exact at every
+/// decision point. Strictly before that cycle a
 /// partition's retire/drain/arbiter phases are provable no-ops (given
 /// no new request, which the driver checks separately), so the driver
 /// skips them. Combined with the SM heap it yields the machine's global
@@ -180,10 +196,12 @@ fn next_cycle(now: u64, any_issued: bool, next_wake: u64) -> u64 {
 /// committed-iteration counter and the clock keeps every sleeper's
 /// `(iterations, cycles)` replay window — and therefore every counter,
 /// histogram and interval row — bit-identical.
+///
+/// With `lockstep` set ([`run_timed_lockstep`]) no SM ever parks and
+/// every partition is due every cycle, which is the step-everything
+/// reference.
 struct WakeCalendar {
-    enabled: bool,
-    /// Memory-side calendar enabled ([`GpuConfig::mem_calendar`]).
-    mem_enabled: bool,
+    lockstep: bool,
     asleep: Vec<bool>,
     /// Start of each sleeper's unreplayed window: first skipped clock
     /// cycle and first skipped driver iteration.
@@ -213,13 +231,10 @@ struct WakeCalendar {
 }
 
 impl WakeCalendar {
-    fn new(cfg: &GpuConfig, tele: &Telemetry, num_sms: usize, num_parts: usize) -> Self {
+    fn new(lockstep: bool, tele: &Telemetry, num_sms: usize, num_parts: usize) -> Self {
         let interval = tele.config().interval_cycles.max(1);
         WakeCalendar {
-            enabled: cfg.event_driven,
-            // Only consulted with the SM calendar on: the knob is a
-            // refinement of the event-driven mode, not a separate one.
-            mem_enabled: cfg.event_driven && cfg.mem_calendar,
+            lockstep,
             asleep: vec![false; num_sms],
             from_cycle: vec![0; num_sms],
             from_iter: vec![0; num_sms],
@@ -242,13 +257,12 @@ impl WakeCalendar {
         self.asleep[sm]
     }
 
-    /// Whether partition `p` may have retirement work at `now`. With the
-    /// memory calendar off this is always true (the legacy
-    /// step-everything path); with it on, a cached next event beyond
-    /// `now` proves every MSHR entry in the partition still has
+    /// Whether partition `p` may have retirement work at `now`. Always
+    /// true in lockstep; otherwise a cached next event beyond `now`
+    /// proves every MSHR entry in the partition still has
     /// `ready_at > now`, so the retain scans would keep everything.
     fn mem_due(&self, p: usize, now: u64) -> bool {
-        !self.mem_enabled || self.mem_next[p] <= now
+        self.lockstep || self.mem_next[p] <= now
     }
 
     /// Records partition `p`'s freshly recomputed next event.
@@ -279,11 +293,9 @@ impl WakeCalendar {
     /// guard so a machine with no event at all still trips it) — and
     /// credits the skipped iterations: each would have advanced the
     /// clock by exactly one cycle, so iterations == cycles over the
-    /// stretch and every replay window stays exact.
+    /// stretch and every replay window stays exact. Never reached in
+    /// lockstep, where no SM parks.
     fn quiet_jump(&mut self, next_now: u64) -> u64 {
-        if !self.mem_enabled {
-            return next_now;
-        }
         let sm_next = self
             .calendar
             .peek()
@@ -311,7 +323,7 @@ impl WakeCalendar {
         next_now: u64,
         admissible: bool,
     ) -> bool {
-        if !self.enabled || report.issued || admissible {
+        if self.lockstep || report.issued || admissible {
             return false;
         }
         let wake = report
@@ -400,8 +412,13 @@ fn drive(
     launch: LaunchConfig,
     global: &mut MemImage,
     cfg: &GpuConfig,
-    tele: &mut Telemetry,
+    opts: RunOptions<'_>,
+    lockstep: bool,
 ) -> TimedOutput {
+    program.validate().expect("invalid program");
+    cfg.validate().expect("invalid GPU configuration");
+    let mut disabled = Telemetry::disabled();
+    let tele = opts.telemetry.unwrap_or(&mut disabled);
     let slots = block_slots(cfg, launch);
     let mut cores: Vec<SmCore> = (0..cfg.num_sms)
         .map(|i| SmCore::new(i as usize, cfg, slots))
@@ -429,7 +446,7 @@ fn drive(
     let mut next_block = 0u32;
     let mut now = 0u64;
     let mut reports: Vec<CycleReport> = vec![CycleReport::default(); cfg.num_sms as usize];
-    let mut cal = WakeCalendar::new(cfg, tele, cfg.num_sms as usize, num_parts);
+    let mut cal = WakeCalendar::new(lockstep, tele, cfg.num_sms as usize, num_parts);
     let mut due: Vec<usize> = Vec::new();
 
     loop {
@@ -486,7 +503,7 @@ fn drive(
             next_now = cal.quiet_jump(next_now);
         }
         let dt = next_now - now;
-        // With the memory calendar on, the whole memory round — fill
+        // Outside lockstep, the whole memory round — fill
         // retirement, accesses and the MSHR view refresh — is skipped
         // when no partition has a due fill and no awake SM queued a
         // request this cycle: partition state is then provably
@@ -534,7 +551,7 @@ fn drive(
                 }
             }
             for (p, t) in touched.iter_mut().enumerate() {
-                if std::mem::take(t) && cal.mem_enabled {
+                if std::mem::take(t) {
                     let next = hier.partition_mut(p).next_event();
                     cal.mem_refresh(p, next);
                 }
@@ -680,17 +697,15 @@ mod tests {
         let mut g1 = g0.clone();
         let mut g2 = g0.clone();
         let on = run_timed(&p, launch, &mut g1, &starved);
-        let off = run_timed(&p, launch, &mut g2, &starved.with_mem_calendar(false));
-        assert_eq!(on.cycles, off.cycles);
-        assert_eq!(on.activity, off.activity);
-        assert_eq!(on.sm_sleep_cycles, off.sm_sleep_cycles);
-        assert_eq!(on.ff_wakeups, off.ff_wakeups);
+        let reference = run_timed_lockstep(&p, launch, &mut g2, &starved, RunOptions::default());
+        assert_eq!(on.cycles, reference.cycles);
+        assert_eq!(on.activity, reference.activity);
         assert_eq!(g1.as_bytes(), g2.as_bytes());
         assert!(
             on.mem_skip_cycles > 0,
             "memory calendar never skipped a round"
         );
-        assert_eq!(off.mem_skip_cycles, 0, "knob off must not skip");
+        assert_eq!(reference.mem_skip_cycles, 0, "the reference must not skip");
     }
 
     #[test]

@@ -217,7 +217,7 @@ pub struct Telemetry {
     /// ticks whether it executed, stalled, or slept through them (the
     /// event-driven driver replays parked windows via
     /// [`Telemetry::energy_cycles`]), so static/leakage energy is
-    /// priced identically with fast-forward on or off.
+    /// priced identically to the lockstep reference.
     energy_sm_cycles: u64,
     final_cycles: u64,
 }
@@ -556,8 +556,8 @@ impl Telemetry {
     /// timeline's static/leakage column. The simulator calls this once
     /// per SM per committed iteration (`dt` ticks) while awake, and
     /// once per replayed parked window (the full slept span) on wake —
-    /// so every SM contributes exactly the run length, with
-    /// event-driven fast-forward on or off.
+    /// so every SM contributes exactly the run length, parked or not.
+    /// The lockstep reference never parks and prices the same.
     #[inline]
     pub fn energy_cycles(&mut self, cycles: u64) {
         if !self.enabled {

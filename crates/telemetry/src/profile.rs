@@ -567,8 +567,7 @@ pub struct MemPoint {
     pub dram_requests: u64,
     /// Bandwidth-slot wait cycles accrued during the interval.
     pub bw_wait_cycles: u64,
-    /// Crossbar injection-port wait cycles accrued during the interval
-    /// (0 in documents predating version 3).
+    /// Crossbar injection-port wait cycles accrued during the interval.
     pub xbar_wait_cycles: u64,
 }
 
@@ -600,9 +599,6 @@ pub struct EnergyPoint {
 /// exportable to JSON and parseable back losslessly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelProfile {
-    /// Profile document version ([`PROFILE_VERSION`] when written by
-    /// this build; 1 for documents predating the version field).
-    pub version: u32,
     /// Kernel (or run) label.
     pub kernel: String,
     /// Total kernel cycles.
@@ -617,10 +613,9 @@ pub struct KernelProfile {
     pub pcs: Vec<PcRow>,
     /// Occupancy timeline, interval order.
     pub occupancy: Vec<OccPoint>,
-    /// Memory timeline, interval order (empty in version-1 documents).
+    /// Memory timeline, interval order.
     pub mem_timeline: Vec<MemPoint>,
-    /// Energy-event timeline, interval order (empty in documents
-    /// predating version 5).
+    /// Energy-event timeline, interval order.
     pub energy_timeline: Vec<EnergyPoint>,
     /// Priced energy rollup — attached by
     /// [`KernelProfile::attach_energy`] once the caller supplies the
@@ -635,7 +630,7 @@ pub struct KernelProfile {
 /// (`partitions`, `xbar_wait_cycles`, `part_fills`); version 5 added
 /// the energy timeline and the optional priced energy summary (4 is
 /// skipped so profile and bench-summary documents share one numbering).
-/// Older documents parse with the newer fields zeroed/empty.
+/// [`KernelProfile::from_json`] rejects every other version.
 pub const PROFILE_VERSION: u32 = 5;
 
 impl KernelProfile {
@@ -715,7 +710,6 @@ impl KernelProfile {
         let counter = |name: &str| tele.registry().counter_by_name(name).unwrap_or(0);
         let fill = tele.registry().histogram_by_name("mem.fill_latency");
         KernelProfile {
-            version: PROFILE_VERSION,
             kernel: kernel.to_string(),
             cycles: tele.cycles(),
             warp_instructions: counter("sched.warp_instructions"),
@@ -838,7 +832,7 @@ impl KernelProfile {
         let mut w = Writer::new();
         w.begin_object();
         w.field_u64("schema", 1);
-        w.field_u64("version", u64::from(self.version));
+        w.field_u64("version", u64::from(PROFILE_VERSION));
         w.field_str("kernel", &self.kernel);
         w.field_u64("cycles", self.cycles);
         w.field_u64("warp_instructions", self.warp_instructions);
@@ -960,10 +954,12 @@ impl KernelProfile {
     ///
     /// # Errors
     ///
-    /// Returns a message when the text is not valid JSON or misses
-    /// required fields.
+    /// Returns a message when the text is not valid JSON, its `version`
+    /// is not [`PROFILE_VERSION`] (the message names the version found),
+    /// or it misses required fields.
     pub fn from_json(text: &str) -> Result<KernelProfile, String> {
         let v = json::parse(text)?;
+        v.require_version("profile", PROFILE_VERSION)?;
         let u = |v: &Value, key: &str| -> Result<u64, String> {
             v.get(key)
                 .and_then(Value::as_f64)
@@ -1026,97 +1022,92 @@ impl KernelProfile {
                 total_slots: u(p, "total_slots")?,
             });
         }
-        // Absent in schema-1 documents written before the MSHR model;
-        // default to zeros for backward compatibility. The version-2
-        // latency/occupancy fields likewise default to 0 when parsing a
-        // version-1 document.
-        let mem = v.get("mem").map_or_else(MemSummary::default, |m| {
-            let opt = |key: &str| m.get(key).and_then(Value::as_f64).map_or(0, |f| f as u64);
-            MemSummary {
-                l1_accesses: opt("l1_accesses"),
-                l1_misses: opt("l1_misses"),
-                l2_misses: opt("l2_misses"),
-                dram_accesses: opt("dram_accesses"),
-                mshr_merges: opt("mshr_merges"),
-                fill_p50: opt("fill_p50"),
-                fill_p95: opt("fill_p95"),
-                fill_max: opt("fill_max"),
-                mshr_occupied_cycles: opt("mshr_occupied_cycles"),
-                mshr_wait_cycles: opt("mshr_wait_cycles"),
-                bw_starved_cycles: opt("bw_starved_cycles"),
-                partitions: opt("partitions") as u32,
-                xbar_wait_cycles: opt("xbar_wait_cycles"),
-                part_fills: m
-                    .get("part_fills")
-                    .and_then(Value::as_array)
-                    .map(|a| {
-                        a.iter()
-                            .map(|v| v.as_f64().map_or(0, |f| f as u64))
-                            .collect()
-                    })
-                    .unwrap_or_default(),
-            }
-        });
-        // Documents written before the version field are version 1; the
-        // memory timeline only exists from version 2 on.
-        let version = v
-            .get("version")
-            .and_then(Value::as_f64)
-            .map_or(1, |f| f as u32);
+        let m = v.get("mem").ok_or("missing mem object")?;
+        let mem = MemSummary {
+            l1_accesses: u(m, "l1_accesses")?,
+            l1_misses: u(m, "l1_misses")?,
+            l2_misses: u(m, "l2_misses")?,
+            dram_accesses: u(m, "dram_accesses")?,
+            mshr_merges: u(m, "mshr_merges")?,
+            fill_p50: u(m, "fill_p50")?,
+            fill_p95: u(m, "fill_p95")?,
+            fill_max: u(m, "fill_max")?,
+            mshr_occupied_cycles: u(m, "mshr_occupied_cycles")?,
+            mshr_wait_cycles: u(m, "mshr_wait_cycles")?,
+            bw_starved_cycles: u(m, "bw_starved_cycles")?,
+            partitions: u(m, "partitions")? as u32,
+            xbar_wait_cycles: u(m, "xbar_wait_cycles")?,
+            part_fills: m
+                .get("part_fills")
+                .and_then(Value::as_array)
+                .ok_or("missing part_fills array")?
+                .iter()
+                .map(|v| {
+                    v.as_f64()
+                        .map(|f| f as u64)
+                        .ok_or("non-numeric part_fills entry")
+                })
+                .collect::<Result<_, _>>()?,
+        };
         let mut mem_timeline = Vec::new();
-        if let Some(rows) = v.get("mem_timeline").and_then(Value::as_array) {
-            for p in rows {
-                mem_timeline.push(MemPoint {
-                    cycle: u(p, "cycle")?,
-                    mshr_occupied_cycles: u(p, "mshr_occupied_cycles")?,
-                    mshr_peak: u(p, "mshr_peak")?,
-                    l2_requests: u(p, "l2_requests")?,
-                    dram_requests: u(p, "dram_requests")?,
-                    bw_wait_cycles: u(p, "bw_wait_cycles")?,
-                    // Optional: version-2 documents predate the crossbar.
-                    xbar_wait_cycles: p
-                        .get("xbar_wait_cycles")
-                        .and_then(Value::as_f64)
-                        .map_or(0, |f| f as u64),
-                });
-            }
+        for p in v
+            .get("mem_timeline")
+            .and_then(Value::as_array)
+            .ok_or("missing mem_timeline array")?
+        {
+            mem_timeline.push(MemPoint {
+                cycle: u(p, "cycle")?,
+                mshr_occupied_cycles: u(p, "mshr_occupied_cycles")?,
+                mshr_peak: u(p, "mshr_peak")?,
+                l2_requests: u(p, "l2_requests")?,
+                dram_requests: u(p, "dram_requests")?,
+                bw_wait_cycles: u(p, "bw_wait_cycles")?,
+                xbar_wait_cycles: u(p, "xbar_wait_cycles")?,
+            });
         }
-        // Optional from version 5 on: the energy timeline and the
-        // priced summary. Older documents parse with them empty/None.
         let mut energy_timeline = Vec::new();
-        if let Some(rows) = v.get("energy_timeline").and_then(Value::as_array) {
-            for p in rows {
-                energy_timeline.push(EnergyPoint {
-                    cycle: u(p, "cycle")?,
-                    dram_fills: u(p, "dram_fills")?,
-                    l2_grants: u(p, "l2_grants")?,
-                    mshr_merges: u(p, "mshr_merges")?,
-                    xbar_hops: u(p, "xbar_hops")?,
-                    write_allocs: u(p, "write_allocs")?,
-                    instructions: u(p, "instructions")?,
-                    sm_cycles: u(p, "sm_cycles")?,
-                });
-            }
+        for p in v
+            .get("energy_timeline")
+            .and_then(Value::as_array)
+            .ok_or("missing energy_timeline array")?
+        {
+            energy_timeline.push(EnergyPoint {
+                cycle: u(p, "cycle")?,
+                dram_fills: u(p, "dram_fills")?,
+                l2_grants: u(p, "l2_grants")?,
+                mshr_merges: u(p, "mshr_merges")?,
+                xbar_hops: u(p, "xbar_hops")?,
+                write_allocs: u(p, "write_allocs")?,
+                instructions: u(p, "instructions")?,
+                sm_cycles: u(p, "sm_cycles")?,
+            });
         }
-        let energy = v.get("energy").map(|e| {
-            let f = |key: &str| e.get(key).and_then(Value::as_f64).unwrap_or(0.0);
-            crate::energy::EnergySummary {
-                total_nj: f("total_nj"),
-                dram_nj: f("dram_nj"),
-                l2_nj: f("l2_nj"),
-                mshr_nj: f("mshr_nj"),
-                xbar_nj: f("xbar_nj"),
-                write_alloc_nj: f("write_alloc_nj"),
-                issue_nj: f("issue_nj"),
-                static_nj: f("static_nj"),
-                queue_nj: f("queue_nj"),
-                peak_power_w: f("peak_power_w"),
-                peak_power_cycle: f("peak_power_cycle") as u64,
-                energy_per_instruction_pj: f("energy_per_instruction_pj"),
-            }
-        });
+        // Absent only when the capture was never priced.
+        let energy = v
+            .get("energy")
+            .map(|e| {
+                let f = |key: &str| {
+                    e.get(key)
+                        .and_then(Value::as_f64)
+                        .ok_or_else(|| format!("missing numeric field {key:?}"))
+                };
+                Ok::<_, String>(crate::energy::EnergySummary {
+                    total_nj: f("total_nj")?,
+                    dram_nj: f("dram_nj")?,
+                    l2_nj: f("l2_nj")?,
+                    mshr_nj: f("mshr_nj")?,
+                    xbar_nj: f("xbar_nj")?,
+                    write_alloc_nj: f("write_alloc_nj")?,
+                    issue_nj: f("issue_nj")?,
+                    static_nj: f("static_nj")?,
+                    queue_nj: f("queue_nj")?,
+                    peak_power_w: f("peak_power_w")?,
+                    peak_power_cycle: u(e, "peak_power_cycle")?,
+                    energy_per_instruction_pj: f("energy_per_instruction_pj")?,
+                })
+            })
+            .transpose()?;
         Ok(KernelProfile {
-            version,
             kernel: v
                 .get("kernel")
                 .and_then(Value::as_str)
@@ -1367,7 +1358,6 @@ mod tests {
     #[test]
     fn profile_json_round_trips_losslessly() {
         let profile = KernelProfile {
-            version: PROFILE_VERSION,
             kernel: "probe \"x\"".into(),
             cycles: 1234,
             warp_instructions: 567,
@@ -1476,55 +1466,14 @@ mod tests {
         assert!((profile.mem.fill_imbalance() - 1.2).abs() < 1e-12);
         assert!((MemSummary::default().fill_imbalance()).abs() < 1e-12);
 
-        // Documents written before the memory summary / version field /
-        // memory timeline parse with zeroed totals instead of failing.
-        let legacy = text
-            .replacen(
-                "\"mem\":{\"l1_accesses\":100,\"l1_misses\":20,\"l2_misses\":10,\
-                 \"dram_accesses\":10,\"mshr_merges\":5,\"fill_p50\":128,\
-                 \"fill_p95\":256,\"fill_max\":300,\"mshr_occupied_cycles\":4000,\
-                 \"mshr_wait_cycles\":77,\"bw_starved_cycles\":33,\
-                 \"partitions\":2,\"xbar_wait_cycles\":9,\"part_fills\":[6,4]},",
-                "",
-                1,
-            )
-            .replacen("\"version\":5,", "", 1)
-            .replacen(
-                "\"mem_timeline\":[{\"cycle\":1024,\"mshr_occupied_cycles\":2000,\
-                 \"mshr_peak\":6,\"l2_requests\":20,\"dram_requests\":10,\
-                 \"bw_wait_cycles\":33,\"xbar_wait_cycles\":9}],",
-                "\"ignored\":0,",
-                1,
-            )
-            .replacen(
-                "\"energy_timeline\":[{\"cycle\":1024,\"dram_fills\":10,\
-                 \"l2_grants\":20,\"mshr_merges\":5,\"xbar_hops\":12,\
-                 \"write_allocs\":3,\"instructions\":567,\"sm_cycles\":2048}],",
-                "",
-                1,
-            )
-            .replacen(
-                "\"energy\":{\"total_nj\":12.5,\"dram_nj\":4.25,\"l2_nj\":1.5,\
-                 \"mshr_nj\":0.125,\"xbar_nj\":0.5,\"write_alloc_nj\":0.25,\
-                 \"issue_nj\":2,\"static_nj\":3.5,\"queue_nj\":0.375,\
-                 \"peak_power_w\":1.75,\"peak_power_cycle\":1024,\
-                 \"energy_per_instruction_pj\":22.046}",
-                "\"also_ignored\":0",
-                1,
-            );
-        assert_ne!(legacy, text, "legacy fields were removed");
-        assert!(!legacy.contains("mem_timeline"));
-        assert!(!legacy.contains("energy"));
-        let old = KernelProfile::from_json(&legacy).expect("legacy document parses");
-        assert_eq!(old.version, 1, "absent version field reads as 1");
-        assert_eq!(old.mem, MemSummary::default());
-        assert!(old.mem_timeline.is_empty());
-        assert!(old.energy_timeline.is_empty());
-        assert!(old.energy.is_none());
-
-        // And a legacy document re-serialised round-trips its version.
-        let re = KernelProfile::from_json(&old.to_json()).expect("re-parses");
-        assert_eq!(re.version, old.version);
+        // Only the current version parses; the error names what it found.
+        let v4 = text.replacen("\"version\":5,", "\"version\":4,", 1);
+        let err = KernelProfile::from_json(&v4).expect_err("version 4 rejected");
+        assert!(err.contains("version 4"), "{err}");
+        let unversioned = text.replacen("\"version\":5,", "", 1);
+        assert_ne!(unversioned, text);
+        let err = KernelProfile::from_json(&unversioned).expect_err("no version rejected");
+        assert!(err.contains("(missing)"), "{err}");
     }
 
     #[test]
@@ -1541,7 +1490,6 @@ mod tests {
         );
         c.snapshot(1);
         let profile = KernelProfile {
-            version: PROFILE_VERSION,
             kernel: "probe".into(),
             cycles: 1,
             warp_instructions: 2,

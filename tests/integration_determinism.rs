@@ -1,12 +1,13 @@
 //! Cross-crate determinism on real suite kernels, baseline and ST²
 //! alike: timed runs satisfy each kernel's CPU reference at every
 //! partition count, their profiles reconcile against the clock, and the
-//! wake calendars (`GpuConfig::event_driven`, `GpuConfig::mem_calendar`)
-//! are **bit-identical** to the step-everything path — same cycles, same
-//! activity counters, same memory, same telemetry. That contract is what
-//! makes both calendars pure wall-clock knobs.
+//! wake calendars are **bit-identical** to the step-everything reference
+//! (`run_timed_lockstep`) — same cycles, same activity counters, same
+//! memory, same telemetry. That contract is what lets every timed run
+//! use both calendars.
 
 use st2::prelude::*;
+use st2::sim::run_timed_lockstep;
 
 /// A cross-section of the suite: memory-bound (pathfinder), shared-memory
 /// heavy (histo_K1), branch-structured (sortNets_K1) and ALU-bound
@@ -316,138 +317,119 @@ fn starved_memory_channels_are_populated() {
 }
 
 #[test]
-fn event_driven_fast_forward_is_bit_identical() {
-    // The wake calendars must be invisible in every observable: the
-    // event_driven on/off × memory-calendar on/off × l2_partitions
-    // matrix reproduces the same cycles, activity counters, results
-    // memory, latency histograms, memory timeline and per-PC profiles —
-    // both knobs are purely wall-clock. (With event_driven off the
-    // memory calendar is never consulted, so the lockstep run is the
-    // reference and only the event-driven legs are compared to it.)
+fn calendars_are_bit_identical_to_lockstep() {
+    // The wake calendars must be invisible in every observable: at
+    // every l2_partitions setting the calendar run reproduces the
+    // lockstep reference's cycles, activity counters, results memory,
+    // latency histograms, memory timeline and per-PC profiles.
     for name in ["pathfinder", "histo_K1"] {
         let spec = spec_by_name(name);
         for parts in [1u32, 4] {
-            let base = tight_partitioned_cfg(parts);
-            let observe = |cfg: &GpuConfig| {
+            let cfg = tight_partitioned_cfg(parts);
+            let observe = |lockstep: bool| {
                 let mut mem = spec.memory.clone();
                 let mut tele = Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
-                let out = run_timed_with(
+                let run = if lockstep {
+                    run_timed_lockstep
+                } else {
+                    run_timed_with
+                };
+                let out = run(
                     &spec.program,
                     spec.launch,
                     &mut mem,
-                    cfg,
+                    &cfg,
                     RunOptions::with_telemetry(&mut tele),
                 );
                 let profile = KernelProfile::capture(&tele, name, Some(&spec.program));
                 (out, mem.as_bytes().to_vec(), tele, profile)
             };
-            let (ref_out, ref_mem, ref_tele, ref_profile) = observe(&base.with_event_driven(false));
-            assert_eq!(ref_out.sm_sleep_cycles, 0, "{name}: slept with knob off");
-            assert_eq!(ref_out.ff_wakeups, 0, "{name}: woke with knob off");
+            let (ref_out, ref_mem, ref_tele, ref_profile) = observe(true);
+            let (out, mem, tele, profile) = observe(false);
+            let ctx = format!("{name}: parts={parts}");
+            assert_eq!(out.cycles, ref_out.cycles, "{ctx}: cycles");
+            assert_eq!(out.activity, ref_out.activity, "{ctx}: activity");
+            assert_eq!(mem, ref_mem, "{ctx}: results memory");
             assert_eq!(
-                ref_out.mem_skip_cycles, 0,
-                "{name}: memory calendar skipped with knob off"
+                tele.registry().counters(),
+                ref_tele.registry().counters(),
+                "{ctx}: telemetry counters"
             );
-            for mc in [false, true] {
-                let cfg = base.with_mem_calendar(mc);
-                let (out, mem, tele, profile) = observe(&cfg);
-                let ctx = format!("{name}: mc={mc} parts={parts}");
-                assert_eq!(out.cycles, ref_out.cycles, "{ctx}: cycles");
-                assert_eq!(out.activity, ref_out.activity, "{ctx}: activity");
-                assert_eq!(mem, ref_mem, "{ctx}: results memory");
-                assert_eq!(
-                    tele.registry().counters(),
-                    ref_tele.registry().counters(),
-                    "{ctx}: telemetry counters"
-                );
-                assert_eq!(
-                    tele.registry().histograms(),
-                    ref_tele.registry().histograms(),
-                    "{ctx}: latency histograms"
-                );
-                assert_eq!(
-                    tele.mem_series().points(),
-                    ref_tele.mem_series().points(),
-                    "{ctx}: memory timeline"
-                );
-                assert_eq!(
-                    tele.mem_occupied_cycles(),
-                    ref_tele.mem_occupied_cycles(),
-                    "{ctx}: MSHR occupancy integral"
-                );
-                // Parked SMs credit their slept cycles through
-                // `replay_parked`, so the integer energy timeline — SM-
-                // resident cycles included — must not see the calendar
-                // either.
-                assert_eq!(
-                    tele.energy_series().points(),
-                    ref_tele.energy_series().points(),
-                    "{ctx}: energy timeline"
-                );
-                assert_eq!(
-                    tele.energy_sm_cycles(),
-                    ref_tele.energy_sm_cycles(),
-                    "{ctx}: SM-resident cycle integral"
-                );
-                assert_eq!(
-                    tele.series().column("adder.accuracy"),
-                    ref_tele.series().column("adder.accuracy"),
-                    "{ctx}: accuracy series"
-                );
-                assert_eq!(profile, ref_profile, "{ctx}: profile");
-                if !mc {
-                    assert_eq!(
-                        out.mem_skip_cycles, 0,
-                        "{ctx}: memory calendar skipped with knob off"
-                    );
-                }
-            }
+            assert_eq!(
+                tele.registry().histograms(),
+                ref_tele.registry().histograms(),
+                "{ctx}: latency histograms"
+            );
+            assert_eq!(
+                tele.mem_series().points(),
+                ref_tele.mem_series().points(),
+                "{ctx}: memory timeline"
+            );
+            assert_eq!(
+                tele.mem_occupied_cycles(),
+                ref_tele.mem_occupied_cycles(),
+                "{ctx}: MSHR occupancy integral"
+            );
+            // Parked SMs credit their slept cycles through
+            // `replay_parked`, so the integer energy timeline — SM-
+            // resident cycles included — must not see the calendar
+            // either.
+            assert_eq!(
+                tele.energy_series().points(),
+                ref_tele.energy_series().points(),
+                "{ctx}: energy timeline"
+            );
+            assert_eq!(
+                tele.energy_sm_cycles(),
+                ref_tele.energy_sm_cycles(),
+                "{ctx}: SM-resident cycle integral"
+            );
+            assert_eq!(
+                tele.series().column("adder.accuracy"),
+                ref_tele.series().column("adder.accuracy"),
+                "{ctx}: accuracy series"
+            );
+            assert_eq!(profile, ref_profile, "{ctx}: profile");
         }
     }
 }
 
 #[test]
 fn starved_config_engages_the_wake_calendar() {
-    // Equivalence alone could hold vacuously (nothing ever sleeps);
-    // this pins that a memory-starved config actually parks SMs on the
-    // calendar and wakes them, while the step-everything path reports
-    // zero and the same cycle count.
+    // Equivalence alone could hold vacuously (nothing ever sleeps or
+    // skips). On a memory-starved config the wake calendar must park
+    // SMs, wake them and skip memory rounds (it owns both sides), while
+    // the lockstep reference reports zero for all three with the same
+    // timing.
     let spec = spec_by_name("pathfinder");
     let cfg = tight_memory_cfg();
-    assert!(cfg.event_driven, "fast-forward must default on");
-    let (on, _) = timed(&spec, &cfg);
+    let (on, on_mem) = timed(&spec, &cfg);
     assert!(
         on.sm_sleep_cycles > 0,
         "starved run never parked an SM on the wake calendar"
     );
     assert!(on.ff_wakeups > 0, "parked SMs were never woken");
-    let (off, _) = timed(&spec, &cfg.with_event_driven(false));
-    assert_eq!(off.sm_sleep_cycles, 0);
-    assert_eq!(off.ff_wakeups, 0);
-    assert_eq!(on.cycles, off.cycles, "fast-forward changed timing");
-    assert_eq!(on.activity, off.activity, "fast-forward changed activity");
-}
-
-#[test]
-fn starved_config_engages_the_memory_calendar() {
-    // Same vacuity guard for the memory side: on a starved config most
-    // cycles have no due fill and no fresh request, so the calendar
-    // must actually skip drain/retire rounds — while the escape hatch
-    // (`mem_calendar = false`) reports zero skips and identical timing.
-    let spec = spec_by_name("pathfinder");
-    let cfg = tight_memory_cfg();
-    assert!(cfg.mem_calendar, "memory calendar must default on");
-    let (on, _) = timed(&spec, &cfg);
     assert!(
         on.mem_skip_cycles > 0,
-        "starved run never skipped a drain round"
+        "starved run never skipped a memory round"
     );
-    let (off, _) = timed(&spec, &cfg.with_mem_calendar(false));
-    assert_eq!(off.mem_skip_cycles, 0, "knob off skipped");
-    assert_eq!(on.cycles, off.cycles, "timing changed");
-    assert_eq!(on.activity, off.activity, "activity changed");
-    assert_eq!(on.sm_sleep_cycles, off.sm_sleep_cycles);
-    assert_eq!(on.ff_wakeups, off.ff_wakeups);
+    let mut mem = spec.memory.clone();
+    let reference = run_timed_lockstep(
+        &spec.program,
+        spec.launch,
+        &mut mem,
+        &cfg,
+        RunOptions::default(),
+    );
+    assert_eq!(reference.sm_sleep_cycles, 0);
+    assert_eq!(reference.ff_wakeups, 0);
+    assert_eq!(reference.mem_skip_cycles, 0);
+    assert_eq!(on.cycles, reference.cycles, "calendars changed timing");
+    assert_eq!(
+        on.activity, reference.activity,
+        "calendars changed activity"
+    );
+    assert_eq!(on_mem, mem.as_bytes(), "calendars changed results");
 }
 
 #[test]
@@ -460,34 +442,29 @@ fn sleep_accounting_is_exact_at_termination_while_parked() {
     // SM-resident energy integral each must equal exactly
     // `num_sms × cycles`.
     let spec = spec_by_name("pathfinder");
-    for cfg in [
-        tight_memory_cfg(),
-        tight_memory_cfg().with_mem_calendar(false),
-    ] {
-        let mut mem = spec.memory.clone();
-        let mut tele = Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
-        let out = run_timed_with(
-            &spec.program,
-            spec.launch,
-            &mut mem,
-            &cfg,
-            RunOptions::with_telemetry(&mut tele),
-        );
-        let ctx = format!("mc={}", cfg.mem_calendar);
-        assert!(
-            out.sm_sleep_cycles > 0,
-            "{ctx}: run never parked an SM — the exit replay is untested"
-        );
-        let expect = u64::from(cfg.num_sms) * out.cycles;
-        assert_eq!(
-            out.activity.active_sm_cycles + out.activity.idle_sm_cycles,
-            expect,
-            "{ctx}: driver activity split drifted from num_sms × cycles"
-        );
-        assert_eq!(
-            tele.energy_sm_cycles(),
-            expect,
-            "{ctx}: SM-resident energy integral drifted from num_sms × cycles"
-        );
-    }
+    let cfg = tight_memory_cfg();
+    let mut mem = spec.memory.clone();
+    let mut tele = Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
+    let out = run_timed_with(
+        &spec.program,
+        spec.launch,
+        &mut mem,
+        &cfg,
+        RunOptions::with_telemetry(&mut tele),
+    );
+    assert!(
+        out.sm_sleep_cycles > 0,
+        "run never parked an SM — the exit replay is untested"
+    );
+    let expect = u64::from(cfg.num_sms) * out.cycles;
+    assert_eq!(
+        out.activity.active_sm_cycles + out.activity.idle_sm_cycles,
+        expect,
+        "driver activity split drifted from num_sms × cycles"
+    );
+    assert_eq!(
+        tele.energy_sm_cycles(),
+        expect,
+        "SM-resident energy integral drifted from num_sms × cycles"
+    );
 }

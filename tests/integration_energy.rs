@@ -1,6 +1,6 @@
 //! Cross-crate energy telemetry: the integer energy-event timeline must
-//! be **bit-identical** across the whole determinism matrix (partitions
-//! × event-driven × memory calendar), conserve its events against the run's
+//! be **bit-identical** to the lockstep reference at every partition
+//! count, conserve its events against the run's
 //! activity counters, and — once priced by the calibrated model — move
 //! in the right direction when the memory knobs move.
 //!
@@ -9,6 +9,7 @@
 //! not tolerances.
 
 use st2::prelude::*;
+use st2::sim::run_timed_lockstep;
 use st2::telemetry::{EnergySummary, EnergyWeights};
 
 fn spec_by_name(name: &str) -> KernelSpec {
@@ -30,9 +31,17 @@ fn tight_partitioned_cfg(parts: u32) -> GpuConfig {
 }
 
 fn observe(spec: &KernelSpec, cfg: &GpuConfig) -> (TimedOutput, Telemetry) {
+    observe_with(run_timed_with, spec, cfg)
+}
+
+fn observe_with(
+    run: fn(&Program, LaunchConfig, &mut MemImage, &GpuConfig, RunOptions<'_>) -> TimedOutput,
+    spec: &KernelSpec,
+    cfg: &GpuConfig,
+) -> (TimedOutput, Telemetry) {
     let mut mem = spec.memory.clone();
     let mut tele = Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
-    let out = run_timed_with(
+    let out = run(
         &spec.program,
         spec.launch,
         &mut mem,
@@ -55,24 +64,20 @@ fn column_total(tele: &Telemetry, col: usize) -> u64 {
 
 #[test]
 fn energy_timeline_is_bit_identical_across_the_matrix() {
-    // {1,4} partitions × event-driven on/off × memory calendar on/off:
-    // the energy timeline is pure integer counts, and parked SMs credit
-    // their slept cycles on wake, so every cell within a partition count
-    // reproduces the step-everything reference bit for bit.
+    // At {1,4} partitions: the energy timeline is pure integer counts,
+    // and parked SMs credit their slept cycles on wake, so the calendar
+    // run reproduces the lockstep reference bit for bit.
     for name in ["pathfinder", "histo_K1"] {
         let spec = spec_by_name(name);
         for parts in [1u32, 4] {
-            let base = tight_partitioned_cfg(parts);
-            let (_, ref_tele) = observe(&spec, &base.with_event_driven(false));
-            for (ed, mc) in [(true, false), (true, true)] {
-                let cfg = base.with_event_driven(ed).with_mem_calendar(mc);
-                let (_, tele) = observe(&spec, &cfg);
-                assert_eq!(
-                    tele.energy_series().points(),
-                    ref_tele.energy_series().points(),
-                    "{name}: energy timeline diverges at ed={ed} mc={mc} parts={parts}"
-                );
-            }
+            let cfg = tight_partitioned_cfg(parts);
+            let (_, ref_tele) = observe_with(run_timed_lockstep, &spec, &cfg);
+            let (_, tele) = observe(&spec, &cfg);
+            assert_eq!(
+                tele.energy_series().points(),
+                ref_tele.energy_series().points(),
+                "{name}: energy timeline diverges at parts={parts}"
+            );
         }
     }
 }
