@@ -394,25 +394,13 @@ fn calendars_are_bit_identical_to_lockstep() {
     }
 }
 
-#[test]
-fn starved_config_engages_the_wake_calendar() {
-    // Equivalence alone could hold vacuously (nothing ever sleeps or
-    // skips). On a memory-starved config the wake calendar must park
-    // SMs, wake them and skip memory rounds (it owns both sides), while
-    // the lockstep reference reports zero for all three with the same
-    // timing.
+/// Runs `pathfinder` on the memory-starved config with the calendars
+/// and under the lockstep reference, asserting the two agree on timing,
+/// activity and results, and returns (calendar run, reference run).
+fn starved_calendar_and_reference() -> (TimedOutput, TimedOutput) {
     let spec = spec_by_name("pathfinder");
     let cfg = tight_memory_cfg();
     let (on, on_mem) = timed(&spec, &cfg);
-    assert!(
-        on.sm_sleep_cycles > 0,
-        "starved run never parked an SM on the wake calendar"
-    );
-    assert!(on.ff_wakeups > 0, "parked SMs were never woken");
-    assert!(
-        on.mem_skip_cycles > 0,
-        "starved run never skipped a memory round"
-    );
     let mut mem = spec.memory.clone();
     let reference = run_timed_lockstep(
         &spec.program,
@@ -421,15 +409,43 @@ fn starved_config_engages_the_wake_calendar() {
         &cfg,
         RunOptions::default(),
     );
-    assert_eq!(reference.sm_sleep_cycles, 0);
-    assert_eq!(reference.ff_wakeups, 0);
-    assert_eq!(reference.mem_skip_cycles, 0);
     assert_eq!(on.cycles, reference.cycles, "calendars changed timing");
     assert_eq!(
         on.activity, reference.activity,
         "calendars changed activity"
     );
     assert_eq!(on_mem, mem.as_bytes(), "calendars changed results");
+    (on, reference)
+}
+
+#[test]
+fn starved_config_engages_the_wake_calendar() {
+    // Equivalence alone could hold vacuously (nothing ever sleeps).
+    // On a memory-starved config the wake calendar must park SMs and
+    // wake them, while the lockstep reference reports zero for both
+    // with the same timing.
+    let (on, reference) = starved_calendar_and_reference();
+    assert!(
+        on.sm_sleep_cycles > 0,
+        "starved run never parked an SM on the wake calendar"
+    );
+    assert!(on.ff_wakeups > 0, "parked SMs were never woken");
+    assert_eq!(reference.sm_sleep_cycles, 0);
+    assert_eq!(reference.ff_wakeups, 0);
+}
+
+#[test]
+fn starved_config_engages_the_memory_calendar() {
+    // Same vacuity guard for the memory side: on a starved config most
+    // cycles have no due fill and no fresh request, so the calendar
+    // must actually skip drain/retire rounds, while the lockstep
+    // reference reports zero skips with the same timing.
+    let (on, reference) = starved_calendar_and_reference();
+    assert!(
+        on.mem_skip_cycles > 0,
+        "starved run never skipped a memory round"
+    );
+    assert_eq!(reference.mem_skip_cycles, 0);
 }
 
 #[test]
