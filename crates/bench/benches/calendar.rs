@@ -1,4 +1,4 @@
-//! Criterion bench: the wake calendars against the step-everything
+//! Criterion bench: the wake calendar against the step-everything
 //! lockstep reference on a memory-starved config (results are
 //! bit-identical by construction; see the determinism integration
 //! test).
@@ -6,7 +6,8 @@
 //! `calendar/starved/calendar` should beat `calendar/starved/lockstep`
 //! by several × on the starved config: most SMs spend most cycles
 //! parked on in-flight fills with exact wake hints, which is exactly
-//! what the calendar skips.
+//! what the calendar skips. Both legs run the memory round on every
+//! cycle; only the SM stepping differs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use st2::prelude::*;

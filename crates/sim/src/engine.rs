@@ -14,7 +14,7 @@ use crate::timed::RunOptions;
 use crate::trace::ValueTrace;
 use st2_core::AddRecord;
 use st2_isa::{LaunchConfig, MemImage, Program};
-use st2_telemetry::{tele_span, Telemetry};
+use st2_telemetry::Telemetry;
 
 /// Options for a functional run.
 #[derive(Debug, Clone, Copy)]
@@ -189,12 +189,11 @@ pub fn run_functional_with(
             runs.iter().all(|r| r.warps.iter().all(WarpCtx::is_done)),
             "batch finished with live warps (deadlocked barrier?)"
         );
-        tele_span!(
-            tele,
+        tele.span(
             0,
             "functional.batch",
             batch_start,
-            out.warp_instructions - batch_start
+            out.warp_instructions - batch_start,
         );
     }
     tele.finalize(out.warp_instructions);

@@ -46,6 +46,6 @@ pub use config::{GpuConfig, SchedulerKind};
 pub use engine::{run_functional, run_functional_with, FunctionalOptions, FunctionalOutput};
 pub use memory::RequestQueue;
 pub use sm::{CycleReport, SmCore};
-pub use stats::{ActivityCounters, InstMix, SimStats};
+pub use stats::{ActivityCounters, InstMix};
 pub use timed::{run_timed, run_timed_lockstep, run_timed_with, RunOptions, TimedOutput};
 pub use trace::ValueTrace;

@@ -120,7 +120,8 @@ struct MshrFile {
     capacity: usize,
     /// Cached `min(ready_at)` over `entries` (`u64::MAX` when empty),
     /// maintained on every mutation so [`MshrFile::earliest`] — polled
-    /// every cycle by the MSHR views and the memory calendar — is O(1).
+    /// every cycle by the MSHR views — is O(1), as is the no-op case of
+    /// [`MshrFile::retire`].
     min_ready: u64,
 }
 
@@ -533,9 +534,7 @@ impl Partition {
     }
 
     /// Retires SM `sm`'s MSHR entries in this partition whose fills
-    /// have landed by `now`. The driver calls this for every partition
-    /// at the start of each drain, before any access, so the cycle's
-    /// requests see the post-retirement files.
+    /// have landed by `now`.
     pub fn retire_fills(&mut self, sm: usize, now: u64) {
         self.mshrs[sm].retire(now);
     }
@@ -549,26 +548,6 @@ impl Partition {
     #[must_use]
     pub fn earliest_fill(&self, sm: usize) -> u64 {
         self.mshrs[sm].earliest()
-    }
-
-    /// The partition's provable next event: the earliest in-flight fill
-    /// completion across every SM's MSHR slice (`u64::MAX` when no fill
-    /// is in flight). Strictly before that cycle the partition's
-    /// per-cycle phases are no-ops given no new request arrives:
-    /// [`Partition::retire_fills`] retains every entry (no `ready_at`
-    /// has passed), and the `BwSlots` arbiters and crossbar ports only
-    /// change state when [`Partition::access`] runs. The memory
-    /// calendar uses this to fast-forward a quiet machine to the global
-    /// next event; waking at any earlier cycle is always safe (the
-    /// skipped phases are still no-ops), so a conservative (smaller)
-    /// bound never perturbs timing.
-    #[must_use]
-    pub fn next_event(&self) -> u64 {
-        self.mshrs
-            .iter()
-            .map(MshrFile::earliest)
-            .min()
-            .unwrap_or(u64::MAX)
     }
 
     /// SM `sm`'s MSHR slice state in this partition.
@@ -682,23 +661,13 @@ impl MemoryHierarchy {
     }
 
     /// Retires SM `sm`'s MSHR entries (every partition slice) whose
-    /// fills have landed by `now`.
+    /// fills have landed by `now`. The driver calls this for every awake
+    /// SM at the start of each drain, before any access, so the cycle's
+    /// requests see the post-retirement files.
     pub fn retire_fills(&mut self, sm: usize, now: u64) {
         for part in &mut self.parts {
             part.retire_fills(sm, now);
         }
-    }
-
-    /// The hierarchy's provable next event: the minimum of
-    /// [`Partition::next_event`] over every partition (`u64::MAX` when
-    /// the whole memory side is idle).
-    #[must_use]
-    pub fn next_event(&self) -> u64 {
-        self.parts
-            .iter()
-            .map(Partition::next_event)
-            .min()
-            .unwrap_or(u64::MAX)
     }
 
     /// SM `sm`'s aggregate MSHR file state across partitions: `(total
@@ -1008,34 +977,6 @@ mod tests {
         // And the hint clears once the fill retires.
         h.retire_fills(0, a.ready_at);
         assert_eq!(h.partition_mut(p).earliest_fill(0), u64::MAX);
-    }
-
-    #[test]
-    fn next_event_tracks_earliest_fill() {
-        let cfg = GpuConfig::scaled(2);
-        let mut h = MemoryHierarchy::new(&cfg);
-        let mut act = ActivityCounters::default();
-        assert_eq!(h.next_event(), u64::MAX, "idle memory side has no event");
-        let a = h.access(0, 0x10000, 0, &mut act);
-        let b = h.access(1, 0x9000_0000, 2, &mut act);
-        assert_eq!(h.next_event(), a.ready_at.min(b.ready_at));
-        let p = h.decoder().decode(0x10000);
-        assert_eq!(
-            h.partition_mut(p).next_event(),
-            a.ready_at,
-            "per-partition event is the slice's earliest fill"
-        );
-        // Retiring the earlier fill advances the event to the later one.
-        let first = a.ready_at.min(b.ready_at);
-        let later = a.ready_at.max(b.ready_at);
-        for sm in 0..2 {
-            h.retire_fills(sm, first);
-        }
-        assert_eq!(h.next_event(), later);
-        for sm in 0..2 {
-            h.retire_fills(sm, later);
-        }
-        assert_eq!(h.next_event(), u64::MAX);
     }
 
     #[test]

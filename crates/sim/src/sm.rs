@@ -278,8 +278,10 @@ pub struct CycleReport {
     /// warps are `u64::MAX`. That exactness is what lets the driver
     /// park the SM until this cycle with no intermediate polling, and
     /// why a machine-wide `next_wake == u64::MAX` means every warp is
-    /// finished or barrier-parked (the quiet-machine jump in
-    /// `timed.rs`).
+    /// finished or barrier-parked. Fills still in flight then (stores,
+    /// say) are covered by their SM's calendar entry, which is at or
+    /// before its `fill_wake`, so the quiet-machine jump in `timed.rs`
+    /// needs no memory-side term.
     pub next_wake: u64,
 }
 

@@ -269,13 +269,6 @@ impl ActivityCounters {
     }
 }
 
-/// Top-level simulation statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SimStats {
-    /// Activity counters.
-    pub activity: ActivityCounters,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -53,13 +53,10 @@ pub struct TimedOutput {
     /// or earliest fill arrived). Telemetry-boundary replays keep the
     /// SM parked and are not counted.
     pub ff_wakeups: u64,
-    /// Clock cycles whose memory round — partition fill retirement,
-    /// request routing, drains, the L2/DRAM arbiters and the MSHR view
-    /// snapshots — the memory calendar provably skipped while at least
-    /// one fill was in flight (no partition's next event was due and no
-    /// awake SM queued a request), plus any cycles the fully-quiet
-    /// machine fast-forwarded to the combined calendar's global next
-    /// event. Zero in the lockstep reference ([`run_timed_lockstep`]).
+    /// Clock cycles the quiet-machine jump fast-forwarded: stretches in
+    /// which every SM was parked and no warp had a finite wake, skipped
+    /// in one iteration up to the earliest calendar entry or telemetry
+    /// boundary. Zero in the lockstep reference ([`run_timed_lockstep`]).
     /// Diagnostic only, like `sm_sleep_cycles`.
     pub mem_skip_cycles: u64,
 }
@@ -113,7 +110,8 @@ pub fn run_timed(
 /// # Panics
 ///
 /// Same conditions as [`run_timed`], plus an invalid [`GpuConfig`]
-/// (see [`GpuConfig::validate`]).
+/// (see [`GpuConfig::validate`]) or a block with more warps than
+/// `max_warps_per_sm`.
 pub fn run_timed_with(
     program: &Program,
     launch: LaunchConfig,
@@ -124,11 +122,11 @@ pub fn run_timed_with(
     drive(program, launch, global, cfg, opts, false)
 }
 
-/// [`run_timed_with`] with both wake calendars off: every SM and every
-/// L2 partition is stepped on every clock tick. This is the
-/// step-everything reference the tests compare the calendars against
-/// (every output is bit-identical, only slower), and the `lockstep` leg
-/// of the `calendar` bench. Not a user option.
+/// [`run_timed_with`] with the wake calendar off: every SM is stepped on
+/// every clock tick. This is the step-everything reference the tests
+/// compare the calendar against (every output is bit-identical, only
+/// slower), and the `lockstep` leg of the `calendar` bench. Not a user
+/// option.
 ///
 /// # Panics
 ///
@@ -145,10 +143,18 @@ pub fn run_timed_lockstep(
 }
 
 /// Resident-block slots per SM for this launch.
+///
+/// # Panics
+///
+/// Panics when one block has more warps than an SM can hold.
 fn block_slots(cfg: &GpuConfig, launch: LaunchConfig) -> u32 {
-    cfg.max_blocks_per_sm
-        .min(cfg.max_warps_per_sm / launch.warps_per_block().max(1))
-        .max(1)
+    let warps = launch.warps_per_block();
+    assert!(
+        warps <= cfg.max_warps_per_sm,
+        "block of {warps} warps exceeds max_warps_per_sm = {}",
+        cfg.max_warps_per_sm
+    );
+    cfg.max_blocks_per_sm.min(cfg.max_warps_per_sm / warps)
 }
 
 /// The global clock decision: advance by one cycle when work issued,
@@ -180,16 +186,9 @@ fn next_cycle(now: u64, any_issued: bool, next_wake: u64) -> u64 {
 /// retirement, reclassification or admission it could observe is ever
 /// missed.
 ///
-/// The calendar also owns the **memory side**: a per-partition cache
-/// of [`Partition::next_event`] — the earliest pending fill completion,
-/// refreshed on every retirement and drain, so it is exact at every
-/// decision point. Strictly before that cycle a
-/// partition's retire/drain/arbiter phases are provable no-ops (given
-/// no new request, which the driver checks separately), so the driver
-/// skips them. Combined with the SM heap it yields the machine's global
-/// next event: when every SM is parked and the frozen wake aggregate is
+/// When every SM is parked and the frozen wake aggregate is
 /// `u64::MAX`, the lockstep path would single-step the clock doing
-/// nothing until the earliest SM calendar entry or telemetry boundary —
+/// nothing until the earliest calendar entry or telemetry boundary —
 /// [`WakeCalendar::quiet_jump`] collapses that stretch into one
 /// iteration. Each collapsed iteration would have advanced the clock by
 /// exactly one cycle, so crediting the skipped count to both the
@@ -197,9 +196,8 @@ fn next_cycle(now: u64, any_issued: bool, next_wake: u64) -> u64 {
 /// `(iterations, cycles)` replay window — and therefore every counter,
 /// histogram and interval row — bit-identical.
 ///
-/// With `lockstep` set ([`run_timed_lockstep`]) no SM ever parks and
-/// every partition is due every cycle, which is the step-everything
-/// reference.
+/// With `lockstep` set ([`run_timed_lockstep`]) no SM ever parks, which
+/// is the step-everything reference.
 struct WakeCalendar {
     lockstep: bool,
     asleep: Vec<bool>,
@@ -222,16 +220,11 @@ struct WakeCalendar {
     interval: u64,
     sleep_cycles: u64,
     wakeups: u64,
-    /// Cached per-partition next events ([`Partition::next_event`]),
-    /// exact at every decision point: refreshed after each retirement
-    /// pass and each drain, the only operations that change a
-    /// partition's fill set.
-    mem_next: Vec<u64>,
-    mem_skip_cycles: u64,
+    jumped_cycles: u64,
 }
 
 impl WakeCalendar {
-    fn new(lockstep: bool, tele: &Telemetry, num_sms: usize, num_parts: usize) -> Self {
+    fn new(lockstep: bool, tele: &Telemetry, num_sms: usize) -> Self {
         let interval = tele.config().interval_cycles.max(1);
         WakeCalendar {
             lockstep,
@@ -248,8 +241,7 @@ impl WakeCalendar {
             interval,
             sleep_cycles: 0,
             wakeups: 0,
-            mem_next: vec![u64::MAX; num_parts],
-            mem_skip_cycles: 0,
+            jumped_cycles: 0,
         }
     }
 
@@ -257,57 +249,32 @@ impl WakeCalendar {
         self.asleep[sm]
     }
 
-    /// Whether partition `p` may have retirement work at `now`. Always
-    /// true in lockstep; otherwise a cached next event beyond `now`
-    /// proves every MSHR entry in the partition still has
-    /// `ready_at > now`, so the retain scans would keep everything.
-    fn mem_due(&self, p: usize, now: u64) -> bool {
-        self.lockstep || self.mem_next[p] <= now
-    }
-
-    /// Records partition `p`'s freshly recomputed next event.
-    fn mem_refresh(&mut self, p: usize, next: u64) {
-        self.mem_next[p] = next;
-    }
-
-    /// Records a fully skipped memory round: `dt` clock cycles whose
-    /// retire/route/drain/view phases were provably no-ops (no partition
-    /// due, no awake SM queued a request). Counted only while some fill
-    /// is actually in flight, so the diagnostic measures deferred
-    /// memory-side work rather than an idle memory system.
-    fn note_round_skip(&mut self, dt: u64) {
-        if self.mem_next.iter().any(|&n| n != u64::MAX) {
-            self.mem_skip_cycles += dt;
-        }
-    }
-
     /// The fully-quiet-machine fast-forward. Preconditions (checked by
     /// the caller): every SM is parked and the frozen wake aggregate is
     /// `u64::MAX`, so `next_cycle` chose `now + 1` and the lockstep
     /// path would single-step through iterations in which nothing can
     /// happen — no admission, no step, no queued request, no due
-    /// retirement (every sleeper's fills lie beyond its wake). Jumps
-    /// `next_now` to the combined calendar's global next event —
-    /// earliest SM wake, earliest pending partition fill, or the next
-    /// telemetry boundary, whichever is first (capped at the deadlock
-    /// guard so a machine with no event at all still trips it) — and
-    /// credits the skipped iterations: each would have advanced the
+    /// retirement. Jumps `next_now` to the earliest calendar entry or
+    /// the next telemetry boundary, whichever is first (capped at the
+    /// deadlock guard so a machine parked forever trips it at once) —
+    /// and credits the skipped iterations: each would have advanced the
     /// clock by exactly one cycle, so iterations == cycles over the
-    /// stretch and every replay window stays exact. Never reached in
-    /// lockstep, where no SM parks.
+    /// stretch and every replay window stays exact. No fill can land
+    /// inside the stretch: every in-flight fill sits in some parked SM's
+    /// MSHR slices, and that SM's calendar entry is at or before its
+    /// `fill_wake`. Never reached in lockstep, where no SM parks.
     fn quiet_jump(&mut self, next_now: u64) -> u64 {
         let sm_next = self
             .calendar
             .peek()
             .map_or(u64::MAX, |&Reverse((at, _))| at);
-        let mem_next = self.mem_next.iter().copied().min().unwrap_or(u64::MAX);
-        let target = sm_next.min(mem_next).min(self.next_flush).min(MAX_CYCLES);
+        let target = sm_next.min(self.next_flush).min(MAX_CYCLES);
         if target <= next_now {
             return next_now;
         }
         let skipped = target - next_now;
         self.iter += skipped;
-        self.mem_skip_cycles += skipped;
+        self.jumped_cycles += skipped;
         target
     }
 
@@ -426,27 +393,14 @@ fn drive(
     let mut queues: Vec<RequestQueue> = (0..cfg.num_sms).map(|_| RequestQueue::new()).collect();
     let mut hier = MemoryHierarchy::new(cfg);
     let decoder = hier.decoder();
-    let num_parts = hier.num_partitions();
-    // Partitions whose fill set changed this round (retired or
-    // accessed): their cached next events need a refresh.
-    let mut touched = vec![false; num_parts];
     let mut completions: Vec<Vec<Completion>> = (0..cfg.num_sms).map(|_| Vec::new()).collect();
-    // Seed each SM's view cache with the initial (all-free) MSHR views:
-    // the memory calendar lets phase 3c skip refreshing them on cycles
-    // where no partition state changed, so the cache must start valid.
-    let mut views: Vec<Vec<MshrView>> = (0..cfg.num_sms as usize)
-        .map(|sm| {
-            let mut v = Vec::new();
-            hier.mshr_views(sm, &mut v);
-            v
-        })
-        .collect();
+    let mut views: Vec<MshrView> = Vec::new();
 
     let mut act = ActivityCounters::default();
     let mut next_block = 0u32;
     let mut now = 0u64;
     let mut reports: Vec<CycleReport> = vec![CycleReport::default(); cfg.num_sms as usize];
-    let mut cal = WakeCalendar::new(lockstep, tele, cfg.num_sms as usize, num_parts);
+    let mut cal = WakeCalendar::new(lockstep, tele, cfg.num_sms as usize);
     let mut due: Vec<usize> = Vec::new();
 
     loop {
@@ -474,12 +428,10 @@ fn drive(
         let mut next_wake = u64::MAX;
         let mut busy_sms = 0u64;
         let mut awake_sms = 0u32;
-        let mut any_queued = false;
         for (sm, (core, queue)) in cores.iter_mut().zip(queues.iter_mut()).enumerate() {
             if !cal.is_asleep(sm) {
                 reports[sm] = core.step_cycle(now, program, launch, global, queue, tele);
                 awake_sms += 1;
-                any_queued |= !queue.is_empty();
             }
             let r = reports[sm];
             any_resident |= r.resident;
@@ -503,61 +455,34 @@ fn drive(
             next_now = cal.quiet_jump(next_now);
         }
         let dt = next_now - now;
-        // Outside lockstep, the whole memory round — fill
-        // retirement, accesses and the MSHR view refresh — is skipped
-        // when no partition has a due fill and no awake SM queued a
-        // request this cycle: partition state is then provably
-        // untouched, so the cached views stay exact.
-        let mem_round = (0..num_parts).any(|p| cal.mem_due(p, now)) || any_queued;
-        if mem_round {
-            // 3a: retire landed fills. Retirement touches only the
-            // owning SM's MSHR slices — no shared arbiter state — so
-            // hoisting it ahead of every access reorders only commuting
-            // operations, and the per-SM/per-partition retain scans
-            // commute with each other for the same reason. Sleeping SMs
-            // are skipped: while parked, `now` stays below their
-            // earliest in-flight fill (part of the wake key), so
-            // retirement would be a no-op anyway. The memory calendar
-            // skips whole partitions the same way: a cached next event
-            // beyond `now` proves every entry outlives this cycle.
-            for (p, t) in touched.iter_mut().enumerate() {
-                if !cal.mem_due(p, now) {
-                    continue;
-                }
-                *t = true;
-                let part = hier.partition_mut(p);
-                for sm in 0..cores.len() {
-                    if !cal.is_asleep(sm) {
-                        part.retire_fills(sm, now);
-                    }
-                }
+        // 3a: retire landed fills. Retirement touches only the owning
+        // SM's MSHR slices — no shared arbiter state — so hoisting it
+        // ahead of every access reorders only commuting operations, and
+        // the per-(SM, partition) retain scans commute with each other
+        // for the same reason. Sleeping SMs are skipped: while parked,
+        // `now` stays below their earliest in-flight fill (part of the
+        // wake key), so retirement would be a no-op anyway.
+        for sm in 0..cores.len() {
+            if !cal.is_asleep(sm) {
+                hier.retire_fills(sm, now);
             }
-            // 3b: run every queued request through its partition in
-            // (SM-index, issue) order. Partitions share no state, so
-            // each one sees exactly its own requests in that order, and
-            // the results wait in the SM's completion list. Sleeping SMs
-            // queued nothing.
-            for (sm, queue) in queues.iter_mut().enumerate() {
-                for (token, addr, store) in queue.drain() {
-                    let p = decoder.decode(addr);
-                    touched[p] = true;
-                    completions[sm].push(Completion {
-                        token,
-                        addr,
-                        store,
-                        partition: p as u32,
-                        result: hier.partition_mut(p).access(sm, addr, now),
-                    });
-                }
+        }
+        // 3b: run every queued request through its partition in
+        // (SM-index, issue) order. Partitions share no state, so each
+        // one sees exactly its own requests in that order, and the
+        // results wait in the SM's completion list. Sleeping SMs queued
+        // nothing.
+        for (sm, queue) in queues.iter_mut().enumerate() {
+            for (token, addr, store) in queue.drain() {
+                let p = decoder.decode(addr);
+                completions[sm].push(Completion {
+                    token,
+                    addr,
+                    store,
+                    partition: p as u32,
+                    result: hier.partition_mut(p).access(sm, addr, now),
+                });
             }
-            for (p, t) in touched.iter_mut().enumerate() {
-                if std::mem::take(t) {
-                    let next = hier.partition_mut(p).next_event();
-                    cal.mem_refresh(p, next);
-                }
-            }
-        } else {
-            cal.note_round_skip(dt);
         }
         // 3c: per-SM completion in SM-index order. Sleeping SMs are a
         // fixed point here (no completions, no barrier to release, no
@@ -567,10 +492,8 @@ fn drive(
             if cal.is_asleep(sm) {
                 continue;
             }
-            if mem_round {
-                hier.mshr_views(sm, &mut views[sm]);
-            }
-            core.complete_memory(&mut completions[sm], &views[sm], now, dt, tele);
+            hier.mshr_views(sm, &mut views);
+            core.complete_memory(&mut completions[sm], &views, now, dt, tele);
             core.finish_cycle();
             core.commit_profile(dt, tele);
             let admissible = core.has_free_slot() && next_block < launch.grid_dim;
@@ -598,7 +521,7 @@ fn drive(
         activity: act,
         sm_sleep_cycles: cal.sleep_cycles,
         ff_wakeups: cal.wakeups,
-        mem_skip_cycles: cal.mem_skip_cycles,
+        mem_skip_cycles: cal.jumped_cycles,
     }
 }
 
@@ -685,11 +608,10 @@ mod tests {
     }
 
     #[test]
-    fn memory_calendar_is_bit_identical_and_engages() {
+    fn starved_memory_kernel_matches_lockstep() {
         let (p, launch, g0) = memory_kernel();
-        // Starved bandwidth pushes fills far into the future, so most
-        // cycles have no due fill and no fresh request — the rounds the
-        // memory calendar exists to skip.
+        // Starved bandwidth pushes fills far into the future, so SMs
+        // park on the calendar with fills in flight.
         let starved = GpuConfig::scaled(4)
             .with_mshr_entries(4)
             .with_dram_bw(1)
@@ -701,11 +623,18 @@ mod tests {
         assert_eq!(on.cycles, reference.cycles);
         assert_eq!(on.activity, reference.activity);
         assert_eq!(g1.as_bytes(), g2.as_bytes());
-        assert!(
-            on.mem_skip_cycles > 0,
-            "memory calendar never skipped a round"
-        );
-        assert_eq!(reference.mem_skip_cycles, 0, "the reference must not skip");
+    }
+
+    #[test]
+    #[should_panic(expected = "block of 16 warps exceeds max_warps_per_sm = 8")]
+    fn block_larger_than_an_sm_is_rejected() {
+        let (p, _, _) = compute_kernel();
+        let launch = LaunchConfig::new(2, 512);
+        let mut g = MemImage::new(launch.total_threads() * 8);
+        let mut cfg = GpuConfig::scaled(1);
+        cfg.max_warps_per_sm = 8;
+        cfg.validate().expect("a valid configuration");
+        let _ = run_timed(&p, launch, &mut g, &cfg);
     }
 
     #[test]

@@ -301,6 +301,12 @@ mod tests {
         t.mem_access(0, 6, 4096, 120, 2);
         t.barrier(0, 9, 2);
         t.span(0, "phase", 0, 10);
+        assert_eq!(t.span_name(0), "phase");
+        assert_eq!(
+            t.intern_span_name("phase"),
+            0,
+            "span names are interned once"
+        );
         t.finalize(100);
         let text = export(&t, "unit");
         let v = json::parse(&text).expect("valid JSON");

@@ -4,9 +4,8 @@
 //!
 //! 1. **Events** ([`event`]) — cycle-stamped scheduler / adder / CRF /
 //!    memory events in a bounded per-SM ring buffer. Constant memory,
-//!    allocation-free on the hot path, compile-time removable via the
-//!    `compile-disabled` feature and the [`tele_event!`] / [`tele_span!`]
-//!    macros.
+//!    allocation-free on the hot path, one branch per callback on a
+//!    disabled collector.
 //! 2. **Metrics** ([`metrics`]) — named counters, gauges and
 //!    log2-bucketed histograms, plus periodic interval snapshots so
 //!    quantities like adder prediction accuracy and IPC can be plotted
@@ -293,15 +292,8 @@ impl Telemetry {
     }
 
     /// An enabled collector for a run on `num_sms` SMs.
-    ///
-    /// With the crate feature `compile-disabled` set this returns a
-    /// disabled instance, making instrumentation vanish without source
-    /// changes.
     #[must_use]
     pub fn for_run(num_sms: usize, config: TelemetryConfig) -> Self {
-        if cfg!(feature = "compile-disabled") {
-            return Self::disabled();
-        }
         let mut registry = MetricsRegistry::new();
         let ids = HotIds {
             warp_instructions: registry.counter("sched.warp_instructions"),
@@ -395,8 +387,7 @@ impl Telemetry {
         self.cur_cycle = cycle;
     }
 
-    /// Records a raw event into an SM's ring. Prefer the typed helpers;
-    /// this is the escape hatch the [`tele_event!`] macro uses.
+    /// Records a raw event into an SM's ring. Prefer the typed helpers.
     pub fn record_event(&mut self, sm: usize, cycle: u64, kind: EventKind) {
         if !self.enabled {
             return;
@@ -880,56 +871,6 @@ impl EventSink for Telemetry {
     }
 }
 
-/// Records an event unless telemetry is compiled out.
-///
-/// `tele_event!(tele, sm, cycle, kind)` expands to a guarded
-/// [`Telemetry::record_event`] call — or to nothing with the
-/// `compile-disabled` feature, removing even the branch.
-#[macro_export]
-#[cfg(not(feature = "compile-disabled"))]
-macro_rules! tele_event {
-    ($tele:expr, $sm:expr, $cycle:expr, $kind:expr) => {
-        if $tele.is_enabled() {
-            $tele.record_event($sm, $cycle, $kind);
-        }
-    };
-}
-
-/// Compiled-out form of [`tele_event!`].
-#[macro_export]
-#[cfg(feature = "compile-disabled")]
-macro_rules! tele_event {
-    ($tele:expr, $sm:expr, $cycle:expr, $kind:expr) => {{
-        // Never-called closure: keeps the arguments "used" without
-        // evaluating them.
-        let _ = || (&$tele, $sm, $cycle, $kind);
-    }};
-}
-
-/// Records a named span unless telemetry is compiled out.
-///
-/// `tele_span!(tele, sm, name, start, duration)`.
-#[macro_export]
-#[cfg(not(feature = "compile-disabled"))]
-macro_rules! tele_span {
-    ($tele:expr, $sm:expr, $name:expr, $start:expr, $dur:expr) => {
-        if $tele.is_enabled() {
-            $tele.span($sm, $name, $start, $dur);
-        }
-    };
-}
-
-/// Compiled-out form of [`tele_span!`].
-#[macro_export]
-#[cfg(feature = "compile-disabled")]
-macro_rules! tele_span {
-    ($tele:expr, $sm:expr, $name:expr, $start:expr, $dur:expr) => {{
-        // Never-called closure: keeps the arguments "used" without
-        // evaluating them.
-        let _ = || (&$tele, $sm, $name, $start, $dur);
-    }};
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -955,6 +896,7 @@ mod tests {
         t.mem_access(0, 10, 128, 30, 1);
         t.barrier(0, 11, 2);
         t.adder_op(&OpContext::default(), SliceLayout::INT64, &outcome(true));
+        t.span(0, "x", 0, 10);
         t.advance(100_000);
         t.finalize(100_000);
         assert!(t.rings().is_empty());
@@ -1111,23 +1053,5 @@ mod tests {
         assert_eq!(h.count(), 2);
         assert_eq!(h.buckets()[0], 1);
         assert_eq!(h.buckets()[metrics::Histogram::bucket_index(8)], 1);
-    }
-
-    #[test]
-    fn macros_compile_and_guard() {
-        let mut t = Telemetry::disabled();
-        tele_event!(t, 0, 5, EventKind::Barrier { warp: 1 });
-        tele_span!(t, 0, "functional.batch", 0, 10);
-        assert!(t.rings().is_empty());
-
-        let mut t = Telemetry::for_run(1, TelemetryConfig::default());
-        tele_event!(t, 0, 5, EventKind::Barrier { warp: 1 });
-        tele_span!(t, 0, "functional.batch", 0, 10);
-        if cfg!(feature = "compile-disabled") {
-            assert!(!t.is_enabled());
-        } else {
-            assert_eq!(t.rings()[0].len(), 2);
-            assert_eq!(t.span_name(0), "functional.batch");
-        }
     }
 }

@@ -1,10 +1,11 @@
 //! Cross-crate determinism on real suite kernels, baseline and ST²
 //! alike: timed runs satisfy each kernel's CPU reference at every
 //! partition count, their profiles reconcile against the clock, and the
-//! wake calendars are **bit-identical** to the step-everything reference
+//! wake calendar is **bit-identical** to the step-everything reference
 //! (`run_timed_lockstep`) — same cycles, same activity counters, same
-//! memory, same telemetry. That contract is what lets every timed run
-//! use both calendars.
+//! memory, same telemetry, from the 4-SM harness up to the full 80-SM,
+//! 8-partition chip. That contract is what lets every timed run use
+//! the calendar.
 
 use st2::prelude::*;
 use st2::sim::run_timed_lockstep;
@@ -316,88 +317,160 @@ fn starved_memory_channels_are_populated() {
     }
 }
 
+/// Runs `program` under the wake calendar and under the lockstep
+/// reference, each with an observing collector, and asserts the
+/// calendar is invisible in every observable: cycles, activity
+/// counters, results memory, latency histograms, memory and energy
+/// timelines and per-PC profiles. Returns the calendar run's profile.
+fn assert_calendar_matches_lockstep(
+    ctx: &str,
+    name: &str,
+    program: &Program,
+    launch: LaunchConfig,
+    memory: &MemImage,
+    cfg: &GpuConfig,
+) -> KernelProfile {
+    let observe = |lockstep: bool| {
+        let mut mem = memory.clone();
+        let mut tele = Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
+        let run = if lockstep {
+            run_timed_lockstep
+        } else {
+            run_timed_with
+        };
+        let out = run(
+            program,
+            launch,
+            &mut mem,
+            cfg,
+            RunOptions::with_telemetry(&mut tele),
+        );
+        let profile = KernelProfile::capture(&tele, name, Some(program));
+        (out, mem.as_bytes().to_vec(), tele, profile)
+    };
+    let (ref_out, ref_mem, ref_tele, ref_profile) = observe(true);
+    let (out, mem, tele, profile) = observe(false);
+    assert_eq!(out.cycles, ref_out.cycles, "{ctx}: cycles");
+    assert_eq!(out.activity, ref_out.activity, "{ctx}: activity");
+    assert_eq!(mem, ref_mem, "{ctx}: results memory");
+    assert_eq!(
+        tele.registry().counters(),
+        ref_tele.registry().counters(),
+        "{ctx}: telemetry counters"
+    );
+    assert_eq!(
+        tele.registry().histograms(),
+        ref_tele.registry().histograms(),
+        "{ctx}: latency histograms"
+    );
+    assert_eq!(
+        tele.mem_series().points(),
+        ref_tele.mem_series().points(),
+        "{ctx}: memory timeline"
+    );
+    assert_eq!(
+        tele.mem_occupied_cycles(),
+        ref_tele.mem_occupied_cycles(),
+        "{ctx}: MSHR occupancy integral"
+    );
+    // Parked SMs credit their slept cycles through `replay_parked`, so
+    // the integer energy timeline — SM-resident cycles included — must
+    // not see the calendar either.
+    assert_eq!(
+        tele.energy_series().points(),
+        ref_tele.energy_series().points(),
+        "{ctx}: energy timeline"
+    );
+    assert_eq!(
+        tele.energy_sm_cycles(),
+        ref_tele.energy_sm_cycles(),
+        "{ctx}: SM-resident cycle integral"
+    );
+    assert_eq!(
+        tele.series().column("adder.accuracy"),
+        ref_tele.series().column("adder.accuracy"),
+        "{ctx}: accuracy series"
+    );
+    assert_eq!(profile, ref_profile, "{ctx}: profile");
+    profile
+}
+
+/// A grid-stride gather with one 64-thread block per SM: thread `g`
+/// sums `table[(i * threads + g) mod entries]` over four iterations, so
+/// every SM misses into every L2 partition.
+fn chip_gather(num_sms: u32) -> (Program, LaunchConfig, MemImage) {
+    const ENTRIES: i64 = 1 << 14;
+    let launch = LaunchConfig::new(num_sms, 64);
+    let threads = launch.total_threads() as i64;
+    let mut k = KernelBuilder::new("gather");
+    let g = k.special(Special::GlobalTid);
+    let acc = k.reg();
+    k.mov(acc, Operand::Imm(0));
+    k.for_range(Operand::Imm(0), Operand::Imm(4), |k, i| {
+        let addr = k.reg();
+        k.imul(addr, i.into(), Operand::Imm(threads));
+        k.iadd(addr, addr.into(), g.into());
+        k.iand(addr, addr.into(), Operand::Imm(ENTRIES - 1));
+        k.ishl(addr, addr.into(), Operand::Imm(3));
+        let v = k.reg();
+        k.ld_global_u64(v, addr, 0);
+        k.iadd(acc, acc.into(), v.into());
+    });
+    let out = k.reg();
+    k.ishl(out, g.into(), Operand::Imm(3));
+    k.st_global_u64(acc.into(), out, ENTRIES * 8);
+    let mut mem = MemImage::new(ENTRIES as u64 * 8 + launch.total_threads() * 8);
+    for i in 0..ENTRIES as u64 {
+        mem.write_u64(i * 8, i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    }
+    (k.finish(), launch, mem)
+}
+
 #[test]
 fn calendars_are_bit_identical_to_lockstep() {
-    // The wake calendars must be invisible in every observable: at
-    // every l2_partitions setting the calendar run reproduces the
-    // lockstep reference's cycles, activity counters, results memory,
-    // latency histograms, memory timeline and per-PC profiles.
+    // Suite kernels on the starved config at 1 and 4 L2 partitions.
     for name in ["pathfinder", "histo_K1"] {
         let spec = spec_by_name(name);
         for parts in [1u32, 4] {
-            let cfg = tight_partitioned_cfg(parts);
-            let observe = |lockstep: bool| {
-                let mut mem = spec.memory.clone();
-                let mut tele = Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
-                let run = if lockstep {
-                    run_timed_lockstep
-                } else {
-                    run_timed_with
-                };
-                let out = run(
-                    &spec.program,
-                    spec.launch,
-                    &mut mem,
-                    &cfg,
-                    RunOptions::with_telemetry(&mut tele),
-                );
-                let profile = KernelProfile::capture(&tele, name, Some(&spec.program));
-                (out, mem.as_bytes().to_vec(), tele, profile)
-            };
-            let (ref_out, ref_mem, ref_tele, ref_profile) = observe(true);
-            let (out, mem, tele, profile) = observe(false);
-            let ctx = format!("{name}: parts={parts}");
-            assert_eq!(out.cycles, ref_out.cycles, "{ctx}: cycles");
-            assert_eq!(out.activity, ref_out.activity, "{ctx}: activity");
-            assert_eq!(mem, ref_mem, "{ctx}: results memory");
-            assert_eq!(
-                tele.registry().counters(),
-                ref_tele.registry().counters(),
-                "{ctx}: telemetry counters"
+            assert_calendar_matches_lockstep(
+                &format!("{name}: parts={parts}"),
+                name,
+                &spec.program,
+                spec.launch,
+                &spec.memory,
+                &tight_partitioned_cfg(parts),
             );
-            assert_eq!(
-                tele.registry().histograms(),
-                ref_tele.registry().histograms(),
-                "{ctx}: latency histograms"
-            );
-            assert_eq!(
-                tele.mem_series().points(),
-                ref_tele.mem_series().points(),
-                "{ctx}: memory timeline"
-            );
-            assert_eq!(
-                tele.mem_occupied_cycles(),
-                ref_tele.mem_occupied_cycles(),
-                "{ctx}: MSHR occupancy integral"
-            );
-            // Parked SMs credit their slept cycles through
-            // `replay_parked`, so the integer energy timeline — SM-
-            // resident cycles included — must not see the calendar
-            // either.
-            assert_eq!(
-                tele.energy_series().points(),
-                ref_tele.energy_series().points(),
-                "{ctx}: energy timeline"
-            );
-            assert_eq!(
-                tele.energy_sm_cycles(),
-                ref_tele.energy_sm_cycles(),
-                "{ctx}: SM-resident cycle integral"
-            );
-            assert_eq!(
-                tele.series().column("adder.accuracy"),
-                ref_tele.series().column("adder.accuracy"),
-                "{ctx}: accuracy series"
-            );
-            assert_eq!(profile, ref_profile, "{ctx}: profile");
         }
     }
+    // The whole 80-SM, 8-partition chip, every SM holding a block.
+    let cfg = GpuConfig::titan_v_full();
+    let (program, launch, memory) = chip_gather(cfg.num_sms);
+    let profile = assert_calendar_matches_lockstep(
+        "gather: titan_v_full",
+        "gather",
+        &program,
+        launch,
+        &memory,
+        &cfg,
+    );
+    assert!(
+        profile.sms.iter().all(|sm| sm.issued > 0),
+        "gather left an SM idle"
+    );
+    assert_eq!(profile.mem.part_fills.len(), 8, "gather missed a partition");
+    assert!(
+        profile.mem.part_fills.iter().all(|&f| f > 0),
+        "gather missed a partition: {:?}",
+        profile.mem.part_fills
+    );
 }
 
-/// Runs `pathfinder` on the memory-starved config with the calendars
-/// and under the lockstep reference, asserting the two agree on timing,
-/// activity and results, and returns (calendar run, reference run).
-fn starved_calendar_and_reference() -> (TimedOutput, TimedOutput) {
+#[test]
+fn starved_config_engages_the_wake_calendar() {
+    // Equivalence alone could hold vacuously (nothing ever sleeps).
+    // On a memory-starved config the wake calendar must park SMs and
+    // wake them, while the lockstep reference reports zero for both
+    // with the same timing, activity and results.
     let spec = spec_by_name("pathfinder");
     let cfg = tight_memory_cfg();
     let (on, on_mem) = timed(&spec, &cfg);
@@ -409,22 +482,9 @@ fn starved_calendar_and_reference() -> (TimedOutput, TimedOutput) {
         &cfg,
         RunOptions::default(),
     );
-    assert_eq!(on.cycles, reference.cycles, "calendars changed timing");
-    assert_eq!(
-        on.activity, reference.activity,
-        "calendars changed activity"
-    );
-    assert_eq!(on_mem, mem.as_bytes(), "calendars changed results");
-    (on, reference)
-}
-
-#[test]
-fn starved_config_engages_the_wake_calendar() {
-    // Equivalence alone could hold vacuously (nothing ever sleeps).
-    // On a memory-starved config the wake calendar must park SMs and
-    // wake them, while the lockstep reference reports zero for both
-    // with the same timing.
-    let (on, reference) = starved_calendar_and_reference();
+    assert_eq!(on.cycles, reference.cycles, "calendar changed timing");
+    assert_eq!(on.activity, reference.activity, "calendar changed activity");
+    assert_eq!(on_mem, mem.as_bytes(), "calendar changed results");
     assert!(
         on.sm_sleep_cycles > 0,
         "starved run never parked an SM on the wake calendar"
@@ -432,20 +492,6 @@ fn starved_config_engages_the_wake_calendar() {
     assert!(on.ff_wakeups > 0, "parked SMs were never woken");
     assert_eq!(reference.sm_sleep_cycles, 0);
     assert_eq!(reference.ff_wakeups, 0);
-}
-
-#[test]
-fn starved_config_engages_the_memory_calendar() {
-    // Same vacuity guard for the memory side: on a starved config most
-    // cycles have no due fill and no fresh request, so the calendar
-    // must actually skip drain/retire rounds, while the lockstep
-    // reference reports zero skips with the same timing.
-    let (on, reference) = starved_calendar_and_reference();
-    assert!(
-        on.mem_skip_cycles > 0,
-        "starved run never skipped a memory round"
-    );
-    assert_eq!(reference.mem_skip_cycles, 0);
 }
 
 #[test]
