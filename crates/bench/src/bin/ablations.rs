@@ -18,9 +18,60 @@
 //! Run: `cargo run --release -p st2-bench --bin ablations [--scale test]`
 
 use st2::core::dse::{sweep, sweep_int_layout};
-use st2::core::{PredictorKind, RecomputePolicy, SliceLayout, SpeculationConfig, UpdatePolicy};
+use st2::core::{
+    AdderStats, PredictorKind, RecomputePolicy, SliceLayout, SpeculationConfig, UpdatePolicy,
+};
 use st2::prelude::*;
 use st2_bench::{functional_suite_filtered, header, pct, BenchArgs};
+
+/// A1: ST² with the literal Fig. 4 propagate-to-top recompute chain.
+fn propagate_to_top() -> SpeculationConfig {
+    SpeculationConfig {
+        recompute: RecomputePolicy::PropagateToTop,
+        ..SpeculationConfig::st2()
+    }
+}
+
+/// A2: ST² writing its history back after every operation.
+fn write_always() -> SpeculationConfig {
+    SpeculationConfig {
+        update: UpdatePolicy::Always,
+        ..SpeculationConfig::st2()
+    }
+}
+
+/// A3: ST² remembering `depth` past executions.
+fn history_depth(depth: u8) -> SpeculationConfig {
+    SpeculationConfig {
+        history_depth: depth,
+        ..SpeculationConfig::st2()
+    }
+}
+
+/// A5: operand-window lookahead over `window` bits.
+fn windowed(window: u8, peek: bool) -> SpeculationConfig {
+    SpeculationConfig {
+        predictor: PredictorKind::Windowed { window },
+        peek,
+        ..SpeculationConfig::static_zero()
+    }
+}
+
+/// Every configuration A1, A2, A3 and A5 compare, each once, so one sweep
+/// per kernel serves all four studies.
+fn swept_configs() -> Vec<SpeculationConfig> {
+    let mut configs = vec![
+        SpeculationConfig::st2(),
+        propagate_to_top(),
+        write_always(),
+        history_depth(2),
+        history_depth(4),
+    ];
+    for window in [2u8, 4, 8] {
+        configs.extend([windowed(window, false), windowed(window, true)]);
+    }
+    configs
+}
 
 fn main() {
     let args = BenchArgs::parse();
@@ -28,31 +79,30 @@ fn main() {
     let runs = functional_suite_filtered(scale, true, args.kernels.as_deref());
     let n = runs.len() as f64;
 
-    // Averaged per-kernel misprediction rate for a configuration.
-    let avg_rate = |cfg: SpeculationConfig| -> f64 {
-        runs.iter()
-            .map(|r| sweep(&r.out.records, &[cfg])[0].1.misprediction_rate())
-            .sum::<f64>()
-            / n
+    let configs = swept_configs();
+    let swept: Vec<Vec<AdderStats>> = runs
+        .iter()
+        .map(|r| {
+            sweep(&r.out.records, &configs)
+                .into_iter()
+                .map(|(_, stats)| stats)
+                .collect()
+        })
+        .collect();
+    // A per-kernel metric of one swept configuration, averaged over kernels.
+    let avg = |cfg: SpeculationConfig, metric: fn(&AdderStats) -> f64| -> f64 {
+        let i = configs
+            .iter()
+            .position(|c| *c == cfg)
+            .unwrap_or_else(|| panic!("{cfg} was not swept"));
+        swept.iter().map(|kernel| metric(&kernel[i])).sum::<f64>() / n
     };
-    // Averaged per-kernel recompute depth for a configuration.
-    let avg_depth = |cfg: SpeculationConfig| -> f64 {
-        runs.iter()
-            .map(|r| {
-                sweep(&r.out.records, &[cfg])[0]
-                    .1
-                    .avg_recomputed_per_misprediction()
-            })
-            .sum::<f64>()
-            / n
-    };
+    let avg_rate = |cfg| avg(cfg, AdderStats::misprediction_rate);
+    let avg_depth = |cfg| avg(cfg, AdderStats::avg_recomputed_per_misprediction);
 
     header("A1: recompute policy (misprediction rate is policy-independent)");
     let cut = SpeculationConfig::st2();
-    let top = SpeculationConfig {
-        recompute: RecomputePolicy::PropagateToTop,
-        ..cut
-    };
+    let top = propagate_to_top();
     println!(
         "{:<22} miss {:>6}  slices recomputed/miss {:>5.2}",
         "CutAtStaticPeek",
@@ -68,10 +118,6 @@ fn main() {
     println!("→ the Peek cut removes recompute energy without touching accuracy.");
 
     header("A2: CRF write-back policy");
-    let always = SpeculationConfig {
-        update: UpdatePolicy::Always,
-        ..SpeculationConfig::st2()
-    };
     println!(
         "{:<22} miss {:>6}   (one CRF row write per mispredicting warp)",
         "OnMispredict (paper)",
@@ -80,16 +126,15 @@ fn main() {
     println!(
         "{:<22} miss {:>6}   (a write every operation — more ports, more energy)",
         "Always",
-        pct(avg_rate(always))
+        pct(avg_rate(write_always()))
     );
 
     header("A3: history depth (temporal axis)");
     for depth in [1u8, 2, 4] {
-        let cfg = SpeculationConfig {
-            history_depth: depth,
-            ..SpeculationConfig::st2()
-        };
-        println!("depth {depth}: miss {:>6}", pct(avg_rate(cfg)));
+        println!(
+            "depth {depth}: miss {:>6}",
+            pct(avg_rate(history_depth(depth)))
+        );
     }
     println!("→ depth 1 suffices: carry patterns are step-like, majority voting");
     println!("  over deeper history only delays adaptation (the paper keeps 1).");
@@ -112,15 +157,13 @@ fn main() {
 
     header("A5: operand-window lookahead predictors (CASA/VLSA-style)");
     for window in [2u8, 4, 8] {
-        let cfg = SpeculationConfig {
-            predictor: PredictorKind::Windowed { window },
-            ..SpeculationConfig::static_zero()
-        };
-        println!("window {window} bits: miss {:>6}", pct(avg_rate(cfg)));
-        let with_peek = SpeculationConfig { peek: true, ..cfg };
+        println!(
+            "window {window} bits: miss {:>6}",
+            pct(avg_rate(windowed(window, false)))
+        );
         println!(
             "window {window} + Peek : miss {:>6}",
-            pct(avg_rate(with_peek))
+            pct(avg_rate(windowed(window, true)))
         );
     }
     println!("→ operand windows beat static guesses but not history: correlation");
@@ -163,4 +206,20 @@ fn main() {
         println!("{name:<12} avg ST2 slowdown {:>6}", pct(slow / k));
     }
     println!("→ the sub-percent overhead is robust to the scheduling policy.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    #[test]
+    fn swept_configs_are_distinct_and_distinctly_labelled() {
+        let configs = swept_configs();
+        assert_eq!(configs.len(), 11);
+        let distinct: HashSet<SpeculationConfig> = configs.iter().copied().collect();
+        assert_eq!(distinct.len(), configs.len(), "a config is swept twice");
+        let labels: HashSet<String> = configs.iter().map(SpeculationConfig::label).collect();
+        assert_eq!(labels.len(), configs.len(), "two configs share a label");
+    }
 }

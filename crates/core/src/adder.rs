@@ -1,13 +1,13 @@
 //! [`SpeculativeAdder`]: the complete ST² adder — predictor, Peek, slice
 //! engine and statistics — behind one `add` call.
 
-use crate::bits::{effective_operands, SliceLayout};
+use crate::bits::SliceLayout;
 use crate::config::SpeculationConfig;
 use crate::event::{AddRecord, OpContext};
-use crate::peek::{peek, PeekOutcome};
+use crate::peek::PeekOutcome;
 use crate::predictor::{Predictor, PredictorActivity};
 use crate::sink::{EventSink, NullSink};
-use crate::slice::evaluate_effective;
+use crate::slice::{prepare, speculate, PreparedAdd};
 use crate::stats::AdderStats;
 
 /// The observable result of one speculative addition.
@@ -154,7 +154,9 @@ pub fn execute_op(
 
 /// [`execute_op`] with an observer: the sink sees the completed outcome
 /// and the history-port activity of this one operation. Passing
-/// [`NullSink`] is equivalent to `execute_op` (one no-op virtual call).
+/// [`NullSink`] is equivalent to `execute_op`: its callbacks are the
+/// trait's empty defaults, so it costs one or two no-op virtual calls
+/// (the outcome, and history-port activity when there was any).
 #[allow(clippy::too_many_arguments)]
 pub fn execute_op_with_sink(
     predictor: &mut Predictor,
@@ -167,25 +169,31 @@ pub fn execute_op_with_sink(
     stats: &mut AdderStats,
     sink: &mut dyn EventSink,
 ) -> AddOutcome {
-    let (a_eff, b_eff, cin0) = effective_operands(layout, a, b, sub);
+    let prep = prepare(layout, a, b, sub);
+    execute_prepared(predictor, config, ctx, &prep, stats, sink)
+}
+
+/// The per-configuration half of one operation: predict, speculate the
+/// prepared add, update the predictor, then count and report the outcome.
+pub(crate) fn execute_prepared(
+    predictor: &mut Predictor,
+    config: &SpeculationConfig,
+    ctx: &OpContext,
+    prep: &PreparedAdd,
+    stats: &mut AdderStats,
+    sink: &mut dyn EventSink,
+) -> AddOutcome {
+    let layout = prep.layout;
     let pk = if config.peek {
-        peek(layout, a_eff, b_eff)
+        prep.peek
     } else {
         PeekOutcome::default()
     };
 
     let mut activity = PredictorActivity::default();
-    let predictions = predictor.predict(ctx, layout, a_eff, b_eff, &mut activity);
+    let predictions = predictor.predict(ctx, layout, prep.a, prep.b, &mut activity);
 
-    let eval = evaluate_effective(
-        layout,
-        a_eff,
-        b_eff,
-        cin0,
-        predictions,
-        pk,
-        config.recompute,
-    );
+    let eval = speculate(prep, predictions, pk, config.recompute);
 
     predictor.update(
         ctx,

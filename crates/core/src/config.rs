@@ -242,6 +242,10 @@ impl SpeculationConfig {
     }
 
     /// A short human-readable label matching the paper's Fig. 5 x-axis.
+    ///
+    /// The paper's design points all use the default update and recompute
+    /// policies; the others append `+WrAlways` and `+RecTop`, so no two
+    /// configurations that differ only in policy share a label.
     #[must_use]
     pub fn label(&self) -> String {
         let mut parts: Vec<String> = Vec::new();
@@ -270,6 +274,12 @@ impl SpeculationConfig {
         }
         if self.peek {
             parts.push("Peek".into());
+        }
+        if self.update == UpdatePolicy::Always {
+            parts.push("WrAlways".into());
+        }
+        if self.recompute == RecomputePolicy::PropagateToTop {
+            parts.push("RecTop".into());
         }
         parts.join("+")
     }
@@ -335,6 +345,29 @@ mod tests {
         assert_eq!(
             SpeculationConfig::xor_hash().label(),
             "Ltid+Prev+XorPC4+Peek"
+        );
+    }
+
+    #[test]
+    fn non_default_policies_get_label_suffixes() {
+        let st2 = SpeculationConfig::st2();
+        let always = SpeculationConfig {
+            update: UpdatePolicy::Always,
+            ..st2
+        };
+        let top = SpeculationConfig {
+            recompute: RecomputePolicy::PropagateToTop,
+            ..st2
+        };
+        assert_eq!(always.label(), "Ltid+Prev+ModPC4+Peek+WrAlways");
+        assert_eq!(top.label(), "Ltid+Prev+ModPC4+Peek+RecTop");
+        assert_eq!(
+            SpeculationConfig {
+                recompute: RecomputePolicy::PropagateToTop,
+                ..always
+            }
+            .label(),
+            "Ltid+Prev+ModPC4+Peek+WrAlways+RecTop"
         );
     }
 

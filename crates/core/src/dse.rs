@@ -7,11 +7,13 @@
 //! idealised (contention-free) speculation state, exactly as the paper's
 //! exploration does before committing to the implementable design.
 
-use crate::adder::execute_op;
+use crate::adder::{execute_op, execute_prepared};
 use crate::config::{PcIndex, SpeculationConfig, ThreadKey};
 use crate::event::AddRecord;
 use crate::history::HistoryTable;
 use crate::predictor::Predictor;
+use crate::sink::NullSink;
+use crate::slice::{prepare, PreparedAdd};
 use crate::stats::AdderStats;
 use serde::{Deserialize, Serialize};
 
@@ -127,15 +129,19 @@ impl ConfigRunner {
 
     /// Replays one recorded operation.
     pub fn process(&mut self, rec: &AddRecord) {
-        let _ = execute_op(
+        self.process_prepared(rec, &prepare_record(rec));
+    }
+
+    /// Replays one recorded operation whose configuration-independent
+    /// half `prep` is already computed.
+    fn process_prepared(&mut self, rec: &AddRecord, prep: &PreparedAdd) {
+        let _ = execute_prepared(
             &mut self.predictor,
             &self.config,
-            rec.width.layout(),
             &rec.ctx,
-            rec.a,
-            rec.b,
-            rec.sub,
+            prep,
             &mut self.stats,
+            &mut NullSink,
         );
     }
 
@@ -205,27 +211,48 @@ pub fn fig5_design_points() -> Vec<SpeculationConfig> {
     ]
 }
 
+/// Records prepared at a time by [`sweep`]: enough to amortise the pass
+/// over the configurations, few enough that the prepared chunk stays in
+/// cache while every configuration replays it.
+const CHUNK: usize = 1024;
+
+fn prepare_record(rec: &AddRecord) -> PreparedAdd {
+    prepare(rec.width.layout(), rec.a, rec.b, rec.sub)
+}
+
 /// Replays `records` through every configuration, returning per-config
 /// statistics (the data behind Fig. 5).
+///
+/// Each record's configuration-independent work (effective operands,
+/// carry chain, generate/propagate, Peek) is done once, a chunk of
+/// records at a time, and every configuration then replays that chunk in
+/// stream order. Configurations share no state, so each one's statistics
+/// equal those of its own [`ConfigRunner::process_all`].
 #[must_use]
 pub fn sweep(
     records: &[AddRecord],
     configs: &[SpeculationConfig],
 ) -> Vec<(SpeculationConfig, AdderStats)> {
-    configs
-        .iter()
-        .map(|cfg| {
-            let mut runner = ConfigRunner::new(*cfg);
-            runner.process_all(records);
-            (*cfg, *runner.stats())
-        })
-        .collect()
+    let mut runners: Vec<ConfigRunner> = configs.iter().map(|c| ConfigRunner::new(*c)).collect();
+    let mut prepared = Vec::with_capacity(CHUNK.min(records.len()));
+    for chunk in records.chunks(CHUNK) {
+        prepared.clear();
+        prepared.extend(chunk.iter().map(prepare_record));
+        for runner in &mut runners {
+            for (rec, prep) in chunk.iter().zip(&prepared) {
+                runner.process_prepared(rec, prep);
+            }
+        }
+    }
+    runners.iter().map(|r| (r.config, r.stats)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{PredictorKind, RecomputePolicy, UpdatePolicy};
     use crate::event::{AddRecord, OpContext, WidthClass};
+    use proptest::prelude::*;
 
     /// A synthetic stream mimicking the paper's observation: each PC's
     /// values evolve gradually; different PCs produce wildly different
@@ -326,5 +353,109 @@ mod tests {
         assert_eq!(r.match_rate(), 0.0);
         let s = sweep(&[], &[SpeculationConfig::st2()]);
         assert_eq!(s[0].1.ops, 0);
+    }
+
+    /// Operands that give both stable and changing carry patterns: small
+    /// counters, small negatives (long carry chains) and random bits.
+    fn operand() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..4096,
+            (0u64..4096).prop_map(|v| v.wrapping_neg()),
+            any::<u64>(),
+        ]
+    }
+
+    /// A record of any width, from a handful of PCs and three warps.
+    fn record() -> impl Strategy<Value = AddRecord> {
+        let width = prop::sample::select(vec![
+            WidthClass::Int64,
+            WidthClass::Mant24,
+            WidthClass::Mant53,
+        ]);
+        (
+            0u32..24,
+            0u32..96,
+            operand(),
+            operand(),
+            any::<bool>(),
+            width,
+        )
+            .prop_map(|(pc, gtid, a, b, sub, width)| AddRecord {
+                ctx: OpContext {
+                    pc,
+                    gtid,
+                    ltid: gtid % 32,
+                },
+                a,
+                b,
+                sub,
+                width,
+            })
+    }
+
+    /// The Fig. 5 points, every non-default policy and history depth,
+    /// operand windows with and without Peek, and a full-PC (map-backed)
+    /// table, with ST² listed a second time at the end.
+    fn property_configs() -> Vec<SpeculationConfig> {
+        let st2 = SpeculationConfig::st2();
+        let mut configs = fig5_design_points();
+        configs.extend([
+            SpeculationConfig {
+                recompute: RecomputePolicy::PropagateToTop,
+                ..st2
+            },
+            SpeculationConfig {
+                update: UpdatePolicy::Always,
+                ..st2
+            },
+            SpeculationConfig {
+                history_depth: 2,
+                ..st2
+            },
+            SpeculationConfig {
+                history_depth: 4,
+                ..st2
+            },
+            SpeculationConfig {
+                pc_index: PcIndex::Full,
+                ..st2
+            },
+        ]);
+        for window in [2u8, 8] {
+            for peek in [false, true] {
+                configs.push(SpeculationConfig {
+                    predictor: PredictorKind::Windowed { window },
+                    peek,
+                    ..SpeculationConfig::static_zero()
+                });
+            }
+        }
+        configs.push(st2);
+        configs
+    }
+
+    proptest! {
+        /// Sharing the prepared chunk across configurations changes no
+        /// statistic: every config's sweep result equals its own
+        /// independent replay, for streams shorter than, equal to and
+        /// longer than one chunk.
+        #[test]
+        fn sweep_matches_independent_runners(
+            stream in prop::collection::vec(record(), 3 * CHUNK + 7..3 * CHUNK + 8),
+            len in prop::sample::select(vec![0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]),
+        ) {
+            let records = &stream[..len];
+            let configs = property_configs();
+            let swept = sweep(records, &configs);
+            prop_assert_eq!(swept.len(), configs.len());
+            for (cfg, (swept_cfg, stats)) in configs.iter().zip(&swept) {
+                let mut runner = ConfigRunner::new(*cfg);
+                runner.process_all(records);
+                prop_assert_eq!(swept_cfg, cfg);
+                prop_assert_eq!(stats, runner.stats(), "{} over {} records", cfg, len);
+            }
+            let st2 = configs.iter().position(|c| *c == SpeculationConfig::st2()).unwrap();
+            prop_assert_eq!(swept[st2].1, swept[configs.len() - 1].1);
+        }
     }
 }

@@ -10,7 +10,9 @@
 //!
 //! The trait is deliberately narrow and `&mut`-based (no interior
 //! mutability, no allocation): on the simulator's hot path a `NullSink`
-//! costs one virtual call per reported event and nothing else.
+//! costs one virtual call per reported event (an add reports one or two:
+//! the outcome, and history-port activity when there was any) and
+//! nothing else.
 
 use crate::adder::AddOutcome;
 use crate::bits::SliceLayout;

@@ -43,12 +43,22 @@
 //!   from the lowest error of each run of `D` to the run's top, flipping
 //!   every bit it crosses, so the wave is `((D + E) ^ D) & D | E`.
 //!
+//! # Prepare, then speculate
+//!
+//! Only the Peek override, the cycle-1 carries, the error mask and the
+//! recompute wave depend on the speculation configuration. `prepare`
+//! computes everything else once per add (effective operands, the true
+//! carries and sum, `G`, `P` and the Peek outcome); `speculate` finishes
+//! the add under one configuration's predictions, Peek choice and
+//! recompute policy. [`evaluate`] is the two in sequence, and the
+//! design-space sweep reuses one prepared add across design points.
+//!
 //! A per-slice loop is kept as a test-only reference, and property tests
 //! pin the two together field by field.
 
 use crate::bits::{carry_chain, effective_operands, SliceLayout};
 use crate::config::RecomputePolicy;
-use crate::peek::PeekOutcome;
+use crate::peek::{peek, PeekOutcome};
 
 /// Everything the hardware produced for one add/sub operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,6 +102,60 @@ impl SliceEval {
     }
 }
 
+/// The configuration-independent half of one add/sub: the effective
+/// operands and everything the slice engine derives from them alone.
+///
+/// [`speculate`] turns it into a [`SliceEval`] under one set of
+/// predictions, Peek override and recompute policy, so a design-space
+/// sweep prepares each recorded add once and speculates it once per
+/// design point.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PreparedAdd {
+    /// The slice layout.
+    pub layout: SliceLayout,
+    /// First effective operand (masked to the layout).
+    pub a: u64,
+    /// Second effective operand (masked, inverted for subtraction).
+    pub b: u64,
+    /// Architectural carry-in of slice 0.
+    pub cin0: bool,
+    /// The exact result, masked to the adder width.
+    pub sum: u64,
+    /// Carry out of the most significant slice.
+    pub carry_out: bool,
+    /// True boundary carries.
+    pub true_carries: u64,
+    /// Slices that carry out with carry-in 0, one bit per slice.
+    pub generate: u64,
+    /// Slices that pass their carry-in through, one bit per slice.
+    pub propagate: u64,
+    /// Static carry knowledge for these operands.
+    pub peek: PeekOutcome,
+}
+
+/// Prepares `a + b` (or `a − b` when `sub`) for [`speculate`]: effective
+/// operands, the true carry chain, per-slice generate/propagate and Peek.
+#[inline]
+pub(crate) fn prepare(layout: SliceLayout, a: u64, b: u64, sub: bool) -> PreparedAdd {
+    let (a, b, cin0) = effective_operands(layout, a, b, sub);
+    let h = layout.msb_mask();
+    let x = a ^ b;
+    let (sum, carries) = carry_chain(layout, a, b, cin0);
+    let msb_carry_in = (a & !h) + (b & !h);
+    PreparedAdd {
+        layout,
+        a,
+        b,
+        cin0,
+        sum,
+        carry_out: carries >> (layout.count() - 1) & 1 != 0,
+        true_carries: carries & layout.boundary_mask(),
+        generate: layout.gather_msbs(a & b | x & msb_carry_in),
+        propagate: layout.gather_msbs(x & ((x & !h) + layout.lsb_mask())),
+        peek: peek(layout, a, b),
+    }
+}
+
 /// Runs one operation through the speculative slice engine.
 ///
 /// * `predictions` — bit `j` is the dynamically speculated carry-in for
@@ -117,28 +181,19 @@ pub fn evaluate(
     peek: PeekOutcome,
     policy: RecomputePolicy,
 ) -> SliceEval {
-    let (a_eff, b_eff, cin0) = effective_operands(layout, a, b, sub);
-    evaluate_effective(layout, a_eff, b_eff, cin0, predictions, peek, policy)
+    speculate(&prepare(layout, a, b, sub), predictions, peek, policy)
 }
 
-/// [`evaluate`] on effective operands (already masked to the layout, the
-/// second one inverted for subtraction) and the architectural carry-in.
-pub(crate) fn evaluate_effective(
-    layout: SliceLayout,
-    a: u64,
-    b: u64,
-    cin0: bool,
+/// The per-configuration half of [`evaluate`]: applies the Peek override
+/// to `predictions`, then computes the cycle-1 carries, the error mask and
+/// the recompute wave of a prepared add.
+pub(crate) fn speculate(
+    prep: &PreparedAdd,
     predictions: u64,
     peek: PeekOutcome,
     policy: RecomputePolicy,
 ) -> SliceEval {
-    debug_assert_eq!((a | b) & !layout.value_mask(), 0, "unmasked operands");
-    let h = layout.msb_mask();
-    let boundary_mask = layout.boundary_mask();
-    let x = a ^ b;
-
-    let (sum, carries) = carry_chain(layout, a, b, cin0);
-    let true_carries = carries & boundary_mask;
+    let boundary_mask = prep.layout.boundary_mask();
 
     // Statically known carries override whatever was speculated.
     let static_mask = peek.static_mask & boundary_mask;
@@ -146,11 +201,8 @@ pub(crate) fn evaluate_effective(
         ((predictions & !static_mask) | (peek.static_bits & static_mask)) & boundary_mask;
 
     // --- Cycle 1: every slice computes with its supplied carry-in. -------
-    let msb_carry_in = (a & !h) + (b & !h);
-    let generate = layout.gather_msbs(a & b | x & msb_carry_in);
-    let propagate = layout.gather_msbs(x & ((x & !h) + layout.lsb_mask()));
-    let carry_ins = predictions << 1 | u64::from(cin0);
-    let cycle1_carries = (generate | propagate & carry_ins) & boundary_mask;
+    let carry_ins = predictions << 1 | u64::from(prep.cin0);
+    let cycle1_carries = (prep.generate | prep.propagate & carry_ins) & boundary_mask;
 
     // --- Detection: E[j] fires when the prediction for boundary j differs
     // from the neighbour slice's first-cycle carry-out. ------------------
@@ -176,15 +228,15 @@ pub(crate) fn evaluate_effective(
     // the *true* carry must recompute (statically guaranteed boundaries can
     // never disagree, by the Peek soundness property).
     debug_assert_eq!(
-        (predictions ^ true_carries) & !recompute_mask,
+        (predictions ^ prep.true_carries) & !recompute_mask,
         0,
         "a wrongly-predicted slice escaped the recompute wave"
     );
 
     SliceEval {
-        sum,
-        carry_out: carries >> (layout.count() - 1) & 1 != 0,
-        true_carries,
+        sum: prep.sum,
+        carry_out: prep.carry_out,
+        true_carries: prep.true_carries,
         cycle1_carries,
         supplied_predictions: predictions,
         error_mask,
@@ -197,7 +249,6 @@ pub(crate) fn evaluate_effective(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::peek::peek;
 
     const L: SliceLayout = SliceLayout::INT64;
     const NO_PEEK: PeekOutcome = PeekOutcome {
