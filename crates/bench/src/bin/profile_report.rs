@@ -13,9 +13,9 @@
 //! ```
 //!
 //! With `--out`, each kernel's profile is also written as
-//! `<dir>/<kernel>.profile.json` (losslessly parseable back with
-//! `KernelProfile::from_json`) plus a combined `<dir>/profile.json`
-//! array.
+//! `<dir>/<kernel>.profile.json` plus a combined `<dir>/profile.json`
+//! array, and the per-kernel summary as `<dir>/BENCH_profile.json`
+//! (the committed file's shape; `--scale tiny` regenerates it).
 //!
 //! Every kernel's per-SM issue-slot accounting is checked to reconcile
 //! exactly: attributed stalls + issued slots = cycles × issue_width,
@@ -23,10 +23,9 @@
 //! lost track of a cycle.
 
 use std::process::ExitCode;
-use std::sync::Mutex;
 
 use st2::prelude::*;
-use st2_bench::{header, BenchArgs};
+use st2_bench::{header, profile_suite, BenchArgs};
 
 /// Hot-PC rows shown per kernel.
 const TOP_N: usize = 8;
@@ -39,58 +38,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let cfg = args.gpu().with_st2();
-    // Price the energy-event timelines with the characterised model.
-    // Reporting-layer only: pricing after capture leaves the integer
-    // timelines (and so every determinism comparison) untouched.
-    let weights = EnergyModel::characterized().interval_weights(cfg.clock_ghz);
-
-    let specs: Vec<KernelSpec> = suite(args.scale)
-        .into_iter()
-        .filter(|s| args.matches(s.name))
-        .collect();
-    if specs.is_empty() {
-        eprintln!("--kernels filter matches no suite kernel");
-        return ExitCode::FAILURE;
-    }
-
-    // Profile kernels in parallel (each run is deterministic and owns its
-    // collector); print in suite order afterwards. Host wall-time per
-    // kernel rides along for the summary's sim-rate column — noisy
-    // under parallel kernels, which is exactly why that column is
-    // report-only downstream.
-    let results: Mutex<Vec<(usize, KernelProfile, f64)>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for (i, spec) in specs.into_iter().enumerate() {
-            let results = &results;
-            let cfg = &cfg;
-            s.spawn(move || {
-                let mut tele = Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
-                let mut mem = spec.memory.clone();
-                let t0 = std::time::Instant::now();
-                let out = run_timed_with(
-                    &spec.program,
-                    spec.launch,
-                    &mut mem,
-                    cfg,
-                    RunOptions::with_telemetry(&mut tele),
-                );
-                let wall = t0.elapsed().as_secs_f64();
-                spec.verify(&mem)
-                    .unwrap_or_else(|e| panic!("{} failed verification: {e}", spec.name));
-                let mut profile = KernelProfile::capture(&tele, spec.name, Some(&spec.program));
-                profile.attach_energy(&weights);
-                check_reconciliation(&profile, cfg, out.cycles);
-                results
-                    .lock()
-                    .expect("profile results lock")
-                    .push((i, profile, wall));
-            });
-        }
-    });
-    let mut results = results.into_inner().expect("profile results lock");
-    results.sort_by_key(|(i, _, _)| *i);
-    let walls: Vec<f64> = results.iter().map(|(_, _, w)| *w).collect();
-    let profiles: Vec<KernelProfile> = results.into_iter().map(|(_, p, _)| p).collect();
+    let profiles = profile_suite(args.scale, &cfg, args.kernels.as_deref());
 
     for profile in &profiles {
         print!("{}", profile.render(TOP_N));
@@ -99,10 +47,10 @@ fn main() -> ExitCode {
 
     header("profile summary");
     println!(
-        "{:<14} {:>10} {:>7} {:>7} {:>9} {:>9} {:>9} {:>9}",
-        "kernel", "cycles", "IPC", "util%", "top-stall", "fetch_oob", "wall-ms", "kcyc/s"
+        "{:<14} {:>10} {:>7} {:>7} {:>9} {:>9}",
+        "kernel", "cycles", "IPC", "util%", "top-stall", "fetch_oob"
     );
-    for (p, wall) in profiles.iter().zip(&walls) {
+    for p in &profiles {
         let t = p.total();
         let top = st2::telemetry::profile::ALL_STALL_REASONS
             .iter()
@@ -112,25 +60,17 @@ fn main() -> ExitCode {
         // A zero-cycle profile makes every per-cycle ratio undefined:
         // render dashes rather than a `.max(1)`-flavoured zero that
         // reads as a measurement.
-        let (ipc, util, rate) = if p.cycles > 0 {
+        let (ipc, util) = if p.cycles > 0 {
             (
                 format!("{:.3}", p.warp_instructions as f64 / p.cycles as f64),
                 format!("{:.1}", 100.0 * t.issued as f64 / t.slots.max(1) as f64),
-                format!("{:.0}", p.cycles as f64 / wall.max(1e-9) / 1e3),
             )
         } else {
-            ("—".into(), "—".into(), "—".into())
+            ("—".into(), "—".into())
         };
         println!(
-            "{:<14} {:>10} {:>7} {:>7} {:>9} {:>9} {:>9.2} {:>9}",
-            p.kernel,
-            p.cycles,
-            ipc,
-            util,
-            top,
-            t.fetch_oob,
-            wall * 1e3,
-            rate,
+            "{:<14} {:>10} {:>7} {:>7} {:>9} {:>9}",
+            p.kernel, p.cycles, ipc, util, top, t.fetch_oob,
         );
     }
 
@@ -204,6 +144,8 @@ fn main() -> ExitCode {
     }
 
     header("memory deep-dive (per-interval timeline)");
+    // The same weights `profile_suite` priced the run totals with.
+    let weights = EnergyModel::characterized().interval_weights(cfg.clock_ghz);
     for p in &profiles {
         render_memory_deep_dive(p, &cfg, &weights);
     }
@@ -231,21 +173,8 @@ fn main() -> ExitCode {
         }
         println!("wrote {}", combined.display());
 
-        // The per-kernel summary in the committed BENCH_profile.json
-        // shape, ready for `bench_diff` against a baseline.
-        let scale = if args.scale == Scale::Test {
-            "test"
-        } else {
-            "full"
-        };
-        let generator = format!("profile_report --scale {scale} (GpuConfig default, ST2 on)");
-        let mut doc = st2_bench::diff::summary_from_profiles(&profiles, &generator);
-        for (k, wall) in doc.kernels.iter_mut().zip(&walls) {
-            // Milliseconds at microsecond resolution; whole cycles/sec.
-            k.wall_ms = (wall * 1e6).round() / 1e3;
-            k.cycles_per_sec = (k.cycles as f64 / wall.max(1e-9)).round();
-        }
-        let summary = st2_bench::diff::summary_to_json(&doc);
+        let summary =
+            st2_bench::summary::summary_json(&profiles, &args.command_line("profile_report"));
         let path = dir.join("BENCH_profile.json");
         if let Err(e) = std::fs::write(&path, summary) {
             eprintln!("cannot write {}: {e}", path.display());
@@ -316,31 +245,5 @@ fn render_memory_deep_dive(
     }
     if rows > MAX_ROWS {
         println!("  ... {} more intervals (see --out JSON)", rows - MAX_ROWS);
-    }
-}
-
-/// Every SM's slot accounting must balance to the cycle count exactly.
-fn check_reconciliation(profile: &KernelProfile, cfg: &GpuConfig, cycles: u64) {
-    for (i, sm) in profile.sms.iter().enumerate() {
-        assert_eq!(
-            sm.cycles, cycles,
-            "{}: SM{i} profile covers {} of {} cycles",
-            profile.kernel, sm.cycles, cycles
-        );
-        assert_eq!(
-            sm.slots,
-            cycles * u64::from(cfg.issue_width),
-            "{}: SM{i} slot total diverged from cycles x issue_width",
-            profile.kernel
-        );
-        assert_eq!(
-            sm.unattributed(),
-            0,
-            "{}: SM{i} has unattributed issue slots (issued {} + stalled {} != {})",
-            profile.kernel,
-            sm.issued,
-            sm.stalled(),
-            sm.slots
-        );
     }
 }

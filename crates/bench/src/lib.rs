@@ -7,9 +7,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod diff;
+pub mod summary;
 
-use std::sync::Mutex;
+use std::fmt::Write as _;
 
 use st2::prelude::*;
 use st2::sim::ActivityCounters;
@@ -72,6 +72,19 @@ pub enum GpuPreset {
 }
 
 impl GpuPreset {
+    /// Every preset, in `--gpu` help order.
+    const ALL: [GpuPreset; 3] = [GpuPreset::Harness, GpuPreset::TitanV, GpuPreset::TitanVFull];
+
+    /// The preset's `--gpu` name.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            GpuPreset::Harness => "harness",
+            GpuPreset::TitanV => "titan-v",
+            GpuPreset::TitanVFull => "titan-v-full",
+        }
+    }
+
     /// The preset's base configuration.
     #[must_use]
     pub fn config(self) -> GpuConfig {
@@ -135,14 +148,11 @@ impl BenchArgs {
                     }
                 }
                 "--gpu" => {
-                    args.gpu_preset = Some(match value("--gpu").as_str() {
-                        "harness" => GpuPreset::Harness,
-                        "titan-v" => GpuPreset::TitanV,
-                        "titan-v-full" => GpuPreset::TitanVFull,
-                        other => {
-                            panic!("--gpu must be harness, titan-v or titan-v-full, got {other:?}")
-                        }
-                    });
+                    let v = value("--gpu");
+                    let preset = GpuPreset::ALL.into_iter().find(|p| p.name() == v);
+                    args.gpu_preset = Some(preset.unwrap_or_else(|| {
+                        panic!("--gpu must be harness, titan-v or titan-v-full, got {v:?}")
+                    }));
                 }
                 flag if flag.starts_with("--") => panic!("unrecognised flag {flag:?}"),
                 _ => args.rest.push(tok),
@@ -151,10 +161,34 @@ impl BenchArgs {
         args
     }
 
-    /// Whether `name` passes the `--kernels` filter (no filter = all).
+    /// The command line that reproduces this run of `bin`: the scale,
+    /// the GPU preset, and each filter and override that was given, in
+    /// flag order. `--out` and positionals are left out; `tiny` is
+    /// recorded as `test`, the scale it aliases.
     #[must_use]
-    pub fn matches(&self, name: &str) -> bool {
-        self.kernels.as_deref().is_none_or(|f| name.contains(f))
+    pub fn command_line(&self, bin: &str) -> String {
+        let scale = if self.scale == Scale::Test {
+            "test"
+        } else {
+            "full"
+        };
+        let gpu = self.gpu_preset.unwrap_or(GpuPreset::Harness).name();
+        let mut line = format!("{bin} --scale {scale} --gpu {gpu}");
+        if let Some(k) = &self.kernels {
+            let _ = write!(line, " --kernels {k}");
+        }
+        for (flag, n) in [
+            ("--mshr-entries", self.mshr_entries),
+            ("--l2-bw", self.l2_bw),
+            ("--dram-bw", self.dram_bw),
+            ("--l2-partitions", self.l2_partitions),
+            ("--xbar-queue", self.xbar_queue),
+        ] {
+            if let Some(n) = n {
+                let _ = write!(line, " {flag} {n}");
+            }
+        }
+        line
     }
 
     /// The selected GPU preset with any memory-subsystem overrides
@@ -197,6 +231,22 @@ fn filter_specs(specs: Vec<KernelSpec>, filter: Option<&str>) -> Vec<KernelSpec>
     kept
 }
 
+/// Runs `run` on every spec, one thread per kernel, and returns the
+/// results in spec order. A panicking kernel re-raises its own panic.
+fn per_kernel<T: Send>(specs: Vec<KernelSpec>, run: impl Fn(KernelSpec) -> T + Sync) -> Vec<T> {
+    let run = &run;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = specs
+            .into_iter()
+            .map(|spec| s.spawn(move || run(spec)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
+}
+
 /// One kernel's functional results.
 pub struct FunctionalRun {
     /// Kernel spec (memory already consumed by the run).
@@ -227,34 +277,21 @@ pub fn functional_suite_filtered(
     collect_records: bool,
     filter: Option<&str>,
 ) -> Vec<FunctionalRun> {
-    let specs = filter_specs(suite(scale), filter);
-    let results: Mutex<Vec<(usize, FunctionalRun)>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for (i, spec) in specs.into_iter().enumerate() {
-            let results = &results;
-            s.spawn(move || {
-                let mut mem = spec.memory.clone();
-                let out = run_functional(
-                    &spec.program,
-                    spec.launch,
-                    &mut mem,
-                    &FunctionalOptions {
-                        collect_records,
-                        ..Default::default()
-                    },
-                );
-                spec.verify(&mem)
-                    .unwrap_or_else(|e| panic!("{} failed verification: {e}", spec.name));
-                results
-                    .lock()
-                    .expect("suite results lock")
-                    .push((i, FunctionalRun { spec, out }));
-            });
-        }
-    });
-    let mut v = results.into_inner().expect("suite results lock");
-    v.sort_by_key(|(i, _)| *i);
-    v.into_iter().map(|(_, r)| r).collect()
+    per_kernel(filter_specs(suite(scale), filter), |spec| {
+        let mut mem = spec.memory.clone();
+        let out = run_functional(
+            &spec.program,
+            spec.launch,
+            &mut mem,
+            &FunctionalOptions {
+                collect_records,
+                ..Default::default()
+            },
+        );
+        spec.verify(&mem)
+            .unwrap_or_else(|e| panic!("{} failed verification: {e}", spec.name));
+        FunctionalRun { spec, out }
+    })
 }
 
 /// One kernel's baseline + ST² timed results.
@@ -302,52 +339,100 @@ pub fn timed_suite(scale: Scale, cfg: &GpuConfig) -> Vec<TimedPair> {
 /// diverge, or the filter matches nothing.
 #[must_use]
 pub fn timed_suite_filtered(scale: Scale, cfg: &GpuConfig, filter: Option<&str>) -> Vec<TimedPair> {
-    let specs = filter_specs(suite(scale), filter);
     let st2_cfg = cfg.with_st2();
-    let results: Mutex<Vec<(usize, TimedPair)>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for (i, spec) in specs.into_iter().enumerate() {
-            let results = &results;
-            let cfg = *cfg;
-            s.spawn(move || {
-                let mut m1 = spec.memory.clone();
-                let baseline = run_timed_with(
-                    &spec.program,
-                    spec.launch,
-                    &mut m1,
-                    &cfg,
-                    RunOptions::default(),
-                );
-                let mut m2 = spec.memory.clone();
-                let st2 = run_timed_with(
-                    &spec.program,
-                    spec.launch,
-                    &mut m2,
-                    &st2_cfg,
-                    RunOptions::default(),
-                );
-                assert_eq!(
-                    m1.as_bytes(),
-                    m2.as_bytes(),
-                    "{}: speculation changed results",
-                    spec.name
-                );
-                spec.verify(&m1)
-                    .unwrap_or_else(|e| panic!("{} failed verification: {e}", spec.name));
-                results.lock().expect("suite results lock").push((
-                    i,
-                    TimedPair {
-                        name: spec.name,
-                        baseline,
-                        st2,
-                    },
-                ));
-            });
+    per_kernel(filter_specs(suite(scale), filter), |spec| {
+        let mut m1 = spec.memory.clone();
+        let baseline = run_timed_with(
+            &spec.program,
+            spec.launch,
+            &mut m1,
+            cfg,
+            RunOptions::default(),
+        );
+        let mut m2 = spec.memory.clone();
+        let st2 = run_timed_with(
+            &spec.program,
+            spec.launch,
+            &mut m2,
+            &st2_cfg,
+            RunOptions::default(),
+        );
+        assert_eq!(
+            m1.as_bytes(),
+            m2.as_bytes(),
+            "{}: speculation changed results",
+            spec.name
+        );
+        spec.verify(&m1)
+            .unwrap_or_else(|e| panic!("{} failed verification: {e}", spec.name));
+        TimedPair {
+            name: spec.name,
+            baseline,
+            st2,
         }
-    });
-    let mut v = results.into_inner().expect("suite results lock");
-    v.sort_by_key(|(i, _)| *i);
-    v.into_iter().map(|(_, r)| r).collect()
+    })
+}
+
+/// Profiles the suite on the cycle-level engine under `cfg`, in
+/// parallel across kernels: one timed run per kernel with telemetry
+/// collecting, its profile captured with disassembly labels and priced
+/// with the characterised energy model. This is `profile_report`'s
+/// pipeline; the `profile_golden` test pins its summary.
+///
+/// # Panics
+///
+/// Panics if a kernel fails verification, an SM's issue-slot accounting
+/// does not reconcile with the cycle count, or the filter matches
+/// nothing.
+#[must_use]
+pub fn profile_suite(scale: Scale, cfg: &GpuConfig, filter: Option<&str>) -> Vec<KernelProfile> {
+    // Pricing happens after capture, at the reporting layer, so it
+    // leaves the integer timelines untouched.
+    let weights = EnergyModel::characterized().interval_weights(cfg.clock_ghz);
+    per_kernel(filter_specs(suite(scale), filter), |spec| {
+        let mut tele = Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
+        let mut mem = spec.memory.clone();
+        let out = run_timed_with(
+            &spec.program,
+            spec.launch,
+            &mut mem,
+            cfg,
+            RunOptions::with_telemetry(&mut tele),
+        );
+        spec.verify(&mem)
+            .unwrap_or_else(|e| panic!("{} failed verification: {e}", spec.name));
+        let mut profile = KernelProfile::capture(&tele, spec.name, Some(&spec.program));
+        profile.attach_energy(&weights);
+        check_reconciliation(&profile, cfg, out.cycles);
+        profile
+    })
+}
+
+/// Every SM's slot accounting must balance to the cycle count exactly:
+/// attributed stalls + issued slots = cycles × issue_width.
+fn check_reconciliation(profile: &KernelProfile, cfg: &GpuConfig, cycles: u64) {
+    for (i, sm) in profile.sms.iter().enumerate() {
+        assert_eq!(
+            sm.cycles, cycles,
+            "{}: SM{i} profile covers {} of {} cycles",
+            profile.kernel, sm.cycles, cycles
+        );
+        assert_eq!(
+            sm.slots,
+            cycles * u64::from(cfg.issue_width),
+            "{}: SM{i} slot total diverged from cycles x issue_width",
+            profile.kernel
+        );
+        assert_eq!(
+            sm.unattributed(),
+            0,
+            "{}: SM{i} has unattributed issue slots (issued {} + stalled {} != {})",
+            profile.kernel,
+            sm.issued,
+            sm.stalled(),
+            sm.slots
+        );
+    }
 }
 
 /// Prints a percentage with one decimal.
@@ -416,8 +501,6 @@ mod tests {
         assert_eq!(gpu.xbar_queue, 4);
         assert_eq!(args.gpu_preset, Some(GpuPreset::TitanVFull));
         assert_eq!(gpu.num_sms, GpuConfig::titan_v_full().num_sms);
-        assert!(args.matches("pathfinder"));
-        assert!(!args.matches("histogram"));
     }
 
     #[test]
@@ -435,7 +518,38 @@ mod tests {
             harness_gpu(),
             "no overrides leaves the config untouched"
         );
-        assert!(args.matches("anything"));
+    }
+
+    #[test]
+    fn command_line_records_scale_preset_and_overrides() {
+        let line = |toks: &[&str]| {
+            BenchArgs::from_tokens(toks.iter().map(ToString::to_string)).command_line("bin")
+        };
+        // The default machine is the harness slice, named explicitly.
+        assert_eq!(
+            line(&["--scale", "tiny", "--out", "dir"]),
+            "bin --scale test --gpu harness"
+        );
+        assert_eq!(
+            line(&[
+                "--xbar-queue",
+                "1",
+                "--gpu",
+                "titan-v-full",
+                "--kernels",
+                "histo",
+                "--dram-bw",
+                "1",
+                "--mshr-entries",
+                "2",
+                "--l2-partitions",
+                "4",
+                "--l2-bw",
+                "3",
+            ]),
+            "bin --scale full --gpu titan-v-full --kernels histo --mshr-entries 2 \
+             --l2-bw 3 --dram-bw 1 --l2-partitions 4 --xbar-queue 1"
+        );
     }
 
     #[test]

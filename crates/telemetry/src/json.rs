@@ -209,21 +209,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Checks that this `kind` document carries `"version": expected`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the version found, or `(missing)`.
-    pub fn require_version(&self, kind: &str, expected: u32) -> Result<(), String> {
-        match self.get("version").and_then(Value::as_f64) {
-            Some(v) if v == f64::from(expected) => Ok(()),
-            found => Err(format!(
-                "{kind} document version {} is unsupported: only version {expected} parses",
-                found.map_or_else(|| "(missing)".to_string(), |f| f.to_string())
-            )),
-        }
-    }
 }
 
 /// Parses one complete JSON document.

