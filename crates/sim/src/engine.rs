@@ -8,7 +8,7 @@
 //! shared-thread (Ltid) history mechanism depends on threads of different
 //! warps executing the same code close together in time.
 
-use crate::exec::{step, ExecEnv, StepHooks, WarpCtx};
+use crate::exec::{step, ExecEnv, LaneBuffers, StepHooks, WarpCtx};
 use crate::stats::InstMix;
 use crate::timed::RunOptions;
 use crate::trace::ValueTrace;
@@ -97,6 +97,7 @@ pub fn run_functional_with(
 
     let warps_per_block = launch.warps_per_block();
     let batch = opts.concurrent_blocks.max(1);
+    let mut lanes = LaneBuffers::default();
 
     let mut next_block = 0u32;
     while next_block < launch.grid_dim {
@@ -150,7 +151,7 @@ pub fn run_functional_with(
                         records: opts.collect_records.then_some(&mut out.records),
                         trace: opts.trace_gtid.map(|g| (&mut out.trace, g)),
                     };
-                    let info = step(&mut run.warps[wi], &mut env, &mut hooks);
+                    let info = step(&mut run.warps[wi], &mut env, &mut hooks, &mut lanes);
                     out.mix.add(info.class, u64::from(info.active_threads));
                     out.warp_instructions += 1;
                     steps += 1;

@@ -779,29 +779,28 @@ impl RequestQueue {
 /// predicated-off warp — touches no bank and has degree 0.
 #[must_use]
 pub fn bank_conflict_degree(addrs: &[u64]) -> u32 {
-    let mut per_bank: [Vec<u64>; 32] = std::array::from_fn(|_| Vec::new());
-    for &a in addrs {
+    let mut per_bank = [0u32; 32];
+    for (i, &a) in addrs.iter().enumerate() {
         let word = a / 4;
-        let bank = (word % 32) as usize;
-        if !per_bank[bank].contains(&word) {
-            per_bank[bank].push(word);
+        // A word's first lane counts; later lanes on it are broadcasts.
+        if !addrs[..i].iter().any(|&b| b / 4 == word) {
+            per_bank[(word % 32) as usize] += 1;
         }
     }
-    per_bank.iter().map(|v| v.len() as u32).max().unwrap_or(0)
+    per_bank.into_iter().max().unwrap_or(0)
 }
 
-/// Coalesces per-lane byte addresses into unique `line`-byte segments,
-/// preserving first-touch order.
-#[must_use]
-pub fn coalesce(addrs: &[u64], line: u64) -> Vec<u64> {
-    let mut segs: Vec<u64> = Vec::new();
+/// Coalesces per-lane byte addresses into the unique `line`-byte
+/// segments they touch, in first-touch order, replacing the contents of
+/// `segs` (a buffer the caller reuses).
+pub fn coalesce(addrs: &[u64], line: u64, segs: &mut Vec<u64>) {
+    segs.clear();
     for &a in addrs {
         let seg = a / line * line;
         if !segs.contains(&seg) {
             segs.push(seg);
         }
     }
-    segs
 }
 
 #[cfg(test)]
@@ -873,14 +872,19 @@ mod tests {
     fn coalescing_unit_stride() {
         // 32 lanes × 4-byte accesses, unit stride: one 128-byte segment.
         let addrs: Vec<u64> = (0..32u64).map(|l| 4096 + l * 4).collect();
-        assert_eq!(coalesce(&addrs, 128).len(), 1);
+        // The buffer's earlier contents are replaced, not appended to.
+        let mut segs = vec![7];
+        coalesce(&addrs, 128, &mut segs);
+        assert_eq!(segs, [4096]);
     }
 
     #[test]
     fn coalescing_strided() {
         // 128-byte stride: every lane its own segment.
         let addrs: Vec<u64> = (0..32u64).map(|l| l * 128).collect();
-        assert_eq!(coalesce(&addrs, 128).len(), 32);
+        let mut segs = Vec::new();
+        coalesce(&addrs, 128, &mut segs);
+        assert_eq!(segs, addrs);
     }
 
     #[test]

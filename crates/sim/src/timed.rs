@@ -29,7 +29,7 @@
 
 use crate::config::GpuConfig;
 use crate::memory::{Completion, MemoryHierarchy, MshrView, RequestQueue};
-use crate::sm::{CycleReport, SmCore};
+use crate::sm::{CycleReport, DecodedProgram, SmCore};
 use crate::stats::ActivityCounters;
 use st2_isa::{LaunchConfig, MemImage, Program};
 use st2_telemetry::Telemetry;
@@ -125,8 +125,7 @@ pub fn run_timed_with(
 /// [`run_timed_with`] with the wake calendar off: every SM is stepped on
 /// every clock tick. This is the step-everything reference the tests
 /// compare the calendar against (every output is bit-identical, only
-/// slower), and the `lockstep` leg of the `calendar` bench. Not a user
-/// option.
+/// slower); it exists only for those tests and is not a user option.
 ///
 /// # Panics
 ///
@@ -387,6 +386,7 @@ fn drive(
     let mut disabled = Telemetry::disabled();
     let tele = opts.telemetry.unwrap_or(&mut disabled);
     let slots = block_slots(cfg, launch);
+    let code = DecodedProgram::new(program);
     let mut cores: Vec<SmCore> = (0..cfg.num_sms)
         .map(|i| SmCore::new(i as usize, cfg, slots))
         .collect();
@@ -430,7 +430,7 @@ fn drive(
         let mut awake_sms = 0u32;
         for (sm, (core, queue)) in cores.iter_mut().zip(queues.iter_mut()).enumerate() {
             if !cal.is_asleep(sm) {
-                reports[sm] = core.step_cycle(now, program, launch, global, queue, tele);
+                reports[sm] = core.step_cycle(now, &code, launch, global, queue, tele);
                 awake_sms += 1;
             }
             let r = reports[sm];
@@ -511,6 +511,11 @@ fn drive(
         assert!(now < MAX_CYCLES, "simulation exceeded cycle limit");
     }
 
+    debug_assert_eq!(
+        act.active_sm_cycles + act.idle_sm_cycles,
+        u64::from(cfg.num_sms) * now,
+        "SM activity split drifted from num_sms x cycles"
+    );
     for core in &cores {
         act.merge(core.activity());
     }

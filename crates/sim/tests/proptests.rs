@@ -17,7 +17,8 @@ proptest! {
         line_log in 5u32..8,
     ) {
         let line = 1u64 << line_log;
-        let segs = coalesce(&addrs, line);
+        let mut segs = Vec::new();
+        coalesce(&addrs, line, &mut segs);
         prop_assert!(segs.len() <= addrs.len());
         for &a in &addrs {
             prop_assert!(segs.contains(&(a / line * line)));
