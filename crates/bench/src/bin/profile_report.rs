@@ -52,17 +52,12 @@ fn main() -> ExitCode {
     );
     for p in &profiles {
         let t = p.total();
-        let top = st2::telemetry::profile::ALL_STALL_REASONS
-            .iter()
-            .copied()
-            .max_by_key(|r| t.stalls[r.index()])
-            .map_or("-", StallReason::name);
         // A zero-cycle profile makes every per-cycle ratio undefined:
         // render dashes rather than a `.max(1)`-flavoured zero that
         // reads as a measurement.
         let (ipc, util) = if p.cycles > 0 {
             (
-                format!("{:.3}", p.warp_instructions as f64 / p.cycles as f64),
+                format!("{:.3}", p.ipc()),
                 format!("{:.1}", 100.0 * t.issued as f64 / t.slots.max(1) as f64),
             )
         } else {
@@ -70,7 +65,12 @@ fn main() -> ExitCode {
         };
         println!(
             "{:<14} {:>10} {:>7} {:>7} {:>9} {:>9}",
-            p.kernel, p.cycles, ipc, util, top, t.fetch_oob,
+            p.kernel,
+            p.cycles,
+            ipc,
+            util,
+            p.top_stall().name(),
+            t.fetch_oob,
         );
     }
 

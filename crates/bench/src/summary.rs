@@ -43,11 +43,6 @@ pub fn summary_json(profiles: &[KernelProfile], generator: &str) -> String {
     for p in profiles {
         let t = p.total();
         let slots = t.slots.max(1) as f64;
-        let top_stall = ALL_STALL_REASONS
-            .iter()
-            .copied()
-            .max_by_key(|r| t.stalls[r.index()])
-            .map_or("-", StallReason::name);
         let repair = t.stalls[StallReason::AdderRepair.index()];
         // An unpriced profile reads zero in every energy column.
         let energy = |f: fn(&EnergySummary) -> f64, places| {
@@ -57,12 +52,9 @@ pub fn summary_json(profiles: &[KernelProfile], generator: &str) -> String {
         w.field_str("kernel", &p.kernel);
         w.field_u64("cycles", p.cycles);
         w.field_u64("warp_instructions", p.warp_instructions);
-        w.field_f64(
-            "ipc",
-            round(p.warp_instructions as f64 / p.cycles.max(1) as f64, 4),
-        );
+        w.field_f64("ipc", round(p.ipc(), 4));
         w.field_f64("issue_slot_util", round(t.issued as f64 / slots, 4));
-        w.field_str("top_stall", top_stall);
+        w.field_str("top_stall", p.top_stall().name());
         w.field_u64("adder_repair_slots", repair);
         w.field_f64("adder_repair_share", round(repair as f64 / slots, 5));
         w.field_u64("fetch_oob", t.fetch_oob);
@@ -165,6 +157,18 @@ mod tests {
         assert_eq!(num(&k, "total_energy_nj"), Some(0.0));
         // Host timing is not part of the document.
         assert!(k.get("wall_ms").is_none() && k.get("cycles_per_sec").is_none());
+    }
+
+    #[test]
+    fn top_stall_breaks_ties_toward_the_later_reason() {
+        let mut p = profile("tie", 100);
+        p.sms[0].stalls[StallReason::Scoreboard.index()] = 5;
+        p.sms[0].stalls[StallReason::Barrier.index()] = 5;
+        assert_eq!(p.top_stall(), StallReason::Barrier);
+        assert_eq!(
+            row(p).get("top_stall").and_then(Value::as_str),
+            Some("barrier")
+        );
     }
 
     #[test]

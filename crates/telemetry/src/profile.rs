@@ -804,6 +804,27 @@ impl KernelProfile {
         t
     }
 
+    /// Warp instructions per cycle (a zero-cycle profile divides by
+    /// one).
+    #[must_use]
+    pub fn ipc(&self) -> f64 {
+        self.warp_instructions as f64 / self.cycles.max(1) as f64
+    }
+
+    /// The stall reason charged the most issue slots device-wide; among
+    /// ties, the last in [`ALL_STALL_REASONS`] order.
+    #[must_use]
+    pub fn top_stall(&self) -> StallReason {
+        let stalls = self.total().stalls;
+        let mut top = ALL_STALL_REASONS[0];
+        for r in ALL_STALL_REASONS {
+            if stalls[r.index()] >= stalls[top.index()] {
+                top = r;
+            }
+        }
+        top
+    }
+
     /// Whether every SM's slot accounting reconciles exactly
     /// (`issued + Σ stalls == slots` and `slots == cycles × width` are
     /// both the caller's to check; this covers the first).
@@ -945,11 +966,12 @@ impl KernelProfile {
         let t = self.total();
         let _ = writeln!(out, "== kernel profile: {} ==", self.kernel);
         let _ = writeln!(out, "{:-<70}", "");
-        let ipc = self.warp_instructions as f64 / self.cycles.max(1) as f64;
         let _ = writeln!(
             out,
-            "cycles {}   warp instructions {}   IPC {ipc:.3}",
-            self.cycles, self.warp_instructions
+            "cycles {}   warp instructions {}   IPC {:.3}",
+            self.cycles,
+            self.warp_instructions,
+            self.ipc()
         );
         let util = 100.0 * t.issued as f64 / t.slots.max(1) as f64;
         let _ = writeln!(
