@@ -89,6 +89,7 @@ impl SliceLayout {
 
     /// Total adder width in bits.
     #[must_use]
+    #[inline]
     pub fn total_bits(self) -> u32 {
         u32::from(self.width) * u32::from(self.count)
     }
@@ -98,12 +99,14 @@ impl SliceLayout {
     /// This is the number of carry-ins that must be speculated: slice 0
     /// receives the architectural carry-in, never a prediction.
     #[must_use]
+    #[inline]
     pub fn boundaries(self) -> u8 {
         self.count - 1
     }
 
     /// Mask selecting the adder's `total_bits` low bits.
     #[must_use]
+    #[inline]
     pub fn value_mask(self) -> u64 {
         mask(self.total_bits())
     }
@@ -135,18 +138,21 @@ impl SliceLayout {
     /// Mask selecting the `boundaries()` low bits of a compact
     /// boundary-carry vector.
     #[must_use]
+    #[inline]
     pub(crate) fn boundary_mask(self) -> u64 {
         mask(u32::from(self.boundaries()))
     }
 
     /// `L`: the least significant bit of every slice.
     #[must_use]
+    #[inline]
     pub(crate) fn lsb_mask(self) -> u64 {
         LSB_PATTERNS[usize::from(self.width)] & self.value_mask()
     }
 
     /// `H`: the most significant bit of every slice.
     #[must_use]
+    #[inline]
     pub(crate) fn msb_mask(self) -> u64 {
         self.lsb_mask() << (self.width - 1)
     }
@@ -155,6 +161,7 @@ impl SliceLayout {
     /// of the result is bit [`msb_of_slice(i)`](Self::msb_of_slice) of
     /// `v`. Other bits of `v` are ignored.
     #[must_use]
+    #[inline]
     pub(crate) fn gather_msbs(self, v: u64) -> u64 {
         let h = v & self.msb_mask();
         match self.width {
@@ -186,6 +193,7 @@ impl fmt::Display for SliceLayout {
 
 /// Mask with the low `bits` bits set (`bits <= 64`).
 #[must_use]
+#[inline]
 pub fn mask(bits: u32) -> u64 {
     if bits >= 64 {
         u64::MAX
@@ -205,6 +213,7 @@ pub fn mask(bits: u32) -> u64 {
 /// carry into bit `k`, and slice `i`'s carry-out is the carry into the bit
 /// just above its MSB.
 #[must_use]
+#[inline]
 pub fn carry_chain(layout: SliceLayout, a: u64, b: u64, cin0: bool) -> (u64, u64) {
     let wide = u128::from(a) + u128::from(b) + u128::from(cin0);
     let carry_in = wide ^ u128::from(a ^ b);
@@ -218,6 +227,7 @@ pub fn carry_chain(layout: SliceLayout, a: u64, b: u64, cin0: bool) -> (u64, u64
 /// bitwise-inverted (within the adder width) and the architectural carry-in
 /// of slice 0 becomes 1.
 #[must_use]
+#[inline]
 pub fn effective_operands(layout: SliceLayout, a: u64, b: u64, sub: bool) -> (u64, u64, bool) {
     let m = layout.value_mask();
     if sub {

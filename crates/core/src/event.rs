@@ -72,6 +72,48 @@ impl AddRecord {
     }
 }
 
+/// One lane's adder inputs within a warp instruction: what a simulator
+/// hands [`crate::adder::execute_warp_op`] for each lane that reached an
+/// adder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneAdd {
+    /// Warp-local lane id, 0‥31.
+    pub lane: u32,
+    /// Global thread id.
+    pub gtid: u64,
+    /// First effective operand.
+    pub a: u64,
+    /// Second operand (pre-inversion).
+    pub b: u64,
+    /// Subtraction flag.
+    pub sub: bool,
+}
+
+impl LaneAdd {
+    /// The identity of this lane's add in the instruction at `pc`.
+    #[must_use]
+    pub fn ctx(&self, pc: u32) -> OpContext {
+        OpContext {
+            pc,
+            gtid: self.gtid as u32,
+            ltid: self.lane,
+        }
+    }
+
+    /// This lane's add as a portable [`AddRecord`], issued by the
+    /// instruction at `pc` on a `width` datapath.
+    #[must_use]
+    pub fn record(&self, pc: u32, width: WidthClass) -> AddRecord {
+        AddRecord {
+            ctx: self.ctx(pc),
+            a: self.a,
+            b: self.b,
+            sub: self.sub,
+            width,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,13 +24,28 @@ pub struct MantissaOp {
     pub width: WidthClass,
 }
 
+/// Whether the FP32 addition `x + y` reaches the mantissa adder: the
+/// FPU's special-case path skips it entirely for NaN/∞ inputs. This is
+/// exactly when [`f32_add_operands`] returns `Some`.
+#[must_use]
+pub fn f32_add_reaches_adder(x: f32, y: f32) -> bool {
+    x.is_finite() && y.is_finite()
+}
+
+/// Whether the FP64 addition `x + y` reaches the mantissa adder; exactly
+/// when [`f64_add_operands`] returns `Some`.
+#[must_use]
+pub fn f64_add_reaches_adder(x: f64, y: f64) -> bool {
+    x.is_finite() && y.is_finite()
+}
+
 /// Extracts the mantissa-adder operands of `x + y` for FP32.
 ///
 /// Returns `None` for non-finite inputs (the FPU's special-case path skips
 /// the mantissa adder entirely for NaN/∞).
 #[must_use]
 pub fn f32_add_operands(x: f32, y: f32) -> Option<MantissaOp> {
-    if !x.is_finite() || !y.is_finite() {
+    if !f32_add_reaches_adder(x, y) {
         return None;
     }
     let (ea, sa, signa) = decompose32(x);
@@ -43,7 +58,7 @@ pub fn f32_add_operands(x: f32, y: f32) -> Option<MantissaOp> {
 /// Returns `None` for non-finite inputs.
 #[must_use]
 pub fn f64_add_operands(x: f64, y: f64) -> Option<MantissaOp> {
-    if !x.is_finite() || !y.is_finite() {
+    if !f64_add_reaches_adder(x, y) {
         return None;
     }
     let (ea, sa, signa) = decompose64(x);
@@ -156,6 +171,9 @@ mod tests {
 
     #[test]
     fn non_finite_skips_mantissa_adder() {
+        assert!(!f32_add_reaches_adder(1.0, f32::NAN));
+        assert!(!f64_add_reaches_adder(f64::INFINITY, 1.0));
+        assert!(f32_add_reaches_adder(f32::MIN_POSITIVE / 2.0, -0.0));
         assert!(f32_add_operands(f32::NAN, 1.0).is_none());
         assert!(f32_add_operands(1.0, f32::INFINITY).is_none());
         assert!(f64_add_operands(f64::NEG_INFINITY, 0.0).is_none());

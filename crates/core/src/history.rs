@@ -94,6 +94,11 @@ impl Hasher for IntHasher {
     }
 }
 
+/// The resolved position of one operation's entry in a [`HistoryTable`]:
+/// the array index of a dense table, the map key of a map-backed one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Slot(u64);
+
 /// A behavioural `Prev` history table.
 ///
 /// Tables with a bounded key space (no PC, or a PC index of at most 8
@@ -161,44 +166,83 @@ impl HistoryTable {
         }
     }
 
-    /// The (thread, PC) parts of an operation's index.
-    fn parts(&self, ctx: &OpContext) -> (u64, u64) {
-        let pc_part = match self.pc_index {
+    /// The PC part of an operation's index; every lane of one warp
+    /// instruction shares it.
+    #[inline]
+    pub(crate) fn pc_part(&self, pc: u32) -> u64 {
+        match self.pc_index {
             PcIndex::None => 0,
-            PcIndex::ModPc(k) => u64::from(ctx.pc) & mask(u32::from(k)),
-            PcIndex::XorFold(k) => xor_fold(ctx.pc, k),
-            PcIndex::Full => u64::from(ctx.pc),
-        };
-        let thread_part = match self.thread_key {
-            ThreadKey::Shared => 0u64,
+            PcIndex::ModPc(k) => u64::from(pc) & mask(u32::from(k)),
+            PcIndex::XorFold(k) => xor_fold(pc, k),
+            PcIndex::Full => u64::from(pc),
+        }
+    }
+
+    /// The thread part of an operation's index.
+    #[inline]
+    fn thread_part(&self, ctx: &OpContext) -> u64 {
+        match self.thread_key {
+            ThreadKey::Shared => 0,
             ThreadKey::Gtid => u64::from(ctx.gtid),
             ThreadKey::Ltid => u64::from(ctx.ltid & 31),
-        };
-        (thread_part, pc_part)
+        }
     }
 
     /// The table index for an operation: spatial (PC) bits in the low word,
     /// thread-sharing bits in the high word.
     #[must_use]
     pub fn key(&self, ctx: &OpContext) -> u64 {
-        let (thread_part, pc_part) = self.parts(ctx);
-        thread_part << 32 | pc_part
+        self.thread_part(ctx) << 32 | self.pc_part(ctx.pc)
+    }
+
+    /// Where the entry of operation `ctx`, whose PC part is `pc_part`,
+    /// lives: resolved once for the operation's prediction and its
+    /// write-back.
+    #[inline]
+    pub(crate) fn slot(&self, ctx: &OpContext, pc_part: u64) -> Slot {
+        let thread_part = self.thread_part(ctx);
+        Slot(match &self.storage {
+            Storage::Dense { pc_bits, .. } => thread_part << pc_bits | pc_part,
+            Storage::Map(_) => thread_part << 32 | pc_part,
+        })
+    }
+
+    /// The prediction held at `slot`, or `None` when it has never been
+    /// written. A map-backed table only looks, so reading inserts nothing.
+    #[inline]
+    pub(crate) fn read(&self, slot: Slot) -> Option<u64> {
+        match &self.storage {
+            Storage::Dense { entries, .. } => {
+                let e = &entries[slot.0 as usize];
+                (e.len > 0).then(|| e.majority())
+            }
+            Storage::Map(map) => map.get(&slot.0).map(Entry::majority),
+        }
+    }
+
+    /// Records true boundary carries at `slot`, allocating the entry on
+    /// its first write.
+    #[inline]
+    pub(crate) fn write(&mut self, slot: Slot, true_carries: u64) {
+        let depth = self.depth;
+        let entry = match &mut self.storage {
+            Storage::Dense {
+                entries, occupied, ..
+            } => {
+                let e = &mut entries[slot.0 as usize];
+                *occupied += usize::from(e.len == 0);
+                e
+            }
+            Storage::Map(map) => map.entry(slot.0).or_default(),
+        };
+        entry.push(true_carries, depth);
     }
 
     /// The predicted boundary-carry vector for this operation, or `None`
     /// when its entry has never been written.
     #[must_use]
     pub(crate) fn lookup(&self, ctx: &OpContext) -> Option<u64> {
-        let (thread_part, pc_part) = self.parts(ctx);
-        match &self.storage {
-            Storage::Dense {
-                pc_bits, entries, ..
-            } => {
-                let e = &entries[(thread_part << pc_bits | pc_part) as usize];
-                (e.len > 0).then(|| e.majority())
-            }
-            Storage::Map(map) => map.get(&(thread_part << 32 | pc_part)).map(Entry::majority),
-        }
+        self.read(self.slot(ctx, self.pc_part(ctx.pc)))
     }
 
     /// The predicted boundary-carry vector for this operation (0 when cold).
@@ -209,21 +253,7 @@ impl HistoryTable {
 
     /// Records the true boundary carries of a completed operation.
     pub fn record(&mut self, ctx: &OpContext, true_carries: u64) {
-        let (thread_part, pc_part) = self.parts(ctx);
-        let depth = self.depth;
-        let entry = match &mut self.storage {
-            Storage::Dense {
-                pc_bits,
-                entries,
-                occupied,
-            } => {
-                let e = &mut entries[(thread_part << *pc_bits | pc_part) as usize];
-                *occupied += usize::from(e.len == 0);
-                e
-            }
-            Storage::Map(map) => map.entry(thread_part << 32 | pc_part).or_default(),
-        };
-        entry.push(true_carries, depth);
+        self.write(self.slot(ctx, self.pc_part(ctx.pc)), true_carries);
     }
 
     /// Number of distinct entries currently allocated.

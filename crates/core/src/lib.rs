@@ -81,6 +81,6 @@ pub use config::{
     PcIndex, PredictorKind, RecomputePolicy, SpeculationConfig, ThreadKey, UpdatePolicy,
 };
 pub use crf::CarryRegisterFile;
-pub use event::{AddRecord, OpContext, WidthClass};
+pub use event::{AddRecord, LaneAdd, OpContext, WidthClass};
 pub use sink::{EventSink, NullSink};
 pub use stats::AdderStats;

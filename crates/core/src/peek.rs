@@ -52,6 +52,7 @@ impl PeekOutcome {
 /// assert_eq!(p.static_bits, 0);
 /// ```
 #[must_use]
+#[inline(always)]
 pub fn peek(layout: SliceLayout, a_eff: u64, b_eff: u64) -> PeekOutcome {
     let boundaries = layout.boundary_mask();
     PeekOutcome {

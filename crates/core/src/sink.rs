@@ -9,10 +9,14 @@
 //! [`NullSink`] turns the whole channel off.
 //!
 //! The trait is deliberately narrow and `&mut`-based (no interior
-//! mutability, no allocation): on the simulator's hot path a `NullSink`
-//! costs one virtual call per reported event (an add reports one or two:
-//! the outcome, and history-port activity when there was any) and
-//! nothing else.
+//! mutability, no allocation). An add reports one or two events: the
+//! outcome, and history-port activity when there was any. The single-op
+//! [`crate::adder::execute_op_with_sink`] always reports them. The
+//! warp-level [`crate::adder::execute_warp_op`], which the simulator's
+//! issue path calls once per warp instruction, asks
+//! [`EventSink::enabled`] once and makes no per-lane call when it is
+//! false, as it is for [`NullSink`] and for a disabled telemetry
+//! collector.
 
 use crate::adder::AddOutcome;
 use crate::bits::SliceLayout;
@@ -24,6 +28,12 @@ use crate::event::OpContext;
 /// Sinks must be [`Send`] so simulator state that owns or borrows a
 /// sink can move between threads.
 pub trait EventSink: Send {
+    /// Whether this sink observes anything at all. Warp-level callers
+    /// skip their per-lane reports when it is false; the default is true.
+    fn enabled(&self) -> bool {
+        true
+    }
+
     /// One completed speculative add: its context, layout and outcome
     /// (including misprediction / recompute details).
     fn adder_op(&mut self, ctx: &OpContext, layout: SliceLayout, outcome: &AddOutcome) {
@@ -48,11 +58,16 @@ pub trait EventSink: Send {
     }
 }
 
-/// The do-nothing sink: every callback is the trait's empty default.
+/// The do-nothing sink: every callback is the trait's empty default, and
+/// it reports itself disabled.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSink;
 
-impl EventSink for NullSink {}
+impl EventSink for NullSink {
+    fn enabled(&self) -> bool {
+        false
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -91,9 +106,11 @@ mod tests {
         sink.history_activity(1, 1); // default no-op
         sink.crf_read(3); // default no-op
         sink.crf_write(3, true);
+        assert!(sink.enabled(), "sinks observe by default");
         assert_eq!((s.adds, s.crf), (1, 1));
 
         let mut n = NullSink;
+        assert!(!n.enabled());
         let sink: &mut dyn EventSink = &mut n;
         sink.adder_op(&OpContext::default(), SliceLayout::INT64, &out);
         sink.crf_write(0, false);

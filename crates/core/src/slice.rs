@@ -135,7 +135,7 @@ pub(crate) struct PreparedAdd {
 
 /// Prepares `a + b` (or `a − b` when `sub`) for [`speculate`]: effective
 /// operands, the true carry chain, per-slice generate/propagate and Peek.
-#[inline]
+#[inline(always)]
 pub(crate) fn prepare(layout: SliceLayout, a: u64, b: u64, sub: bool) -> PreparedAdd {
     let (a, b, cin0) = effective_operands(layout, a, b, sub);
     let h = layout.msb_mask();
@@ -187,6 +187,7 @@ pub fn evaluate(
 /// The per-configuration half of [`evaluate`]: applies the Peek override
 /// to `predictions`, then computes the cycle-1 carries, the error mask and
 /// the recompute wave of a prepared add.
+#[inline(always)]
 pub(crate) fn speculate(
     prep: &PreparedAdd,
     predictions: u64,

@@ -150,6 +150,7 @@ pub fn run_functional_with(
                     let mut hooks = StepHooks {
                         records: opts.collect_records.then_some(&mut out.records),
                         trace: opts.trace_gtid.map(|g| (&mut out.trace, g)),
+                        lane_adds: false,
                     };
                     let info = step(&mut run.warps[wi], &mut env, &mut hooks, &mut lanes);
                     out.mix.add(info.class, u64::from(info.active_threads));

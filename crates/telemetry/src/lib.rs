@@ -811,6 +811,10 @@ fn saturate32(cycles: u64) -> u32 {
 }
 
 impl EventSink for Telemetry {
+    fn enabled(&self) -> bool {
+        self.is_enabled()
+    }
+
     fn adder_op(&mut self, ctx: &OpContext, _layout: SliceLayout, outcome: &AddOutcome) {
         if !self.enabled {
             return;
