@@ -12,7 +12,6 @@ pub mod summary;
 use std::fmt::Write as _;
 
 use st2::prelude::*;
-use st2::sim::ActivityCounters;
 
 /// The command line shared by every harness binary, parsed once.
 ///
@@ -309,12 +308,6 @@ impl TimedPair {
     #[must_use]
     pub fn slowdown(&self) -> f64 {
         self.st2.cycles as f64 / self.baseline.cycles as f64 - 1.0
-    }
-
-    /// Baseline activity.
-    #[must_use]
-    pub fn baseline_activity(&self) -> &ActivityCounters {
-        &self.baseline.activity
     }
 }
 

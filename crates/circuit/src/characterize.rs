@@ -116,12 +116,6 @@ impl Characterizer {
         self
     }
 
-    /// The voltage model in use.
-    #[must_use]
-    pub fn voltage_model(&self) -> &VoltageModel {
-        &self.volt
-    }
-
     /// Critical-path delay of a netlist at nominal voltage (ps).
     #[must_use]
     pub fn critical_delay_ps(&self, net: &Netlist) -> f64 {

@@ -23,8 +23,6 @@ pub struct VoltageModel {
     pub unit_delay_ps: f64,
     /// Energy per unit of switched capacitance at `vnom` (fJ).
     pub unit_energy_fj: f64,
-    /// Leakage power per unit of gate capacitance at `vnom` (nW).
-    pub unit_leakage_nw: f64,
 }
 
 impl VoltageModel {
@@ -37,7 +35,6 @@ impl VoltageModel {
             alpha: 1.4,
             unit_delay_ps: 35.0,
             unit_energy_fj: 1.1,
-            unit_leakage_nw: 0.45,
         }
     }
 
@@ -72,13 +69,6 @@ impl VoltageModel {
     #[must_use]
     pub fn switching_energy_fj(&self, switched_capacitance: f64, v_frac: f64) -> f64 {
         switched_capacitance * self.unit_energy_fj * v_frac * v_frac
-    }
-
-    /// Leakage power (nW) of a block with `total_capacitance` units at
-    /// `v_frac · vnom` (roughly linear in V in the near-threshold region).
-    #[must_use]
-    pub fn leakage_nw(&self, total_capacitance: f64, v_frac: f64) -> f64 {
-        total_capacitance * self.unit_leakage_nw * v_frac
     }
 
     /// The lowest voltage fraction (granularity 0.005) at which a path of

@@ -1,13 +1,15 @@
 //! [`SpeculativeAdder`]: the complete ST² adder — predictor, Peek, slice
 //! engine and statistics — behind one `add` call, and the free functions
-//! it shares with the simulators: [`execute_op`] for one operation and
-//! [`execute_warp_op`] for all the lanes of one warp instruction.
+//! it shares with the simulators: [`execute_op`] for one operation under
+//! any configuration and [`execute_st2_warp_op`] for all the lanes of one
+//! warp instruction through ST²'s Carry Register File.
 
-use crate::bits::{mask, SliceLayout};
-use crate::config::SpeculationConfig;
+use crate::bits::SliceLayout;
+use crate::config::{RecomputePolicy, SpeculationConfig};
+use crate::crf::{CarryRegisterFile, CRF_BITS_PER_LANE, CRF_LANES};
 use crate::event::{AddRecord, LaneAdd, OpContext};
 use crate::peek::PeekOutcome;
-use crate::predictor::{windowed_lookahead, Predictor, PredictorActivity};
+use crate::predictor::{Predictor, PredictorActivity};
 use crate::sink::{EventSink, NullSink};
 use crate::slice::{prepare, speculate, PreparedAdd, SliceEval};
 use crate::stats::AdderStats;
@@ -179,7 +181,7 @@ pub fn execute_op_with_sink(
 ///
 /// Always inlined: the design-space sweep replays every record of every
 /// design point through this, and when it was left to LLVM, adding a
-/// second caller of the adder internals ([`execute_warp_op`]) made it
+/// second caller of the adder internals ([`execute_st2_warp_op`]) made it
 /// stop inlining here and cost the sweep 40 % per record.
 #[inline(always)]
 pub(crate) fn execute_prepared(
@@ -208,113 +210,63 @@ pub(crate) fn execute_prepared(
     outcome
 }
 
-/// Runs the adds of one warp instruction at `pc` through the speculative
-/// adders and returns whether any lane mispredicted.
+/// Runs the adds of one warp instruction at `pc` through ST²'s speculative
+/// adders and the SM's Carry Register File, and returns whether any lane
+/// mispredicted.
 ///
-/// `lanes` holds the lanes that reached an adder, in lane order, and
-/// each runs as [`execute_op_with_sink`] would run it: lane *k* updates
-/// the predictor before lane *k + 1* predicts. What is the same for every
-/// lane is worked out once: the predictor kind, the Peek choice and the
-/// PC part of the history key. Each lane's history entry is resolved once
-/// for its prediction and its write-back. The statistics build up in a
-/// local block that is folded into `stats` at the end, and `sink` hears
-/// of each lane only when it is [`EventSink::enabled`].
-pub fn execute_warp_op<S: EventSink + ?Sized>(
-    predictor: &mut Predictor,
-    config: &SpeculationConfig,
+/// ST²'s choices are fixed: every lane speculates with Peek, recomputes
+/// under [`RecomputePolicy::CutAtStaticPeek`] and writes its true carries
+/// back only when it mispredicted. `lanes` holds the lanes that reached
+/// an adder, in lane order; each reads and updates its cell of `pc`'s row
+/// in place, so lane *k* updates before lane *k + 1* predicts, exactly as
+/// [`execute_op_with_sink`] under [`SpeculationConfig::st2`] would run
+/// them one by one. Each lane counts one history read, and one write if
+/// it wrote back. The statistics build up in a local block that is folded
+/// into `stats` at the end, and `sink` hears of each lane only when it is
+/// [`EventSink::enabled`].
+pub fn execute_st2_warp_op<S: EventSink + ?Sized>(
+    crf: &mut CarryRegisterFile,
     layout: SliceLayout,
     pc: u32,
     lanes: &[LaneAdd],
     stats: &mut AdderStats,
     sink: &mut S,
 ) -> bool {
-    let boundary_mask = mask(u32::from(layout.boundaries()));
-    let policy = config.recompute;
-    let warp = WarpOp {
-        peek: config.peek,
-        layout,
-        pc,
-        lanes,
-    };
-    // One lane loop per predictor kind. Each closure predicts, speculates
-    // and updates one lane, returning its evaluation and history activity.
-    let (any, tally) = match predictor {
-        Predictor::Static(bit) => {
-            let predictions = if *bit { boundary_mask } else { 0 };
-            warp.run(sink, |_, prep, pk| {
-                let eval = speculate(prep, predictions, pk, policy);
-                (eval, PredictorActivity::default())
-            })
+    debug_assert!(usize::from(layout.boundaries()) <= CRF_BITS_PER_LANE);
+    let row = crf.row_mut(pc);
+    let observe = sink.enabled();
+    let mut tally = AdderStats::default();
+    let mut any = false;
+    for lane in lanes {
+        let cell = &mut row[lane.lane as usize % CRF_LANES];
+        let prep = prepare(layout, lane.a, lane.b, lane.sub);
+        let eval = speculate(
+            &prep,
+            u64::from(*cell),
+            prep.peek,
+            RecomputePolicy::CutAtStaticPeek,
+        );
+        if eval.mispredicted {
+            *cell = eval.true_carries as u8;
         }
-        Predictor::Valhalla { hist } => warp.run(sink, |ctx, prep, pk| {
-            let predictions = hist.broadcast(ctx.gtid, layout, prep.a, prep.b);
-            let eval = speculate(prep, predictions, pk, policy);
-            let writes = u64::from(hist.learn(ctx.gtid, layout, eval.true_carries));
-            (eval, PredictorActivity { reads: 1, writes })
-        }),
-        Predictor::Windowed { window } => {
-            let window = *window;
-            warp.run(sink, |_, prep, pk| {
-                let predictions = windowed_lookahead(layout, prep.a, prep.b, window);
-                let eval = speculate(prep, predictions & boundary_mask, pk, policy);
-                (eval, PredictorActivity::default())
-            })
+        let activity = PredictorActivity {
+            reads: 1,
+            writes: u64::from(eval.mispredicted),
+        };
+        count(&mut tally, layout, prep.peek, &eval, activity);
+        any |= eval.mispredicted;
+        if observe {
+            report(
+                sink,
+                &lane.ctx(pc),
+                layout,
+                &outcome(&eval, prep.peek),
+                activity,
+            );
         }
-        Predictor::Prev { table, update } => {
-            let update = *update;
-            let pc_part = table.pc_part(pc);
-            warp.run(sink, |ctx, prep, pk| {
-                let slot = table.slot(ctx, pc_part);
-                let predictions = table.read(slot).unwrap_or(0) & boundary_mask;
-                let eval = speculate(prep, predictions, pk, policy);
-                let write = update.writes_back(eval.mispredicted);
-                if write {
-                    table.write(slot, eval.true_carries);
-                }
-                let writes = u64::from(write);
-                (eval, PredictorActivity { reads: 1, writes })
-            })
-        }
-    };
+    }
     stats.merge(&tally);
     any
-}
-
-/// One warp instruction's lanes on their way through [`execute_warp_op`].
-struct WarpOp<'a> {
-    peek: bool,
-    layout: SliceLayout,
-    pc: u32,
-    lanes: &'a [LaneAdd],
-}
-
-impl WarpOp<'_> {
-    /// Prepares each lane's add in lane order and hands it to
-    /// `speculate_lane`; counts the result and, if `sink` is enabled,
-    /// reports it. Returns whether any lane mispredicted, and the lanes'
-    /// statistics.
-    #[inline(always)]
-    fn run<S, F>(&self, sink: &mut S, mut speculate_lane: F) -> (bool, AdderStats)
-    where
-        S: EventSink + ?Sized,
-        F: FnMut(&OpContext, &PreparedAdd, PeekOutcome) -> (SliceEval, PredictorActivity),
-    {
-        let observe = sink.enabled();
-        let mut stats = AdderStats::default();
-        let mut any = false;
-        for lane in self.lanes {
-            let ctx = lane.ctx(self.pc);
-            let prep = prepare(self.layout, lane.a, lane.b, lane.sub);
-            let pk = peek_if(self.peek, &prep);
-            let (eval, activity) = speculate_lane(&ctx, &prep, pk);
-            count(&mut stats, self.layout, pk, &eval, activity);
-            any |= eval.mispredicted;
-            if observe {
-                report(sink, &ctx, self.layout, &outcome(&eval, pk), activity);
-            }
-        }
-        (any, stats)
-    }
 }
 
 /// The Peek outcome an add speculates under: its own when Peek is on.

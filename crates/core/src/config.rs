@@ -101,18 +101,6 @@ pub enum UpdatePolicy {
     Always,
 }
 
-impl UpdatePolicy {
-    /// Whether an operation that did (or did not) mispredict writes its
-    /// carries back to the history.
-    #[must_use]
-    pub fn writes_back(self, mispredicted: bool) -> bool {
-        match self {
-            UpdatePolicy::OnMispredict => mispredicted,
-            UpdatePolicy::Always => true,
-        }
-    }
-}
-
 /// A full carry-speculation design point.
 ///
 /// ```

@@ -8,6 +8,10 @@
 //! in the write-back stage. Lanes of *different warps* map to the same bits
 //! — that is exactly the shared-thread mechanism that lets threads
 //! "prefetch" correct carries for each other.
+//!
+//! The timed simulator speculates through one CRF per SM with
+//! [`crate::adder::execute_st2_warp_op`]; the port accesses are counted
+//! by its caller.
 
 use serde::{Deserialize, Serialize};
 
@@ -23,17 +27,15 @@ pub const CRF_BITS_PER_LANE: usize = 7;
 /// ```
 /// use st2_core::CarryRegisterFile;
 /// let mut crf = CarryRegisterFile::new();
-/// crf.write(0x23, 5, 0b0000101);
+/// crf.row_mut(0x23)[5] = 0b0000101;
 /// // PC 0x23 and PC 0x13 share row 3:
-/// assert_eq!(crf.predict(0x13, 5), 0b0000101);
-/// assert_eq!(crf.predict(0x13, 6), 0);
+/// assert_eq!(crf.row(0x13)[5], 0b0000101);
+/// assert_eq!(crf.row(0x13)[6], 0);
 /// assert_eq!(CarryRegisterFile::BYTES, 448);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CarryRegisterFile {
     rows: [[u8; CRF_LANES]; CRF_ROWS],
-    reads: u64,
-    writes: u64,
 }
 
 impl CarryRegisterFile {
@@ -46,8 +48,6 @@ impl CarryRegisterFile {
     pub fn new() -> Self {
         CarryRegisterFile {
             rows: [[0; CRF_LANES]; CRF_ROWS],
-            reads: 0,
-            writes: 0,
         }
     }
 
@@ -57,83 +57,16 @@ impl CarryRegisterFile {
         (pc & 0xF) as usize
     }
 
-    /// Reads one lane's 7 prediction bits for the given PC. Counts one
-    /// read access (rows are read as a whole in hardware; per-warp
-    /// accounting is done by the caller issuing one `read_row`).
+    /// The row for `pc`: each lane's carry-prediction bits.
     #[must_use]
-    pub fn predict(&mut self, pc: u32, lane: u32) -> u64 {
-        self.reads += 1;
-        u64::from(self.rows[Self::row_of(pc)][(lane & 31) as usize])
+    pub fn row(&self, pc: u32) -> &[u8; CRF_LANES] {
+        &self.rows[Self::row_of(pc)]
     }
 
-    /// Reads the whole 224-bit row for a warp (one physical access).
-    /// Returns the 7 bits for each of the 32 lanes.
-    #[must_use]
-    pub fn read_row(&mut self, pc: u32) -> [u8; CRF_LANES] {
-        self.reads += 1;
-        self.rows[Self::row_of(pc)]
-    }
-
-    /// [`Self::read_row`] with an observer: the sink sees the row access.
-    #[must_use]
-    pub fn read_row_observed(
-        &mut self,
-        pc: u32,
-        sink: &mut dyn crate::sink::EventSink,
-    ) -> [u8; CRF_LANES] {
-        sink.crf_read(pc);
-        self.read_row(pc)
-    }
-
-    /// Writes one lane's carry bits (bits above `CRF_BITS_PER_LANE` are
-    /// discarded). Counts one write access.
-    pub fn write(&mut self, pc: u32, lane: u32, carries: u64) {
-        self.writes += 1;
-        self.rows[Self::row_of(pc)][(lane & 31) as usize] = (carries & 0x7f) as u8;
-    }
-
-    /// Writes a whole warp's mispredicting lanes in one physical row write.
-    /// `updates` pairs lanes with their new carry vectors.
-    pub fn write_back(&mut self, pc: u32, updates: &[(u32, u64)]) {
-        if updates.is_empty() {
-            return;
-        }
-        self.writes += 1;
-        let row = &mut self.rows[Self::row_of(pc)];
-        for &(lane, carries) in updates {
-            row[(lane & 31) as usize] = (carries & 0x7f) as u8;
-        }
-    }
-
-    /// [`Self::write_back`] with an observer: the sink sees one row write
-    /// when `updates` is non-empty (mirroring the port accounting).
-    pub fn write_back_observed(
-        &mut self,
-        pc: u32,
-        updates: &[(u32, u64)],
-        sink: &mut dyn crate::sink::EventSink,
-    ) {
-        if !updates.is_empty() {
-            sink.crf_write(pc, false);
-        }
-        self.write_back(pc, updates);
-    }
-
-    /// Read accesses performed so far (for CRF energy accounting).
-    #[must_use]
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Write accesses performed so far.
-    #[must_use]
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
-
-    /// Clears contents and counters.
-    pub fn reset(&mut self) {
-        *self = Self::new();
+    /// The row for `pc`, for a warp instruction to read and update in
+    /// place.
+    pub fn row_mut(&mut self, pc: u32) -> &mut [u8; CRF_LANES] {
+        &mut self.rows[Self::row_of(pc)]
     }
 }
 
@@ -157,34 +90,5 @@ mod tests {
         assert_eq!(CarryRegisterFile::row_of(0x10), 0);
         assert_eq!(CarryRegisterFile::row_of(0x1f), 15);
         assert_eq!(CarryRegisterFile::row_of(0x123), 3);
-    }
-
-    #[test]
-    fn warp_write_back_is_one_access() {
-        let mut crf = CarryRegisterFile::new();
-        crf.write_back(2, &[(0, 0x7f), (31, 0x55)]);
-        assert_eq!(crf.writes(), 1);
-        assert_eq!(crf.predict(2, 0), 0x7f);
-        assert_eq!(crf.predict(2, 31), 0x55);
-        crf.write_back(2, &[]);
-        assert_eq!(crf.writes(), 1, "empty write-back consumes no port");
-    }
-
-    #[test]
-    fn lane_bits_truncated_to_seven() {
-        let mut crf = CarryRegisterFile::new();
-        crf.write(0, 0, 0xfff);
-        assert_eq!(crf.predict(0, 0), 0x7f);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut crf = CarryRegisterFile::new();
-        crf.write(1, 1, 1);
-        let _ = crf.predict(1, 1);
-        crf.reset();
-        assert_eq!(crf.reads(), 0);
-        assert_eq!(crf.writes(), 0);
-        assert_eq!(crf.predict(1, 1), 0);
     }
 }

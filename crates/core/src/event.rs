@@ -73,7 +73,7 @@ impl AddRecord {
 }
 
 /// One lane's adder inputs within a warp instruction: what a simulator
-/// hands [`crate::adder::execute_warp_op`] for each lane that reached an
+/// hands [`crate::adder::execute_st2_warp_op`] for each lane that reached an
 /// adder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneAdd {

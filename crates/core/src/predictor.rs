@@ -76,39 +76,6 @@ impl ThreadBits {
         }
         self.words[word] = self.words[word] & !(1 << bit) | u64::from(value) << bit;
     }
-
-    /// VaLHALLA's broadcast prediction for thread `gtid`'s effective
-    /// operands under `layout`: every boundary at once, or none.
-    ///
-    /// Following the ST² paper's characterisation, operands whose MSbs are
-    /// both high will run the chain (predict 1 everywhere) and both low
-    /// will not (predict 0); mixed MSbs fall back to the thread's bit.
-    pub(crate) fn broadcast(&self, gtid: u32, layout: SliceLayout, a_eff: u64, b_eff: u64) -> u64 {
-        let msb = layout.total_bits() - 1;
-        let bit = match (a_eff >> msb & 1, b_eff >> msb & 1) {
-            (1, 1) => true,
-            (0, 0) => false,
-            _ => self.get(gtid),
-        };
-        if bit {
-            mask(u32::from(layout.boundaries()))
-        } else {
-            0
-        }
-    }
-
-    /// Learns the majority boundary carry of thread `gtid`'s completed
-    /// addition as its next broadcast bit; returns whether it wrote (a
-    /// layout without boundaries has nothing to learn).
-    pub(crate) fn learn(&mut self, gtid: u32, layout: SliceLayout, true_carries: u64) -> bool {
-        let boundaries = layout.boundaries();
-        if boundaries == 0 {
-            return false;
-        }
-        let ones = (true_carries & mask(u32::from(boundaries))).count_ones();
-        self.set(gtid, ones * 2 >= u32::from(boundaries));
-        true
-    }
 }
 
 /// Bookkeeping the predictor reports back for energy accounting.
@@ -161,7 +128,22 @@ impl Predictor {
             }
             Predictor::Valhalla { hist } => {
                 activity.reads += 1;
-                hist.broadcast(ctx.gtid, layout, a_eff, b_eff)
+                let msb = layout.total_bits() - 1;
+                let a_top = a_eff >> msb & 1;
+                let b_top = b_eff >> msb & 1;
+                // Operand-correlated broadcast: both MSbs high ⇒ the chain
+                // will run (predict 1 everywhere); both low ⇒ short chain
+                // (predict 0); mixed ⇒ fall back to the 1-bit history.
+                let bit = match (a_top, b_top) {
+                    (1, 1) => true,
+                    (0, 0) => false,
+                    _ => hist.get(ctx.gtid),
+                };
+                if bit {
+                    bm
+                } else {
+                    0
+                }
             }
             Predictor::Windowed { window } => {
                 windowed_lookahead(layout, a_eff, b_eff, *window) & bm
@@ -187,24 +169,26 @@ impl Predictor {
             Predictor::Valhalla { hist } => {
                 // Majority boundary carry of this addition becomes the next
                 // broadcast prediction for this thread's adder.
-                if hist.learn(ctx.gtid, layout, true_carries) {
-                    activity.writes += 1;
+                let boundaries = layout.boundaries();
+                if boundaries == 0 {
+                    return;
                 }
+                let ones = (true_carries & mask(u32::from(boundaries))).count_ones();
+                let bit = ones * 2 >= u32::from(boundaries);
+                hist.set(ctx.gtid, bit);
+                activity.writes += 1;
             }
             Predictor::Prev { table, update } => {
-                if update.writes_back(mispredicted) {
+                let write = match update {
+                    UpdatePolicy::OnMispredict => mispredicted,
+                    UpdatePolicy::Always => true,
+                };
+                if write {
                     table.record(ctx, true_carries);
                     activity.writes += 1;
                 }
             }
         }
-    }
-
-    /// Whether this predictor consults a history structure on each
-    /// prediction (for CRF read-energy accounting).
-    #[must_use]
-    pub fn reads_history(&self) -> bool {
-        matches!(self, Predictor::Valhalla { .. } | Predictor::Prev { .. })
     }
 }
 

@@ -12,7 +12,7 @@
 //! mutability, no allocation). An add reports one or two events: the
 //! outcome, and history-port activity when there was any. The single-op
 //! [`crate::adder::execute_op_with_sink`] always reports them. The
-//! warp-level [`crate::adder::execute_warp_op`], which the simulator's
+//! warp-level [`crate::adder::execute_st2_warp_op`], which the simulator's
 //! issue path calls once per warp instruction, asks
 //! [`EventSink::enabled`] once and makes no per-lane call when it is
 //! false, as it is for [`NullSink`] and for a disabled telemetry

@@ -1,14 +1,15 @@
 //! Property-based tests for the core speculation invariants.
 
 use proptest::prelude::*;
-use st2_core::adder::{execute_op_with_sink, execute_warp_op};
+use st2_core::adder::{execute_op_with_sink, execute_st2_warp_op};
 use st2_core::bits::{carry_chain, effective_operands};
+use st2_core::crf::{CRF_LANES, CRF_ROWS};
 use st2_core::peek::{peek, PeekOutcome};
-use st2_core::predictor::{Predictor, PredictorActivity};
+use st2_core::predictor::Predictor;
 use st2_core::slice::evaluate;
 use st2_core::{
-    AddOutcome, AdderStats, EventSink, LaneAdd, OpContext, PcIndex, PredictorKind, RecomputePolicy,
-    SliceLayout, SpeculationConfig, SpeculativeAdder, ThreadKey, UpdatePolicy, WidthClass,
+    AddOutcome, AdderStats, CarryRegisterFile, EventSink, LaneAdd, OpContext, PcIndex,
+    RecomputePolicy, SliceLayout, SpeculationConfig, SpeculativeAdder, ThreadKey, WidthClass,
 };
 
 fn layouts() -> impl Strategy<Value = SliceLayout> {
@@ -192,72 +193,6 @@ impl EventSink for Recorder {
     }
 }
 
-/// Every speculation configuration the warp-level call must match the
-/// per-lane one on: each predictor kind, and for `Prev` every PC index,
-/// thread key and update policy; each with both recompute policies and
-/// Peek on and off, at history depth `depth`.
-fn every_config(depth: u8) -> Vec<SpeculationConfig> {
-    let mut kinds = vec![
-        (
-            PredictorKind::StaticZero,
-            PcIndex::None,
-            ThreadKey::Shared,
-            UpdatePolicy::OnMispredict,
-        ),
-        (
-            PredictorKind::StaticOne,
-            PcIndex::None,
-            ThreadKey::Shared,
-            UpdatePolicy::OnMispredict,
-        ),
-        (
-            PredictorKind::Valhalla,
-            PcIndex::None,
-            ThreadKey::Shared,
-            UpdatePolicy::OnMispredict,
-        ),
-        (
-            PredictorKind::Windowed { window: 3 },
-            PcIndex::None,
-            ThreadKey::Shared,
-            UpdatePolicy::OnMispredict,
-        ),
-    ];
-    for pc_index in [
-        PcIndex::None,
-        PcIndex::ModPc(4),
-        PcIndex::ModPc(12),
-        PcIndex::XorFold(3),
-        PcIndex::Full,
-    ] {
-        for thread_key in [ThreadKey::Shared, ThreadKey::Gtid, ThreadKey::Ltid] {
-            for update in [UpdatePolicy::OnMispredict, UpdatePolicy::Always] {
-                kinds.push((PredictorKind::Prev, pc_index, thread_key, update));
-            }
-        }
-    }
-    let mut configs = Vec::new();
-    for (predictor, pc_index, thread_key, update) in kinds {
-        for recompute in [
-            RecomputePolicy::CutAtStaticPeek,
-            RecomputePolicy::PropagateToTop,
-        ] {
-            for peek in [false, true] {
-                configs.push(SpeculationConfig {
-                    predictor,
-                    pc_index,
-                    thread_key,
-                    peek,
-                    recompute,
-                    update,
-                    history_depth: depth,
-                });
-            }
-        }
-    }
-    configs
-}
-
 /// One warp instruction: its PC, datapath and lanes (lane ids in order,
 /// possibly repeated; global ids from a small pool, so they repeat too).
 type WarpInst = (u32, WidthClass, Vec<LaneAdd>);
@@ -291,65 +226,57 @@ fn warp_insts() -> impl Strategy<Value = Vec<WarpInst>> {
 }
 
 proptest! {
-    /// `execute_warp_op` equals a loop of per-lane `execute_op_with_sink`
-    /// calls: the same outcomes and history activity reported in the same
-    /// order, the same statistics and return value, and the same
-    /// predictor state afterwards, probed by predictions and by the
-    /// history table's size. A disabled sink hears nothing.
+    /// `execute_st2_warp_op` equals a loop of per-lane
+    /// `execute_op_with_sink` calls under `SpeculationConfig::st2()`: the
+    /// same outcomes and history activity reported in the same order, the
+    /// same statistics and return value, and every CRF cell holding what
+    /// the per-lane history table predicts for it. A disabled sink hears
+    /// nothing.
     #[test]
-    fn warp_op_matches_per_lane_loop(insts in warp_insts(), depth in 1u8..5) {
-        for config in every_config(depth) {
-            let mut per_lane = Predictor::from_config(&config);
-            let mut per_lane_stats = AdderStats::default();
-            let mut per_lane_sink = Recorder::new(true);
-            let mut warp = Predictor::from_config(&config);
-            let mut warp_stats = AdderStats::default();
-            let mut warp_sink = Recorder::new(true);
-            let mut quiet = Predictor::from_config(&config);
-            let mut quiet_stats = AdderStats::default();
-            let mut quiet_sink = Recorder::new(false);
-            for (pc, width, lanes) in &insts {
-                let layout = width.layout();
-                let mut any = false;
-                for l in lanes {
-                    any |= execute_op_with_sink(
-                        &mut per_lane, &config, layout, &l.ctx(*pc), l.a, l.b, l.sub,
-                        &mut per_lane_stats, &mut per_lane_sink,
-                    ).mispredicted;
-                }
-                let warp_any = execute_warp_op(
-                    &mut warp, &config, layout, *pc, lanes, &mut warp_stats, &mut warp_sink,
-                );
-                let quiet_any = execute_warp_op(
-                    &mut quiet, &config, layout, *pc, lanes, &mut quiet_stats, &mut quiet_sink,
-                );
-                prop_assert_eq!(warp_any, any, "{} at pc {}", config.label(), pc);
-                prop_assert_eq!(quiet_any, any);
+    fn warp_op_matches_per_lane_loop(insts in warp_insts()) {
+        let config = SpeculationConfig::st2();
+        let mut per_lane = Predictor::from_config(&config);
+        let mut per_lane_stats = AdderStats::default();
+        let mut per_lane_sink = Recorder::new(true);
+        let mut warp = CarryRegisterFile::new();
+        let mut warp_stats = AdderStats::default();
+        let mut warp_sink = Recorder::new(true);
+        let mut quiet = CarryRegisterFile::new();
+        let mut quiet_stats = AdderStats::default();
+        let mut quiet_sink = Recorder::new(false);
+        for (pc, width, lanes) in &insts {
+            let layout = width.layout();
+            let mut any = false;
+            for l in lanes {
+                any |= execute_op_with_sink(
+                    &mut per_lane, &config, layout, &l.ctx(*pc), l.a, l.b, l.sub,
+                    &mut per_lane_stats, &mut per_lane_sink,
+                ).mispredicted;
             }
-            prop_assert_eq!(&warp_sink.heard, &per_lane_sink.heard, "{}", config.label());
-            prop_assert!(quiet_sink.heard.is_empty(), "a disabled sink was called");
-            prop_assert_eq!(warp_stats, per_lane_stats, "{}", config.label());
-            prop_assert_eq!(quiet_stats, per_lane_stats);
-            if let (Predictor::Prev { table: a, .. }, Predictor::Prev { table: b, .. }) = (&per_lane, &warp) {
-                prop_assert_eq!(a.len(), b.len(), "{}: history sizes differ", config.label());
-            }
-            // Every entry the stream wrote is keyed by one of its PCs. Mixed
-            // operand MSbs make VaLHALLA show its history bit.
-            let (a, b) = (1 << 63 | 0x5a5a, 0x0123);
-            for pc in insts.iter().map(|i| i.0) {
-                for gtid in 0..10 {
-                    for ltid in 0..6 {
-                        let ctx = OpContext { pc, gtid, ltid };
-                        for layout in [SliceLayout::INT64, SliceLayout::MANT24, SliceLayout::MANT53] {
-                            let mut act = PredictorActivity::default();
-                            let expect = per_lane.predict(&ctx, layout, a, b, &mut act);
-                            prop_assert_eq!(
-                                warp.predict(&ctx, layout, a, b, &mut act), expect,
-                                "{}: state differs at {:?}", config.label(), ctx
-                            );
-                        }
-                    }
-                }
+            let warp_any = execute_st2_warp_op(
+                &mut warp, layout, *pc, lanes, &mut warp_stats, &mut warp_sink,
+            );
+            let quiet_any = execute_st2_warp_op(
+                &mut quiet, layout, *pc, lanes, &mut quiet_stats, &mut quiet_sink,
+            );
+            prop_assert_eq!(warp_any, any, "pc {}", pc);
+            prop_assert_eq!(quiet_any, any);
+        }
+        prop_assert_eq!(&warp_sink.heard, &per_lane_sink.heard);
+        prop_assert!(quiet_sink.heard.is_empty(), "a disabled sink was called");
+        prop_assert_eq!(warp_stats, per_lane_stats);
+        prop_assert_eq!(quiet_stats, per_lane_stats);
+        prop_assert_eq!(&quiet, &warp);
+        let Predictor::Prev { table, .. } = &per_lane else {
+            panic!("ST² predicts from a Prev history table");
+        };
+        for pc in 0..CRF_ROWS as u32 {
+            for ltid in 0..CRF_LANES as u32 {
+                let ctx = OpContext { pc, gtid: ltid, ltid };
+                prop_assert_eq!(
+                    u64::from(warp.row(pc)[ltid as usize]), table.predict(&ctx),
+                    "CRF cell differs at pc {} lane {}", pc, ltid
+                );
             }
         }
     }

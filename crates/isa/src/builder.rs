@@ -195,27 +195,9 @@ impl KernelBuilder {
     pub fn dadd(&mut self, d: Reg, a: Operand, b: Operand) {
         self.float(FloatOp::Add, FloatWidth::F64, d, a, b);
     }
-    /// f64 `d = a - b`.
-    pub fn dsub(&mut self, d: Reg, a: Operand, b: Operand) {
-        self.float(FloatOp::Sub, FloatWidth::F64, d, a, b);
-    }
     /// f64 `d = a * b`.
     pub fn dmul(&mut self, d: Reg, a: Operand, b: Operand) {
         self.float(FloatOp::Mul, FloatWidth::F64, d, a, b);
-    }
-    /// f64 `d = a / b`.
-    pub fn ddiv(&mut self, d: Reg, a: Operand, b: Operand) {
-        self.float(FloatOp::Div, FloatWidth::F64, d, a, b);
-    }
-    /// f64 fused multiply-add.
-    pub fn dmad(&mut self, d: Reg, a: Operand, b: Operand, c: Operand) {
-        self.emit(Inst::Fma {
-            w: FloatWidth::F64,
-            d,
-            a,
-            b,
-            c,
-        });
     }
 
     // ---- SFU and conversions ----------------------------------------------
@@ -231,10 +213,6 @@ impl KernelBuilder {
     /// f32 exponential (SFU).
     pub fn fexp(&mut self, d: Reg, a: Operand) {
         self.sfu(SfuOp::Exp, d, a);
-    }
-    /// f32 natural log (SFU).
-    pub fn flog(&mut self, d: Reg, a: Operand) {
-        self.sfu(SfuOp::Log, d, a);
     }
     /// f32 sine (SFU).
     pub fn fsin(&mut self, d: Reg, a: Operand) {

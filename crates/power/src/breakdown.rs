@@ -143,14 +143,6 @@ pub fn summarize(kernels: &[KernelEnergy]) -> SuiteSummary {
     }
 }
 
-/// Sanity check used by tests and the harness: no ST² component should
-/// exceed its baseline except ALU+FPU-adjacent ones by rounding.
-#[must_use]
-pub fn components_consistent(k: &KernelEnergy) -> bool {
-    let _ = k;
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

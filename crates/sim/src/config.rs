@@ -1,7 +1,6 @@
 //! GPU configuration (TITAN V Volta-like defaults).
 
 use serde::{Deserialize, Serialize};
-use st2_core::SpeculationConfig;
 
 /// Warp scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -106,9 +105,10 @@ pub struct GpuConfig {
     /// Warp scheduling policy.
     pub scheduler: SchedulerKind,
 
-    /// ST² speculation in the execute stage; `None` = baseline fixed-
-    /// latency adders.
-    pub speculation: Option<SpeculationConfig>,
+    /// ST² speculative adders in the execute stage, predicting through
+    /// one Carry Register File per SM; `false` = baseline fixed-latency
+    /// adders.
+    pub st2: bool,
 }
 
 impl GpuConfig {
@@ -150,7 +150,7 @@ impl GpuConfig {
             xbar_queue: 8,
             clock_ghz: 1.2,
             scheduler: SchedulerKind::Gto,
-            speculation: None,
+            st2: false,
         }
     }
 
@@ -197,17 +197,11 @@ impl GpuConfig {
         }
     }
 
-    /// Enables ST² speculative adders with the given configuration.
-    #[must_use]
-    pub fn with_speculation(mut self, spec: SpeculationConfig) -> Self {
-        self.speculation = Some(spec);
-        self
-    }
-
     /// Enables the paper's final ST² design.
     #[must_use]
-    pub fn with_st2(self) -> Self {
-        self.with_speculation(SpeculationConfig::st2())
+    pub fn with_st2(mut self) -> Self {
+        self.st2 = true;
+        self
     }
 
     /// Selects the warp scheduler.
@@ -357,7 +351,7 @@ mod tests {
         let c = GpuConfig::titan_v();
         assert_eq!(c.num_sms, 80);
         assert_eq!(c.max_warps_per_sm, 64);
-        assert!(c.speculation.is_none());
+        assert!(!c.st2);
     }
 
     #[test]
@@ -457,7 +451,7 @@ mod tests {
     #[test]
     fn st2_toggle() {
         let c = GpuConfig::scaled(2).with_st2();
-        assert_eq!(c.speculation, Some(SpeculationConfig::st2()));
+        assert!(c.st2);
     }
 
     #[test]

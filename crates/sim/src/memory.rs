@@ -624,12 +624,6 @@ impl MemoryHierarchy {
         }
     }
 
-    /// The partition count.
-    #[must_use]
-    pub fn num_partitions(&self) -> usize {
-        self.parts.len()
-    }
-
     /// The address decoder routing lines to partitions (cheap copy).
     #[must_use]
     pub fn decoder(&self) -> AddressDecoder {
@@ -689,17 +683,6 @@ impl MemoryHierarchy {
     pub fn mshr_views(&self, sm: usize, out: &mut Vec<MshrView>) {
         out.clear();
         out.extend(self.parts.iter().map(|p| p.mshr_view(sm)));
-    }
-
-    /// SM `sm`'s occupied MSHR entries (in-flight line fills) summed
-    /// across partitions. Feeds the telemetry occupancy timeline at
-    /// drain time.
-    #[must_use]
-    pub fn mshr_occupied(&self, sm: usize) -> u32 {
-        self.parts
-            .iter()
-            .map(|p| p.mshrs[sm].entries.len() as u32)
-            .sum()
     }
 
     /// L1 line size.
@@ -792,11 +775,14 @@ pub fn bank_conflict_degree(addrs: &[u64]) -> u32 {
 
 /// Coalesces per-lane byte addresses into the unique `line`-byte
 /// segments they touch, in first-touch order, replacing the contents of
-/// `segs` (a buffer the caller reuses).
+/// `segs` (a buffer the caller reuses). `line` is a power of two, as
+/// [`GpuConfig::validate`] requires, so a mask finds each segment.
 pub fn coalesce(addrs: &[u64], line: u64, segs: &mut Vec<u64>) {
+    debug_assert!(line.is_power_of_two(), "line {line} is not a power of two");
+    let keep = !(line - 1);
     segs.clear();
     for &a in addrs {
-        let seg = a / line * line;
+        let seg = a & keep;
         if !segs.contains(&seg) {
             segs.push(seg);
         }

@@ -2,7 +2,7 @@
 //!
 //! [`SmCore`] owns everything one streaming multiprocessor needs to step
 //! a cycle — resident warps, block slots, the register scoreboard,
-//! functional-unit pipes, the ST² predictor with its Carry Register File,
+//! functional-unit pipes, the ST² Carry Register File,
 //! and per-SM activity counters — and nothing shared with other SMs.
 //! It reads and writes global memory directly but reaches the cache
 //! hierarchy only through a [`RequestQueue`]: the driver
@@ -30,10 +30,10 @@ use crate::memory::{
     apply_access_counters, coalesce, Completion, MemoryHierarchy, MshrView, RequestQueue,
 };
 use crate::stats::ActivityCounters;
-use st2_core::adder::execute_warp_op;
-use st2_core::predictor::Predictor;
+use st2_core::adder::execute_st2_warp_op;
+use st2_core::crf::CRF_ROWS;
 use st2_core::sink::EventSink;
-use st2_core::{SpeculationConfig, WidthClass};
+use st2_core::{CarryRegisterFile, WidthClass};
 use st2_isa::{
     FloatOp, FloatWidth, Inst, IntOp, LaunchConfig, MemImage, Operand, Program, Reg, Space,
 };
@@ -73,13 +73,11 @@ struct TimedWarp {
     waiting_barrier: bool,
 }
 
-/// Number of CRF rows (the paper's 16-row Carry Register File).
-const CRF_ROWS: usize = 16;
-
+/// One SM's ST² speculation state: its Carry Register File and the
+/// cycle each CRF row was last written.
 #[derive(Debug)]
 struct SmSpec {
-    config: SpeculationConfig,
-    predictor: Predictor,
+    crf: CarryRegisterFile,
     /// Cycle of the most recent CRF write per row (row = `pc & 0xF`);
     /// `u64::MAX` = never written. A fixed array — not a hash map — keeps
     /// the same-cycle conflict check off the adder hot path's allocator
@@ -88,16 +86,16 @@ struct SmSpec {
 }
 
 impl SmSpec {
-    fn new(config: SpeculationConfig) -> Self {
+    fn new() -> Self {
         SmSpec {
-            config,
-            predictor: Predictor::from_config(&config),
+            crf: CarryRegisterFile::new(),
             row_writes: [u64::MAX; CRF_ROWS],
         }
     }
 
     /// Runs the lane adds of the warp instruction at `pc` through the
-    /// speculative adders in one warp-level call; returns whether any lane
+    /// speculative adders and this SM's CRF in one warp-level call
+    /// ([`execute_st2_warp_op`]); returns whether any lane
     /// mispredicted (stalling the warp one cycle). Adder/CRF activity is
     /// mirrored into `sink`.
     fn process<S: EventSink + ?Sized>(
@@ -111,9 +109,8 @@ impl SmSpec {
     ) -> bool {
         act.crf_reads += 1; // one row read per warp operation
         sink.crf_read(pc);
-        let any = execute_warp_op(
-            &mut self.predictor,
-            &self.config,
+        let any = execute_st2_warp_op(
+            &mut self.crf,
             width.layout(),
             pc,
             lanes,
@@ -124,7 +121,7 @@ impl SmSpec {
             // Mispredicting threads write back their new carries: one CRF
             // row write per warp; same-cycle writes to the same row from
             // different warps contend (random arbitration in hardware).
-            let row = (pc & 0xF) as usize;
+            let row = CarryRegisterFile::row_of(pc);
             let conflict = self.row_writes[row] == now;
             if conflict {
                 act.crf_conflicts += 1;
@@ -460,7 +457,7 @@ impl SmCore {
                 vec![0u64; cfg.sfu_pipes as usize],
                 vec![0u64; cfg.ldst_pipes as usize],
             ],
-            spec: cfg.speculation.map(SmSpec::new),
+            spec: cfg.st2.then(SmSpec::new),
             last_issued: None,
             act: ActivityCounters::default(),
             pending: Vec::new(),
@@ -1158,7 +1155,7 @@ mod tests {
     #[test]
     fn crf_row_conflicts_use_fixed_rows() {
         use st2_core::NullSink;
-        let mut spec = SmSpec::new(SpeculationConfig::st2());
+        let mut spec = SmSpec::new();
         let mut act = ActivityCounters::default();
         // 0xff + 1 carries out of slice 0, which a cold entry predicts
         // not to: the lane mispredicts until its entry has learned.

@@ -170,12 +170,13 @@ fn crf_hardware_matches_behavioural_table_for_st2_config() {
             gtid: lane + 32 * ((state >> 40) as u32 & 7),
             ltid: lane,
         };
+        let row = crf.row_mut(pc);
         assert_eq!(
-            crf.predict(pc, lane),
-            table.predict(&ctx) & 0x7F,
+            u64::from(row[lane as usize]),
+            table.predict(&ctx),
             "divergence at pc={pc} lane={lane}"
         );
-        crf.write(pc, lane, carries);
+        row[lane as usize] = carries as u8;
         table.record(&ctx, carries);
     }
 }
