@@ -17,12 +17,12 @@
 //!
 //! Run: `cargo run --release -p st2-bench --bin ablations [--scale test]`
 
-use st2::core::dse::{sweep, sweep_int_layout};
+use st2::core::dse::sweep;
 use st2::core::{
     AdderStats, PredictorKind, RecomputePolicy, SliceLayout, SpeculationConfig, UpdatePolicy,
 };
 use st2::prelude::*;
-use st2_bench::{functional_suite_filtered, header, pct, BenchArgs};
+use st2_bench::{functional_suite, header, pct, BenchArgs};
 
 /// A1: ST² with the literal Fig. 4 propagate-to-top recompute chain.
 fn propagate_to_top() -> SpeculationConfig {
@@ -76,7 +76,7 @@ fn swept_configs() -> Vec<SpeculationConfig> {
 fn main() {
     let args = BenchArgs::parse();
     let scale = args.scale;
-    let runs = functional_suite_filtered(scale, true, args.kernels.as_deref());
+    let runs = functional_suite(scale, true, args.kernels.as_deref());
     let n = runs.len() as f64;
 
     let configs = swept_configs();
@@ -145,8 +145,16 @@ fn main() {
         let rate = runs
             .iter()
             .map(|r| {
-                sweep_int_layout(&r.out.records, SpeculationConfig::st2(), layout)
-                    .misprediction_rate()
+                // Integer records on the forced layout, FP records on
+                // their own mantissa layouts, through one ST² context.
+                let mut adder = SpeculativeAdder::st2();
+                for rec in &r.out.records {
+                    let _ = match rec.width {
+                        WidthClass::Int64 => adder.add(&rec.ctx, layout, rec.a, rec.b, rec.sub),
+                        _ => adder.replay(rec),
+                    };
+                }
+                adder.stats().misprediction_rate()
             })
             .sum::<f64>()
             / n;

@@ -6,11 +6,11 @@
 //! Run: `cargo run --release -p st2-bench --bin fig1 [--scale test] [--kernels <substr>]`
 
 use st2::isa::InstClass::*;
-use st2_bench::{functional_suite_filtered, header, pct, BenchArgs};
+use st2_bench::{functional_suite, header, pct, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
-    let runs = functional_suite_filtered(args.scale, false, args.kernels.as_deref());
+    let runs = functional_suite(args.scale, false, args.kernels.as_deref());
 
     header("Fig. 1: dynamic instruction mix (thread-level)");
     println!(

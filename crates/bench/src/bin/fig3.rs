@@ -7,11 +7,11 @@
 //! Run: `cargo run --release -p st2-bench --bin fig3 [--scale test]`
 
 use st2::core::dse::{carry_correlation, fig3_schemes};
-use st2_bench::{functional_suite_filtered, header, pct, BenchArgs};
+use st2_bench::{functional_suite, header, pct, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
-    let runs = functional_suite_filtered(args.scale, true, args.kernels.as_deref());
+    let runs = functional_suite(args.scale, true, args.kernels.as_deref());
     let schemes = fig3_schemes();
 
     header("Fig. 3: slice carry-in match rate vs previous execution");

@@ -9,11 +9,11 @@
 //! Run: `cargo run --release -p st2-bench --bin fig5 [--scale test]`
 
 use st2::core::dse::{fig5_design_points, sweep};
-use st2_bench::{functional_suite_filtered, header, pct, write_csv, BenchArgs};
+use st2_bench::{functional_suite, header, pct, write_csv, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
-    let runs = functional_suite_filtered(args.scale, true, args.kernels.as_deref());
+    let runs = functional_suite(args.scale, true, args.kernels.as_deref());
     let points = fig5_design_points();
 
     // Per-kernel sweeps, averaged across kernels (the figure's

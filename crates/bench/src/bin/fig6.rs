@@ -7,11 +7,11 @@
 //!
 //! Run: `cargo run --release -p st2-bench --bin fig6 [--scale test]`
 
-use st2_bench::{header, pct, timed_suite_filtered, write_csv, BenchArgs};
+use st2_bench::{header, pct, timed_suite, write_csv, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
-    let pairs = timed_suite_filtered(args.scale, &args.gpu(), args.kernels.as_deref());
+    let pairs = timed_suite(args.scale, &args.gpu(), args.kernels.as_deref());
 
     header("Fig. 6: thread misprediction rate (ST2, Ltid+Prev+ModPC4+Peek)");
     println!(

@@ -10,12 +10,12 @@
 
 use st2::power::breakdown::summarize;
 use st2::prelude::*;
-use st2_bench::{header, pct, timed_suite_filtered, write_csv, BenchArgs};
+use st2_bench::{header, pct, timed_suite, write_csv, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
     let cfg = args.gpu();
-    let pairs = timed_suite_filtered(args.scale, &cfg, args.kernels.as_deref());
+    let pairs = timed_suite(args.scale, &cfg, args.kernels.as_deref());
     let energy = EnergyModel::characterized();
 
     let kernels: Vec<KernelEnergy> = pairs

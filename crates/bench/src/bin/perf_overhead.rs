@@ -5,11 +5,11 @@
 //!
 //! Run: `cargo run --release -p st2-bench --bin perf_overhead [--scale test]`
 
-use st2_bench::{header, pct, timed_suite_filtered, write_csv, BenchArgs};
+use st2_bench::{header, pct, timed_suite, write_csv, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
-    let pairs = timed_suite_filtered(args.scale, &args.gpu(), args.kernels.as_deref());
+    let pairs = timed_suite(args.scale, &args.gpu(), args.kernels.as_deref());
 
     header("§VI: ST2 performance overhead");
     println!(

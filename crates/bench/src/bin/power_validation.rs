@@ -10,7 +10,7 @@ use st2::power::calibrate::calibrate;
 use st2::power::micro::{stressors, NUM_STRESSORS};
 use st2::power::validate::validate;
 use st2::prelude::*;
-use st2_bench::{header, pct, timed_suite_filtered, BenchArgs};
+use st2_bench::{header, pct, timed_suite, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -58,7 +58,7 @@ fn main() {
     // requires).
     const CHIP_EVENTS: u64 = 2_000;
     const CHIP_SMS: u64 = 20; // 4 simulated SMs -> 80
-    let pairs = timed_suite_filtered(args.scale, &cfg, args.kernels.as_deref());
+    let pairs = timed_suite(args.scale, &cfg, args.kernels.as_deref());
     let runs: Vec<(&str, st2::sim::ActivityCounters)> = pairs
         .iter()
         .map(|p| {

@@ -1,5 +1,6 @@
-//! Shared infrastructure for the reproduction harness: suite runners
-//! (parallelised across kernels), result caching, and table printing.
+//! Shared infrastructure for the reproduction harness: command-line
+//! parsing, suite runners (parallelised across kernels), and table
+//! printing.
 //!
 //! Each `src/bin/*.rs` binary regenerates one table or figure of the
 //! paper; see DESIGN.md's per-experiment index.
@@ -254,24 +255,16 @@ pub struct FunctionalRun {
     pub out: st2::sim::FunctionalOutput,
 }
 
-/// Runs the whole suite functionally, in parallel across kernels.
+/// Runs the suite functionally, in parallel across kernels, restricted to
+/// kernels whose name contains `filter` (the `--kernels` flag) when one
+/// is given.
 ///
 /// # Panics
 ///
-/// Panics if any kernel fails its CPU-reference verification.
+/// Panics if a kernel fails its CPU-reference verification or the filter
+/// matches nothing.
 #[must_use]
-pub fn functional_suite(scale: Scale, collect_records: bool) -> Vec<FunctionalRun> {
-    functional_suite_filtered(scale, collect_records, None)
-}
-
-/// [`functional_suite`] restricted to kernels whose name contains
-/// `filter` (the `--kernels` flag).
-///
-/// # Panics
-///
-/// Panics if a kernel fails verification or the filter matches nothing.
-#[must_use]
-pub fn functional_suite_filtered(
+pub fn functional_suite(
     scale: Scale,
     collect_records: bool,
     filter: Option<&str>,
@@ -311,27 +304,16 @@ impl TimedPair {
     }
 }
 
-/// Runs the whole suite on the cycle-level engine, baseline and ST², in
-/// parallel across kernels.
-///
-/// # Panics
-///
-/// Panics if any kernel fails verification or the two runs' results
-/// diverge.
-#[must_use]
-pub fn timed_suite(scale: Scale, cfg: &GpuConfig) -> Vec<TimedPair> {
-    timed_suite_filtered(scale, cfg, None)
-}
-
-/// [`timed_suite`] restricted to kernels whose name contains `filter`
-/// (the `--kernels` flag).
+/// Runs the suite on the cycle-level engine, baseline and ST², in
+/// parallel across kernels, restricted to kernels whose name contains
+/// `filter` (the `--kernels` flag) when one is given.
 ///
 /// # Panics
 ///
 /// Panics if a kernel fails verification, the baseline and ST² runs
 /// diverge, or the filter matches nothing.
 #[must_use]
-pub fn timed_suite_filtered(scale: Scale, cfg: &GpuConfig, filter: Option<&str>) -> Vec<TimedPair> {
+pub fn timed_suite(scale: Scale, cfg: &GpuConfig, filter: Option<&str>) -> Vec<TimedPair> {
     let st2_cfg = cfg.with_st2();
     per_kernel(filter_specs(suite(scale), filter), |spec| {
         let mut m1 = spec.memory.clone();
@@ -446,7 +428,7 @@ mod tests {
 
     #[test]
     fn functional_suite_runs_at_test_scale() {
-        let runs = functional_suite(Scale::Test, false);
+        let runs = functional_suite(Scale::Test, false, None);
         assert_eq!(runs.len(), 23);
         assert!(runs.iter().all(|r| r.out.mix.total() > 0));
         // Order matches the Fig. 6 suite order.
@@ -563,7 +545,7 @@ mod tests {
 
     #[test]
     fn kernel_filter_restricts_suite() {
-        let runs = functional_suite_filtered(Scale::Test, false, Some("pathfinder"));
+        let runs = functional_suite(Scale::Test, false, Some("pathfinder"));
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].spec.name, "pathfinder");
     }
@@ -571,7 +553,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "matches no suite kernel")]
     fn kernel_filter_rejects_typos() {
-        let _ = functional_suite_filtered(Scale::Test, false, Some("no-such-kernel"));
+        let _ = functional_suite(Scale::Test, false, Some("no-such-kernel"));
     }
 }
 

@@ -14,7 +14,7 @@ use crate::netlist::{GateKind, NetId, Netlist};
 /// Input-net convention for an `n`-bit adder: nets `0..n` are `a`,
 /// `n..2n` are `b`, and net `2n` is the carry-in.
 #[must_use]
-pub fn adder_input_count(bits: u32) -> u32 {
+pub(crate) fn adder_input_count(bits: u32) -> u32 {
     2 * bits + 1
 }
 
@@ -32,9 +32,11 @@ fn full_adder(n: &mut Netlist, a: NetId, b: NetId, cin: NetId) -> (NetId, NetId)
 /// carry-out.
 ///
 /// ```
-/// use st2_circuit::builder::ripple_adder;
+/// use st2_circuit::builder::{pack_inputs, ripple_adder, unpack_outputs};
 /// let a = ripple_adder(8);
-/// assert_eq!(a.outputs().len(), 9);
+/// let outs = a.eval(&pack_inputs(8, 200, 100, false));
+/// assert_eq!(outs.len(), 9);
+/// assert_eq!(unpack_outputs(8, &outs), (44, true));
 /// ```
 #[must_use]
 pub fn ripple_adder(bits: u32) -> Netlist {

@@ -16,17 +16,17 @@ use serde::{Deserialize, Serialize};
 /// A simple deterministic 64-bit generator (splitmix64) so the
 /// characterisation is reproducible without external dependencies.
 #[derive(Debug, Clone, Copy)]
-pub struct SplitMix64(u64);
+pub(crate) struct SplitMix64(u64);
 
 impl SplitMix64 {
     /// Creates a generator from a seed.
     #[must_use]
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SplitMix64(seed)
     }
 
     /// Next 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -58,12 +58,12 @@ pub struct SlicePoint {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AdderEnergyTable {
     /// Nominal clock period (ps) — reference 64-bit adder at nominal V.
-    pub nominal_period_ps: f64,
+    pub(crate) nominal_period_ps: f64,
     /// Reference 64-bit adder energy per operation at nominal V (fJ).
     pub reference_energy_fj: f64,
     /// Reference 32-bit adder energy per operation at nominal V (fJ) —
     /// the TITAN V's native ALU width.
-    pub reference32_energy_fj: f64,
+    pub(crate) reference32_energy_fj: f64,
     /// One 8-bit slice computation at the scaled voltage (fJ), including
     /// speculative-cell overhead.
     pub slice_energy_fj: f64,
@@ -125,7 +125,7 @@ impl Characterizer {
     /// Lowest voltage fraction at which `net` settles within `period_ps`
     /// (1.0 if no scaling is possible).
     #[must_use]
-    pub fn min_voltage_fraction(&self, net: &Netlist, period_ps: f64) -> f64 {
+    pub(crate) fn min_voltage_fraction(&self, net: &Netlist, period_ps: f64) -> f64 {
         self.volt
             .min_voltage_fraction_for_path(net.critical_path(), period_ps)
             .unwrap_or(1.0)
@@ -134,7 +134,7 @@ impl Characterizer {
     /// Average switched capacitance per operation on `vectors` random
     /// operand pairs (relative units).
     #[must_use]
-    pub fn average_capacitance(&self, net: &Netlist, bits: u32) -> f64 {
+    pub(crate) fn average_capacitance(&self, net: &Netlist, bits: u32) -> f64 {
         let mut rng = SplitMix64::new(self.seed);
         let mut sim = EventSim::new(net);
         let mask = if bits >= 64 {

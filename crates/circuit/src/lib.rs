@@ -4,14 +4,14 @@
 //! Design Compiler / IC Compiler / VCS-MX / HSpice on the SAED 90 nm
 //! library). This crate rebuilds the *methodology* from scratch:
 //!
-//! 1. **Netlists** of primitive gates ([`netlist`], [`builder`]) for the
+//! 1. **Netlists** of primitive gates (`netlist`, [`builder`]) for the
 //!    reference adder (a lookahead design standing in for the DesignWare
 //!    balanced adder), ripple slices, and carry-select compositions.
 //! 2. **Event-driven unit-delay simulation** ([`sim`]) that counts every
 //!    output transition — including glitches from late-arriving carries,
 //!    which is where sliced adders save switching energy beyond the
 //!    voltage scaling itself.
-//! 3. **Voltage/delay/energy models** ([`volt`]): alpha-power-law delay
+//! 3. **Voltage/delay/energy models** (`volt`): alpha-power-law delay
 //!    scaling and `C·V²` switching energy, used to find the lowest supply
 //!    voltage at which a slice still fits in the nominal clock period.
 //! 4. **Characterisation** ([`characterize`]): the slice-bitwidth
@@ -24,11 +24,11 @@
 //! ```
 //! use st2_circuit::{builder, characterize::Characterizer};
 //! let ch = Characterizer::default_90nm();
-//! let slice = builder::ripple_adder(8);
 //! let reference = builder::reference_adder(64);
 //! let period = ch.critical_delay_ps(&reference);
-//! let vmin = ch.min_voltage_fraction(&slice, period);
-//! assert!(vmin < 0.8, "an 8-bit slice must scale well below nominal");
+//! let ref_energy = ch.energy_per_op_fj(&reference, 64, 1.0);
+//! let point = ch.slice_point(8, period, ref_energy);
+//! assert!(point.vmin_frac < 0.8, "an 8-bit slice must scale well below nominal");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -36,12 +36,13 @@
 
 pub mod builder;
 pub mod characterize;
-pub mod netlist;
+pub(crate) mod netlist;
 pub mod shifter;
 pub mod sim;
-pub mod volt;
+pub(crate) mod volt;
 
 pub use characterize::{AdderEnergyTable, Characterizer, SlicePoint};
-pub use netlist::{GateKind, Netlist};
+// Named here so that the builders' public return type can be written.
+pub use netlist::Netlist;
 pub use shifter::LevelShifterModel;
 pub use volt::VoltageModel;

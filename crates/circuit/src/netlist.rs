@@ -10,27 +10,21 @@
 use serde::{Deserialize, Serialize};
 
 /// A net identifier.
-pub type NetId = u32;
+pub(crate) type NetId = u32;
 
 /// Primitive gate kinds with their relative delay (gate-delay units) and
 /// switching capacitance (relative units), loosely following a 90 nm
 /// standard-cell library's ratios.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum GateKind {
+pub(crate) enum GateKind {
     /// Inverter.
     Not,
     /// 2-input AND.
     And2,
     /// 2-input OR.
     Or2,
-    /// 2-input NAND.
-    Nand2,
-    /// 2-input NOR.
-    Nor2,
     /// 2-input XOR.
     Xor2,
-    /// 2-input XNOR.
-    Xnor2,
     /// 2:1 multiplexer — inputs `[sel, a, b]`, output `sel ? b : a`.
     Mux2,
 }
@@ -38,29 +32,28 @@ pub enum GateKind {
 impl GateKind {
     /// Propagation delay in gate-delay units.
     #[must_use]
-    pub fn delay(self) -> u32 {
+    pub(crate) fn delay(self) -> u32 {
         match self {
             GateKind::Not => 1,
-            GateKind::And2 | GateKind::Or2 | GateKind::Nand2 | GateKind::Nor2 => 1,
-            GateKind::Xor2 | GateKind::Xnor2 | GateKind::Mux2 => 2,
+            GateKind::And2 | GateKind::Or2 => 1,
+            GateKind::Xor2 | GateKind::Mux2 => 2,
         }
     }
 
     /// Relative switching capacitance (energy per output transition).
     #[must_use]
-    pub fn capacitance(self) -> f64 {
+    pub(crate) fn capacitance(self) -> f64 {
         match self {
             GateKind::Not => 1.0,
-            GateKind::Nand2 | GateKind::Nor2 => 1.6,
             GateKind::And2 | GateKind::Or2 => 2.0,
-            GateKind::Xor2 | GateKind::Xnor2 => 3.0,
+            GateKind::Xor2 => 3.0,
             GateKind::Mux2 => 3.2,
         }
     }
 
     /// Number of inputs.
     #[must_use]
-    pub fn arity(self) -> usize {
+    pub(crate) fn arity(self) -> usize {
         match self {
             GateKind::Not => 1,
             GateKind::Mux2 => 3,
@@ -70,16 +63,13 @@ impl GateKind {
 
     /// Evaluates the gate.
     #[must_use]
-    pub fn eval(self, ins: [bool; 3]) -> bool {
+    pub(crate) fn eval(self, ins: [bool; 3]) -> bool {
         let [a, b, c] = ins;
         match self {
             GateKind::Not => !a,
             GateKind::And2 => a && b,
             GateKind::Or2 => a || b,
-            GateKind::Nand2 => !(a && b),
-            GateKind::Nor2 => !(a || b),
             GateKind::Xor2 => a ^ b,
-            GateKind::Xnor2 => !(a ^ b),
             GateKind::Mux2 => {
                 if a {
                     c
@@ -93,11 +83,11 @@ impl GateKind {
 
 /// One gate instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Gate {
+pub(crate) struct Gate {
     /// Gate kind.
-    pub kind: GateKind,
+    pub(crate) kind: GateKind,
     /// Input nets (`arity()` of them are meaningful).
-    pub inputs: [NetId; 3],
+    pub(crate) inputs: [NetId; 3],
 }
 
 /// A combinational netlist.
@@ -111,7 +101,7 @@ pub struct Netlist {
 impl Netlist {
     /// Creates a netlist with `n_inputs` primary inputs.
     #[must_use]
-    pub fn new(n_inputs: u32) -> Self {
+    pub(crate) fn new(n_inputs: u32) -> Self {
         Netlist {
             n_inputs,
             gates: Vec::new(),
@@ -121,31 +111,25 @@ impl Netlist {
 
     /// Number of primary inputs.
     #[must_use]
-    pub fn n_inputs(&self) -> u32 {
+    pub(crate) fn n_inputs(&self) -> u32 {
         self.n_inputs
-    }
-
-    /// Number of gates.
-    #[must_use]
-    pub fn n_gates(&self) -> usize {
-        self.gates.len()
     }
 
     /// Total nets (inputs + gate outputs).
     #[must_use]
-    pub fn n_nets(&self) -> u32 {
+    pub(crate) fn n_nets(&self) -> u32 {
         self.n_inputs + self.gates.len() as u32
     }
 
     /// The gates, in topological order by construction.
     #[must_use]
-    pub fn gates(&self) -> &[Gate] {
+    pub(crate) fn gates(&self) -> &[Gate] {
         &self.gates
     }
 
     /// The designated output nets.
     #[must_use]
-    pub fn outputs(&self) -> &[NetId] {
+    pub(crate) fn outputs(&self) -> &[NetId] {
         &self.outputs
     }
 
@@ -155,7 +139,7 @@ impl Netlist {
     ///
     /// Panics if any input net does not exist yet (the netlist must stay a
     /// topologically ordered DAG).
-    pub fn gate(&mut self, kind: GateKind, inputs: &[NetId]) -> NetId {
+    pub(crate) fn gate(&mut self, kind: GateKind, inputs: &[NetId]) -> NetId {
         assert_eq!(inputs.len(), kind.arity(), "wrong arity for {kind:?}");
         let next = self.n_nets();
         let mut padded = [0; 3];
@@ -171,16 +155,9 @@ impl Netlist {
     }
 
     /// Marks a net as a primary output.
-    pub fn mark_output(&mut self, net: NetId) {
+    pub(crate) fn mark_output(&mut self, net: NetId) {
         assert!(net < self.n_nets(), "output net does not exist");
         self.outputs.push(net);
-    }
-
-    /// Total switching capacitance of all gates (relative units) — used
-    /// for leakage (∝ device count) estimates.
-    #[must_use]
-    pub fn total_capacitance(&self) -> f64 {
-        self.gates.iter().map(|g| g.kind.capacitance()).sum()
     }
 
     /// Static critical path in gate-delay units (longest weighted path
@@ -244,7 +221,7 @@ mod tests {
         }
         // Critical path: xor(2) -> and(1) -> or(1) = 4.
         assert_eq!(n.critical_path(), 4);
-        assert_eq!(n.n_gates(), 5);
+        assert_eq!(n.gates().len(), 5);
     }
 
     #[test]

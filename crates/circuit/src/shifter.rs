@@ -14,13 +14,13 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LevelShifterModel {
     /// Cell area (µm², 45 nm figure — conservatively unscaled).
-    pub area_um2: f64,
+    pub(crate) area_um2: f64,
     /// Dynamic energy per output transition (fJ).
-    pub energy_per_transition_fj: f64,
+    pub(crate) energy_per_transition_fj: f64,
     /// Static power per shifter (nW).
-    pub static_power_nw: f64,
+    pub(crate) static_power_nw: f64,
     /// Worst-case propagation delay per transition (ps).
-    pub delay_ps: f64,
+    pub(crate) delay_ps: f64,
 }
 
 impl LevelShifterModel {
@@ -71,7 +71,7 @@ impl AdderPopulation {
     /// Level shifters per adder: both input operands plus the output for
     /// every bit of the adder's datapath.
     #[must_use]
-    pub fn shifters_per_sm(&self) -> u64 {
+    pub(crate) fn shifters_per_sm(&self) -> u64 {
         let per_adder = |bits: u64| 3 * bits;
         u64::from(self.alu_per_sm) * per_adder(32)
             + u64::from(self.fpu_per_sm) * per_adder(24)
@@ -80,7 +80,7 @@ impl AdderPopulation {
 
     /// Total level shifters on the chip.
     #[must_use]
-    pub fn total_shifters(&self) -> u64 {
+    pub(crate) fn total_shifters(&self) -> u64 {
         u64::from(self.sms) * self.shifters_per_sm()
     }
 }

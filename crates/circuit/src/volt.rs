@@ -14,15 +14,15 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct VoltageModel {
     /// Nominal supply voltage (V).
-    pub vnom: f64,
+    pub(crate) vnom: f64,
     /// Threshold voltage (V).
-    pub vth: f64,
+    pub(crate) vth: f64,
     /// Velocity-saturation exponent of the alpha-power law.
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Delay of one gate-delay unit at `vnom` (ps).
-    pub unit_delay_ps: f64,
+    pub(crate) unit_delay_ps: f64,
     /// Energy per unit of switched capacitance at `vnom` (fJ).
-    pub unit_energy_fj: f64,
+    pub(crate) unit_energy_fj: f64,
 }
 
 impl VoltageModel {

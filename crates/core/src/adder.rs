@@ -1,8 +1,9 @@
 //! [`SpeculativeAdder`]: the complete ST² adder — predictor, Peek, slice
 //! engine and statistics — behind one `add` call, and the free functions
-//! it shares with the simulators: [`execute_op`] for one operation under
-//! any configuration and [`execute_st2_warp_op`] for all the lanes of one
-//! warp instruction through ST²'s Carry Register File.
+//! around the same slice engine: [`execute_op_with_sink`] for one observed
+//! operation against a caller's predictor and [`execute_st2_warp_op`] for
+//! all the lanes of one warp instruction through ST²'s Carry Register
+//! File.
 
 use crate::bits::SliceLayout;
 use crate::config::{RecomputePolicy, SpeculationConfig};
@@ -35,22 +36,23 @@ pub struct AddOutcome {
     pub true_carries: u64,
 }
 
-/// A stateful speculative adder: one instance models one hardware adder
-/// (or, in design-space exploration, one idealised speculation context
-/// shared the way the configuration dictates).
+/// A stateful speculative adder: one speculation context (predictor and
+/// statistics) that serves adds of every width, the way one CRF serves an
+/// SM's ALUs, FPUs and DPUs alike. The design-space exploration in
+/// [`crate::dse`] replays recorded streams through one of these per
+/// design point.
 ///
 /// ```
 /// use st2_core::{OpContext, SliceLayout, SpeculativeAdder};
-/// let mut adder = SpeculativeAdder::st2(SliceLayout::INT64);
+/// let mut adder = SpeculativeAdder::st2();
 /// let ctx = OpContext::default();
-/// let out = adder.add(&ctx, 2, 3, false);
+/// let out = adder.add(&ctx, SliceLayout::INT64, 2, 3, false);
 /// assert_eq!(out.sum, 5);
-/// let out = adder.add(&ctx, 10, 3, true);
+/// let out = adder.add(&ctx, SliceLayout::INT64, 10, 3, true);
 /// assert_eq!(out.sum, 7);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpeculativeAdder {
-    layout: SliceLayout,
     config: SpeculationConfig,
     predictor: Predictor,
     stats: AdderStats,
@@ -59,9 +61,8 @@ pub struct SpeculativeAdder {
 impl SpeculativeAdder {
     /// Creates an adder for an arbitrary speculation configuration.
     #[must_use]
-    pub fn new(layout: SliceLayout, config: SpeculationConfig) -> Self {
+    pub fn new(config: SpeculationConfig) -> Self {
         SpeculativeAdder {
-            layout,
             config,
             predictor: Predictor::from_config(&config),
             stats: AdderStats::default(),
@@ -71,19 +72,13 @@ impl SpeculativeAdder {
     /// Creates an adder with the paper's final ST² configuration
     /// (`Ltid+Prev+ModPC4+Peek`).
     #[must_use]
-    pub fn st2(layout: SliceLayout) -> Self {
-        Self::new(layout, SpeculationConfig::st2())
-    }
-
-    /// The slice layout.
-    #[must_use]
-    pub fn layout(&self) -> SliceLayout {
-        self.layout
+    pub fn st2() -> Self {
+        Self::new(SpeculationConfig::st2())
     }
 
     /// The speculation configuration.
     #[must_use]
-    pub fn config(&self) -> &SpeculationConfig {
+    pub(crate) fn config(&self) -> &SpeculationConfig {
         &self.config
     }
 
@@ -93,73 +88,57 @@ impl SpeculativeAdder {
         &self.stats
     }
 
-    /// Resets the statistics (history state is preserved).
-    pub fn reset_stats(&mut self) {
-        self.stats = AdderStats::default();
+    /// Performs `a + b` (or `a − b` when `sub`) on an adder sliced as
+    /// `layout`, returning the exact result together with the speculation
+    /// outcome, and updating history and statistics.
+    pub fn add(
+        &mut self,
+        ctx: &OpContext,
+        layout: SliceLayout,
+        a: u64,
+        b: u64,
+        sub: bool,
+    ) -> AddOutcome {
+        self.replay_prepared(ctx, &prepare(layout, a, b, sub))
     }
 
-    /// Performs `a + b` (or `a − b` when `sub`), returning the exact result
-    /// together with the speculation outcome, and updating history and
-    /// statistics.
-    pub fn add(&mut self, ctx: &OpContext, a: u64, b: u64, sub: bool) -> AddOutcome {
-        execute_op(
-            &mut self.predictor,
-            &self.config,
-            self.layout,
-            ctx,
-            a,
-            b,
-            sub,
-            &mut self.stats,
+    /// Replays a recorded add event on the layout of its width class
+    /// (sign-extension already encoded in the record).
+    pub fn replay(&mut self, record: &AddRecord) -> AddOutcome {
+        self.add(
+            &record.ctx,
+            record.width.layout(),
+            record.a,
+            record.b,
+            record.sub,
         )
     }
 
-    /// Replays a recorded add event (sign-extension and layout selection
-    /// already encoded in the record).
-    pub fn replay(&mut self, record: &AddRecord) -> AddOutcome {
-        debug_assert_eq!(
-            record.width.layout(),
-            self.layout,
-            "record layout does not match this adder"
-        );
-        self.add(&record.ctx, record.a, record.b, record.sub)
+    /// Replays one operation whose configuration-independent half `prep`
+    /// is already computed.
+    ///
+    /// Always inlined: the sweep in [`crate::dse`] calls this once per
+    /// record and design point, and left out of line it made a `dse`
+    /// benchmark pass about 20 % slower.
+    #[inline(always)]
+    pub(crate) fn replay_prepared(&mut self, ctx: &OpContext, prep: &PreparedAdd) -> AddOutcome {
+        execute_prepared(
+            &mut self.predictor,
+            &self.config,
+            ctx,
+            prep,
+            &mut self.stats,
+            &mut NullSink,
+        )
     }
 }
 
-/// One speculative operation against an externally owned predictor.
+/// One speculative operation against an externally owned predictor,
+/// observed by `sink`: the sink sees the completed outcome and the
+/// history-port activity of this one operation (one or two calls through
+/// the `dyn` sink, made whether or not it is [`EventSink::enabled`]).
 ///
-/// This is the composition point shared by [`SpeculativeAdder`] (fixed
-/// layout) and the design-space exploration runner in [`crate::dse`]
-/// (per-record layouts over one predictor, the way one CRF serves an SM's
-/// ALUs, FPUs and DPUs alike).
-#[allow(clippy::too_many_arguments)]
-pub fn execute_op(
-    predictor: &mut Predictor,
-    config: &SpeculationConfig,
-    layout: SliceLayout,
-    ctx: &OpContext,
-    a: u64,
-    b: u64,
-    sub: bool,
-    stats: &mut AdderStats,
-) -> AddOutcome {
-    execute_op_with_sink(
-        predictor,
-        config,
-        layout,
-        ctx,
-        a,
-        b,
-        sub,
-        stats,
-        &mut NullSink,
-    )
-}
-
-/// [`execute_op`] with an observer: the sink sees the completed outcome
-/// and the history-port activity of this one operation (one or two
-/// calls through the `dyn` sink, made whether or not it is
-/// [`EventSink::enabled`]).
+/// This is the per-lane reference for [`execute_st2_warp_op`].
 #[allow(clippy::too_many_arguments)]
 pub fn execute_op_with_sink(
     predictor: &mut Predictor,
@@ -355,11 +334,11 @@ mod tests {
         // The paper's canonical example: a loop increment produces nearby
         // values; after warm-up the carry pattern repeats and ST² stops
         // mispredicting.
-        let mut adder = SpeculativeAdder::st2(SliceLayout::INT64);
+        let mut adder = SpeculativeAdder::st2();
         let c = ctx(5, 0);
         let mut late_mispredicts = 0u64;
         for i in 0..1000u64 {
-            let out = adder.add(&c, i, 1, false);
+            let out = adder.add(&c, SliceLayout::INT64, i, 1, false);
             assert_eq!(out.sum, i + 1);
             if i >= 16 && out.mispredicted {
                 late_mispredicts += 1;
@@ -378,13 +357,13 @@ mod tests {
         // Subtraction with a >= b >= 0 runs the carry all the way to the
         // top slice (a + !b + 1 wraps), so staticZero mispredicts every op
         // while ST2 learns the stable pattern after one miss.
-        let mut zero = SpeculativeAdder::new(SliceLayout::INT64, SpeculationConfig::static_zero());
-        let mut st2 = SpeculativeAdder::st2(SliceLayout::INT64);
+        let mut zero = SpeculativeAdder::new(SpeculationConfig::static_zero());
+        let mut st2 = SpeculativeAdder::st2();
         let c = ctx(9, 3);
         for i in 0..500u64 {
             let (a, b) = (i + 10, 3u64);
-            let oz = zero.add(&c, a, b, true);
-            let os = st2.add(&c, a, b, true);
+            let oz = zero.add(&c, SliceLayout::INT64, a, b, true);
+            let os = st2.add(&c, SliceLayout::INT64, a, b, true);
             assert_eq!(oz.sum, a - b);
             assert_eq!(os.sum, a - b);
         }
@@ -397,16 +376,16 @@ mod tests {
         // A stable *mixed* per-slice pattern (carries in the low three
         // boundaries only) cannot be represented by VaLHALLA's single
         // broadcast bit, but per-slice history captures it exactly.
-        let mut st2 = SpeculativeAdder::st2(SliceLayout::INT64);
-        let mut val = SpeculativeAdder::new(SliceLayout::INT64, SpeculationConfig::valhalla());
+        let mut st2 = SpeculativeAdder::st2();
+        let mut val = SpeculativeAdder::new(SpeculationConfig::valhalla());
         for i in 0..2000u64 {
             let t = (i % 32) as u32;
             // PC 1: small positive values, no carries.
-            let _ = st2.add(&ctx(1, t), i % 50, 3, false);
-            let _ = val.add(&ctx(1, t), i % 50, 3, false);
+            let _ = st2.add(&ctx(1, t), SliceLayout::INT64, i % 50, 3, false);
+            let _ = val.add(&ctx(1, t), SliceLayout::INT64, i % 50, 3, false);
             // PC 2: 0xFFFFFF + 1 — carries exactly at boundaries 0..2.
-            let _ = st2.add(&ctx(2, t), 0xFF_FFFF, 1, false);
-            let _ = val.add(&ctx(2, t), 0xFF_FFFF, 1, false);
+            let _ = st2.add(&ctx(2, t), SliceLayout::INT64, 0xFF_FFFF, 1, false);
+            let _ = val.add(&ctx(2, t), SliceLayout::INT64, 0xFF_FFFF, 1, false);
         }
         assert!(
             st2.stats().misprediction_rate() < val.stats().misprediction_rate(),
@@ -419,8 +398,8 @@ mod tests {
 
     #[test]
     fn replay_matches_add() {
-        let mut a1 = SpeculativeAdder::st2(SliceLayout::INT64);
-        let mut a2 = SpeculativeAdder::st2(SliceLayout::INT64);
+        let mut a1 = SpeculativeAdder::st2();
+        let mut a2 = SpeculativeAdder::st2();
         let rec = AddRecord {
             ctx: ctx(4, 2),
             a: 1000,
@@ -429,32 +408,31 @@ mod tests {
             width: WidthClass::Int64,
         };
         let o1 = a1.replay(&rec);
-        let o2 = a2.add(&rec.ctx, 1000, 999, true);
+        let o2 = a2.add(&rec.ctx, SliceLayout::INT64, 1000, 999, true);
         assert_eq!(o1, o2);
         assert_eq!(o1.sum, 1);
     }
 
     #[test]
     fn stats_accumulate() {
-        let mut adder = SpeculativeAdder::st2(SliceLayout::INT64);
+        let mut adder = SpeculativeAdder::st2();
         for i in 0..10u64 {
-            let _ = adder.add(&ctx(0, 0), i, i, false);
+            let _ = adder.add(&ctx(0, 0), SliceLayout::INT64, i, i, false);
         }
         let s = adder.stats();
         assert_eq!(s.ops, 10);
         assert_eq!(s.slices_cycle1, 80);
         assert_eq!(s.static_boundaries + s.dynamic_boundaries, 70);
-        adder.reset_stats();
-        assert_eq!(adder.stats().ops, 0);
     }
 
     #[test]
     fn mantissa_layouts_work() {
-        let mut a = SpeculativeAdder::st2(SliceLayout::MANT24);
-        let out = a.add(&ctx(0, 0), 0x7f_ffff, 1, false);
+        // One speculation context serves every width.
+        let mut a = SpeculativeAdder::st2();
+        let out = a.add(&ctx(0, 0), SliceLayout::MANT24, 0x7f_ffff, 1, false);
         assert_eq!(out.sum, 0x80_0000);
-        let mut d = SpeculativeAdder::st2(SliceLayout::MANT53);
-        let out = d.add(&ctx(0, 0), (1 << 53) - 1, 1, false);
+        let out = a.add(&ctx(0, 0), SliceLayout::MANT53, (1 << 53) - 1, 1, false);
         assert_eq!(out.sum, 1 << 53);
+        assert_eq!(a.stats().slices_cycle1, 3 + 7);
     }
 }

@@ -40,7 +40,7 @@ const fn lsb_patterns() -> [u64; 65] {
 /// use st2_core::SliceLayout;
 /// let l = SliceLayout::INT64;
 /// assert_eq!(l.total_bits(), 64);
-/// assert_eq!(l.boundaries(), 7);
+/// assert_eq!(l.count(), 8);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SliceLayout {
@@ -77,7 +77,7 @@ impl SliceLayout {
 
     /// Bits per slice.
     #[must_use]
-    pub fn width(self) -> u8 {
+    pub(crate) fn width(self) -> u8 {
         self.width
     }
 
@@ -100,7 +100,7 @@ impl SliceLayout {
     /// receives the architectural carry-in, never a prediction.
     #[must_use]
     #[inline]
-    pub fn boundaries(self) -> u8 {
+    pub(crate) fn boundaries(self) -> u8 {
         self.count - 1
     }
 
@@ -112,8 +112,9 @@ impl SliceLayout {
     }
 
     /// Mask selecting one slice's bits (before shifting into position).
+    #[cfg(test)]
     #[must_use]
-    pub fn slice_mask(self) -> u64 {
+    pub(crate) fn slice_mask(self) -> u64 {
         mask(u32::from(self.width))
     }
 
@@ -122,15 +123,16 @@ impl SliceLayout {
     /// # Panics
     ///
     /// Panics if `i >= count`.
+    #[cfg(test)]
     #[must_use]
-    pub fn slice_of(self, value: u64, i: u8) -> u64 {
+    pub(crate) fn slice_of(self, value: u64, i: u8) -> u64 {
         assert!(i < self.count, "slice index out of range");
         (value >> (u32::from(i) * u32::from(self.width))) & self.slice_mask()
     }
 
     /// Bit position of the most significant bit of slice `i`.
     #[must_use]
-    pub fn msb_of_slice(self, i: u8) -> u32 {
+    pub(crate) fn msb_of_slice(self, i: u8) -> u32 {
         assert!(i < self.count, "slice index out of range");
         (u32::from(i) + 1) * u32::from(self.width) - 1
     }
@@ -194,7 +196,7 @@ impl fmt::Display for SliceLayout {
 /// Mask with the low `bits` bits set (`bits <= 64`).
 #[must_use]
 #[inline]
-pub fn mask(bits: u32) -> u64 {
+pub(crate) fn mask(bits: u32) -> u64 {
     if bits >= 64 {
         u64::MAX
     } else {

@@ -7,7 +7,6 @@
 //! [`SpeculationConfig`] spans that whole space plus the static and
 //! VaLHALLA-style baselines.
 
-use crate::bits::SliceLayout;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -184,7 +183,7 @@ impl SpeculationConfig {
 
     /// Bare `Prev` (no PC index, shared across threads, no Peek).
     #[must_use]
-    pub fn prev() -> Self {
+    pub(crate) fn prev() -> Self {
         SpeculationConfig {
             predictor: PredictorKind::Prev,
             ..Self::bare()
@@ -202,7 +201,7 @@ impl SpeculationConfig {
 
     /// `Prev+ModPCk+Peek` for a given number of PC bits.
     #[must_use]
-    pub fn prev_modpc_peek(k: u8) -> Self {
+    pub(crate) fn prev_modpc_peek(k: u8) -> Self {
         SpeculationConfig {
             pc_index: PcIndex::ModPc(k),
             ..Self::prev_peek()
@@ -212,7 +211,7 @@ impl SpeculationConfig {
     /// `Gtid+Prev+ModPC4+Peek` (full thread disambiguation — the design the
     /// paper shows fares significantly worse).
     #[must_use]
-    pub fn gtid_prev_modpc4_peek() -> Self {
+    pub(crate) fn gtid_prev_modpc4_peek() -> Self {
         SpeculationConfig {
             thread_key: ThreadKey::Gtid,
             ..Self::prev_modpc_peek(4)
@@ -222,7 +221,7 @@ impl SpeculationConfig {
     /// `Ltid+Prev+ModPC4+XOR+Peek`: the XOR-folded variant the paper reports
     /// as providing no additional benefit.
     #[must_use]
-    pub fn xor_hash() -> Self {
+    pub(crate) fn xor_hash() -> Self {
         SpeculationConfig {
             pc_index: PcIndex::XorFold(4),
             ..Self::st2()
@@ -282,31 +281,6 @@ impl SpeculationConfig {
             parts.push("RecTop".into());
         }
         parts.join("+")
-    }
-
-    /// Number of distinct history-table entries this configuration needs for
-    /// `threads` hardware threads, or `None` for unbounded (FullPC) designs.
-    ///
-    /// Used to reason about implementability: the paper notes
-    /// `Gtid+Prev+ModPC4+Peek` needs a 15-bit index (2048 threads/SM × 16 PC
-    /// slots) while the Ltid design needs only 16 × 32 lanes.
-    #[must_use]
-    pub fn table_entries(&self, threads: u32, layout: SliceLayout) -> Option<u64> {
-        let _ = layout;
-        if self.predictor != PredictorKind::Prev {
-            return Some(0);
-        }
-        let pc_slots = match self.pc_index {
-            PcIndex::None => 1u64,
-            PcIndex::ModPc(k) | PcIndex::XorFold(k) => 1u64 << k,
-            PcIndex::Full => return None,
-        };
-        let thread_slots = match self.thread_key {
-            ThreadKey::Shared => 1u64,
-            ThreadKey::Gtid => u64::from(threads),
-            ThreadKey::Ltid => 32,
-        };
-        Some(pc_slots * thread_slots)
     }
 }
 
@@ -368,31 +342,6 @@ mod tests {
             }
             .label(),
             "Ltid+Prev+ModPC4+Peek+WrAlways+RecTop"
-        );
-    }
-
-    #[test]
-    fn table_sizes() {
-        let l = SliceLayout::INT64;
-        // Ltid+ModPC4: 16 PC slots x 32 lanes = 512 entries (the CRF holds
-        // these as 16 rows x 32 lanes x 7 bits = 448 bytes).
-        assert_eq!(SpeculationConfig::st2().table_entries(2048, l), Some(512));
-        // Gtid needs 2048 x 16 = 32768 entries.
-        assert_eq!(
-            SpeculationConfig::gtid_prev_modpc4_peek().table_entries(2048, l),
-            Some(32768)
-        );
-        assert_eq!(
-            SpeculationConfig {
-                pc_index: PcIndex::Full,
-                ..SpeculationConfig::st2()
-            }
-            .table_entries(2048, l),
-            None
-        );
-        assert_eq!(
-            SpeculationConfig::static_zero().table_entries(2048, l),
-            Some(0)
         );
     }
 }

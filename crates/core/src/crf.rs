@@ -20,7 +20,7 @@ pub const CRF_ROWS: usize = 16;
 /// Lanes per row (warp width).
 pub const CRF_LANES: usize = 32;
 /// Carry-prediction bits per lane (boundaries of an 8-slice adder).
-pub const CRF_BITS_PER_LANE: usize = 7;
+pub(crate) const CRF_BITS_PER_LANE: usize = 7;
 
 /// Per-SM Carry Register File.
 ///

@@ -7,12 +7,10 @@
 //! idealised (contention-free) speculation state, exactly as the paper's
 //! exploration does before committing to the implementable design.
 
-use crate::adder::{execute_op, execute_prepared};
+use crate::adder::SpeculativeAdder;
 use crate::config::{PcIndex, SpeculationConfig, ThreadKey};
 use crate::event::AddRecord;
 use crate::history::HistoryTable;
-use crate::predictor::Predictor;
-use crate::sink::NullSink;
 use crate::slice::{prepare, PreparedAdd};
 use crate::stats::AdderStats;
 use serde::{Deserialize, Serialize};
@@ -23,9 +21,9 @@ pub struct CorrelationScheme {
     /// Display label matching the paper's legend.
     pub label: &'static str,
     /// Spatial part of the key.
-    pub pc_index: PcIndex,
+    pub(crate) pc_index: PcIndex,
     /// Thread part of the key.
-    pub thread_key: ThreadKey,
+    pub(crate) thread_key: ThreadKey,
 }
 
 /// The three schemes the paper compares in Fig. 3.
@@ -56,7 +54,7 @@ pub struct CorrelationResult {
     /// Boundary carries compared (excludes each key's cold first use).
     pub compared: u64,
     /// Boundary carries that matched the previous execution under the key.
-    pub matched: u64,
+    pub(crate) matched: u64,
 }
 
 impl CorrelationResult {
@@ -100,97 +98,6 @@ pub fn carry_correlation(records: &[AddRecord], scheme: CorrelationScheme) -> Co
     result
 }
 
-/// Runs one speculation configuration over a recorded add stream,
-/// dispatching each record to its own slice layout while sharing a single
-/// predictor (one CRF serves an SM's integer and floating-point adders).
-#[derive(Debug, Clone)]
-pub struct ConfigRunner {
-    config: SpeculationConfig,
-    predictor: Predictor,
-    stats: AdderStats,
-}
-
-impl ConfigRunner {
-    /// Creates a runner for a configuration.
-    #[must_use]
-    pub fn new(config: SpeculationConfig) -> Self {
-        ConfigRunner {
-            config,
-            predictor: Predictor::from_config(&config),
-            stats: AdderStats::default(),
-        }
-    }
-
-    /// The configuration under test.
-    #[must_use]
-    pub fn config(&self) -> &SpeculationConfig {
-        &self.config
-    }
-
-    /// Replays one recorded operation.
-    pub fn process(&mut self, rec: &AddRecord) {
-        self.process_prepared(rec, &prepare_record(rec));
-    }
-
-    /// Replays one recorded operation whose configuration-independent
-    /// half `prep` is already computed.
-    fn process_prepared(&mut self, rec: &AddRecord, prep: &PreparedAdd) {
-        let _ = execute_prepared(
-            &mut self.predictor,
-            &self.config,
-            &rec.ctx,
-            prep,
-            &mut self.stats,
-            &mut NullSink,
-        );
-    }
-
-    /// Replays a whole stream.
-    pub fn process_all(&mut self, records: &[AddRecord]) {
-        for r in records {
-            self.process(r);
-        }
-    }
-
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> &AdderStats {
-        &self.stats
-    }
-}
-
-/// Replays an add stream with every *integer* record forced onto an
-/// alternative slice layout — the speculation-accuracy axis of the slice
-/// bitwidth trade-off (the paper's §V-B sweeps only the circuit axis;
-/// this is the matching architectural ablation). Floating-point records
-/// keep their natural mantissa layouts.
-#[must_use]
-pub fn sweep_int_layout(
-    records: &[AddRecord],
-    config: SpeculationConfig,
-    int_layout: crate::bits::SliceLayout,
-) -> AdderStats {
-    let mut predictor = Predictor::from_config(&config);
-    let mut stats = AdderStats::default();
-    for rec in records {
-        let layout = match rec.width {
-            crate::event::WidthClass::Int64 => int_layout,
-            other => other.layout(),
-        };
-        let _ = execute_op(
-            &mut predictor,
-            &config,
-            layout,
-            &rec.ctx,
-            rec.a,
-            rec.b,
-            rec.sub,
-            &mut stats,
-        );
-    }
-    stats
-}
-
 /// The design points of the paper's Fig. 5, in its left-to-right order.
 #[must_use]
 pub fn fig5_design_points() -> Vec<SpeculationConfig> {
@@ -227,24 +134,26 @@ fn prepare_record(rec: &AddRecord) -> PreparedAdd {
 /// carry chain, generate/propagate, Peek) is done once, a chunk of
 /// records at a time, and every configuration then replays that chunk in
 /// stream order. Configurations share no state, so each one's statistics
-/// equal those of its own [`ConfigRunner::process_all`].
+/// equal those of its own [`SpeculativeAdder`] replaying the stream with
+/// [`SpeculativeAdder::replay`].
 #[must_use]
 pub fn sweep(
     records: &[AddRecord],
     configs: &[SpeculationConfig],
 ) -> Vec<(SpeculationConfig, AdderStats)> {
-    let mut runners: Vec<ConfigRunner> = configs.iter().map(|c| ConfigRunner::new(*c)).collect();
+    let mut adders: Vec<SpeculativeAdder> =
+        configs.iter().map(|c| SpeculativeAdder::new(*c)).collect();
     let mut prepared = Vec::with_capacity(CHUNK.min(records.len()));
     for chunk in records.chunks(CHUNK) {
         prepared.clear();
         prepared.extend(chunk.iter().map(prepare_record));
-        for runner in &mut runners {
+        for adder in &mut adders {
             for (rec, prep) in chunk.iter().zip(&prepared) {
-                runner.process_prepared(rec, prep);
+                let _ = adder.replay_prepared(&rec.ctx, prep);
             }
         }
     }
-    runners.iter().map(|r| (r.config, r.stats)).collect()
+    adders.iter().map(|a| (*a.config(), *a.stats())).collect()
 }
 
 #[cfg(test)]
@@ -335,16 +244,16 @@ mod tests {
 
     #[test]
     fn mixed_width_stream_is_accepted() {
-        let mut runner = ConfigRunner::new(SpeculationConfig::st2());
-        runner.process(&AddRecord {
+        let mut adder = SpeculativeAdder::st2();
+        let _ = adder.replay(&AddRecord {
             ctx: OpContext::default(),
             a: 0x40_0000,
             b: 0x10_0000,
             sub: false,
             width: WidthClass::Mant24,
         });
-        runner.process(&AddRecord::int64(1, 0, 0, 5, 6, false));
-        assert_eq!(runner.stats().ops, 2);
+        let _ = adder.replay(&AddRecord::int64(1, 0, 0, 5, 6, false));
+        assert_eq!(adder.stats().ops, 2);
     }
 
     #[test]
@@ -449,13 +358,34 @@ mod tests {
             let swept = sweep(records, &configs);
             prop_assert_eq!(swept.len(), configs.len());
             for (cfg, (swept_cfg, stats)) in configs.iter().zip(&swept) {
-                let mut runner = ConfigRunner::new(*cfg);
-                runner.process_all(records);
+                let mut adder = SpeculativeAdder::new(*cfg);
+                for rec in records {
+                    let _ = adder.replay(rec);
+                }
                 prop_assert_eq!(swept_cfg, cfg);
-                prop_assert_eq!(stats, runner.stats(), "{} over {} records", cfg, len);
+                prop_assert_eq!(stats, adder.stats(), "{} over {} records", cfg, len);
             }
             let st2 = configs.iter().position(|c| *c == SpeculationConfig::st2()).unwrap();
             prop_assert_eq!(swept[st2].1, swept[configs.len() - 1].1);
+        }
+
+        /// The ablations' slice-width loop (`add` on a forced layout for
+        /// Int64 records, `replay` for the rest), run at Int64's own
+        /// layout, replays a mixed-width stream exactly as `sweep` does.
+        #[test]
+        fn int_layout_loop_at_natural_layout_matches_sweep(
+            records in prop::collection::vec(record(), 0..2 * CHUNK + 3),
+        ) {
+            let int_layout = WidthClass::Int64.layout();
+            let mut adder = SpeculativeAdder::st2();
+            for rec in &records {
+                let _ = match rec.width {
+                    WidthClass::Int64 => adder.add(&rec.ctx, int_layout, rec.a, rec.b, rec.sub),
+                    _ => adder.replay(rec),
+                };
+            }
+            let swept = sweep(&records, &[SpeculationConfig::st2()]);
+            prop_assert_eq!(&swept[0].1, adder.stats());
         }
     }
 }

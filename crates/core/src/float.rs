@@ -21,7 +21,7 @@ pub struct MantissaOp {
     /// subtraction).
     pub sub: bool,
     /// Datapath class ([`WidthClass::Mant24`] or [`WidthClass::Mant53`]).
-    pub width: WidthClass,
+    pub(crate) width: WidthClass,
 }
 
 /// Whether the FP32 addition `x + y` reaches the mantissa adder: the

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Maximum supported history depth (the paper's design uses depth 1).
-pub const MAX_DEPTH: usize = 4;
+pub(crate) const MAX_DEPTH: usize = 4;
 
 /// Widest PC index kept in directly indexed storage: with lane keying that
 /// is at most 32 × 2⁸ entries. Wider indices, full PCs and global thread
@@ -60,13 +60,9 @@ impl Entry {
 #[derive(Debug, Clone)]
 enum Storage {
     /// A bounded key space, indexed by `thread << pc_bits | pc`.
-    Dense {
-        pc_bits: u8,
-        entries: Vec<Entry>,
-        occupied: usize,
-    },
+    Dense { pc_bits: u8, entries: Vec<Entry> },
     /// An unbounded key space (full PC or global thread id), keyed by
-    /// [`HistoryTable::key`].
+    /// `thread << 32 | pc`.
     Map(HashMap<u64, Entry, BuildHasherDefault<IntHasher>>),
 }
 
@@ -124,7 +120,7 @@ impl HistoryTable {
     ///
     /// # Panics
     ///
-    /// Panics if `depth` is 0 or exceeds [`MAX_DEPTH`].
+    /// Panics if `depth` is 0 or exceeds `MAX_DEPTH`.
     #[must_use]
     pub fn new(pc_index: PcIndex, thread_key: ThreadKey, depth: u8) -> Self {
         let pc_bits = match pc_index {
@@ -141,7 +137,6 @@ impl HistoryTable {
             (Some(pc_bits), Some(threads)) => Storage::Dense {
                 pc_bits,
                 entries: vec![Entry::default(); threads << pc_bits],
-                occupied: 0,
             },
             _ => Storage::Map(HashMap::default()),
         };
@@ -177,14 +172,6 @@ impl HistoryTable {
         (thread_part, pc_part)
     }
 
-    /// The table index for an operation: spatial (PC) bits in the low word,
-    /// thread-sharing bits in the high word.
-    #[must_use]
-    pub fn key(&self, ctx: &OpContext) -> u64 {
-        let (thread_part, pc_part) = self.parts(ctx);
-        thread_part << 32 | pc_part
-    }
-
     /// The predicted boundary-carry vector for this operation, or `None`
     /// when its entry has never been written.
     #[must_use]
@@ -212,52 +199,18 @@ impl HistoryTable {
         let (thread_part, pc_part) = self.parts(ctx);
         let depth = self.depth;
         let entry = match &mut self.storage {
-            Storage::Dense {
-                pc_bits,
-                entries,
-                occupied,
-            } => {
-                let e = &mut entries[(thread_part << *pc_bits | pc_part) as usize];
-                *occupied += usize::from(e.len == 0);
-                e
+            Storage::Dense { pc_bits, entries } => {
+                &mut entries[(thread_part << *pc_bits | pc_part) as usize]
             }
             Storage::Map(map) => map.entry(thread_part << 32 | pc_part).or_default(),
         };
         entry.push(true_carries, depth);
     }
-
-    /// Number of distinct entries currently allocated.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match &self.storage {
-            Storage::Dense { occupied, .. } => *occupied,
-            Storage::Map(map) => map.len(),
-        }
-    }
-
-    /// Whether the table is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Clears all history.
-    pub fn clear(&mut self) {
-        match &mut self.storage {
-            Storage::Dense {
-                entries, occupied, ..
-            } => {
-                entries.fill(Entry::default());
-                *occupied = 0;
-            }
-            Storage::Map(map) => map.clear(),
-        }
-    }
 }
 
 /// XOR-fold a 32-bit PC into `k` bits.
 #[must_use]
-pub fn xor_fold(pc: u32, k: u8) -> u64 {
+pub(crate) fn xor_fold(pc: u32, k: u8) -> u64 {
     if k == 0 {
         return 0;
     }
@@ -279,26 +232,37 @@ mod tests {
         OpContext { pc, gtid, ltid }
     }
 
+    /// Whether `a` and `b` share one entry of a table keyed as given: a
+    /// write under `a` is visible to a lookup under `b`.
+    fn shared_entry(pc_index: PcIndex, thread_key: ThreadKey, a: OpContext, b: OpContext) -> bool {
+        let mut t = HistoryTable::new(pc_index, thread_key, 1);
+        t.record(&a, 0b101);
+        t.lookup(&b) == Some(0b101)
+    }
+
     #[test]
     fn modpc_aliases_distant_pcs() {
-        let t = HistoryTable::new(PcIndex::ModPc(4), ThreadKey::Shared, 1);
-        assert_eq!(t.key(&ctx(0x3, 0, 0)), t.key(&ctx(0x13, 0, 0)));
-        assert_ne!(t.key(&ctx(0x3, 0, 0)), t.key(&ctx(0x4, 0, 0)));
+        let modpc4 = |a, b| shared_entry(PcIndex::ModPc(4), ThreadKey::Shared, a, b);
+        assert!(modpc4(ctx(0x3, 0, 0), ctx(0x13, 0, 0)));
+        assert!(!modpc4(ctx(0x3, 0, 0), ctx(0x4, 0, 0)));
     }
 
     #[test]
     fn full_pc_disambiguates() {
-        let t = HistoryTable::new(PcIndex::Full, ThreadKey::Shared, 1);
-        assert_ne!(t.key(&ctx(0x3, 0, 0)), t.key(&ctx(0x13, 0, 0)));
+        assert!(!shared_entry(
+            PcIndex::Full,
+            ThreadKey::Shared,
+            ctx(0x3, 0, 0),
+            ctx(0x13, 0, 0)
+        ));
     }
 
     #[test]
     fn gtid_vs_ltid_sharing() {
-        let g = HistoryTable::new(PcIndex::ModPc(4), ThreadKey::Gtid, 1);
-        let l = HistoryTable::new(PcIndex::ModPc(4), ThreadKey::Ltid, 1);
         // Same lane in different warps: gtids 5 and 37, both lane 5.
-        assert_ne!(g.key(&ctx(1, 5, 5)), g.key(&ctx(1, 37, 5)));
-        assert_eq!(l.key(&ctx(1, 5, 5)), l.key(&ctx(1, 37, 5)));
+        let (a, b) = (ctx(1, 5, 5), ctx(1, 37, 5));
+        assert!(!shared_entry(PcIndex::ModPc(4), ThreadKey::Gtid, a, b));
+        assert!(shared_entry(PcIndex::ModPc(4), ThreadKey::Ltid, a, b));
     }
 
     #[test]
@@ -354,10 +318,7 @@ mod tests {
                         assert_eq!(table.lookup(&c), map.lookup(&c));
                         table.record(&c, state >> 40 & 0x7f);
                         map.record(&c, state >> 40 & 0x7f);
-                        assert_eq!(table.len(), map.len());
                     }
-                    table.clear();
-                    assert!(table.is_empty());
                 }
             }
         }

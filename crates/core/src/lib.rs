@@ -26,10 +26,10 @@
 //! use st2_core::{OpContext, SliceLayout, SpeculationConfig, SpeculativeAdder};
 //!
 //! // The paper's final design point: Ltid+Prev+ModPC4+Peek.
-//! let mut adder = SpeculativeAdder::st2(SliceLayout::INT64);
+//! let mut adder = SpeculativeAdder::st2();
 //! let ctx = OpContext { pc: 7, gtid: 0, ltid: 0 };
 //! for i in 0..100u64 {
-//!     let out = adder.add(&ctx, i * 3, i * 5, false);
+//!     let out = adder.add(&ctx, SliceLayout::INT64, i * 3, i * 5, false);
 //!     assert_eq!(out.sum, (i * 3).wrapping_add(i * 5));
 //! }
 //! // After warm-up, the loop's carry pattern is fully predicted.
@@ -50,14 +50,12 @@
 //! - [`event`] — portable add-event records consumed by analyses
 //! - [`sink`] — the [`EventSink`] observer trait higher layers hook into
 //! - [`dse`] — the design-space exploration of the paper's Fig. 3 and Fig. 5
-//! - [`stats`] — misprediction and activity statistics
-//! - [`baseline`] — non-speculative references (ripple, CSLA) for comparison
+//! - `stats` — misprediction and activity statistics
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adder;
-pub mod baseline;
 pub mod bits;
 pub mod crf;
 pub mod dse;
@@ -70,12 +68,11 @@ pub mod predictor;
 mod reference;
 pub mod sink;
 pub mod slice;
-pub mod stats;
+pub(crate) mod stats;
 
 mod config;
 
 pub use adder::{AddOutcome, SpeculativeAdder};
-pub use baseline::{BaselineAdder, BaselineKind};
 pub use bits::SliceLayout;
 pub use config::{
     PcIndex, PredictorKind, RecomputePolicy, SpeculationConfig, ThreadKey, UpdatePolicy,

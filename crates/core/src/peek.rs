@@ -25,7 +25,7 @@ pub struct PeekOutcome {
 impl PeekOutcome {
     /// Number of statically determined boundaries.
     #[must_use]
-    pub fn static_count(&self) -> u32 {
+    pub(crate) fn static_count(&self) -> u32 {
         self.static_mask.count_ones()
     }
 }

@@ -80,11 +80,11 @@ impl ThreadBits {
 
 /// Bookkeeping the predictor reports back for energy accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PredictorActivity {
+pub(crate) struct PredictorActivity {
     /// History-table reads performed by the last `predict` call.
-    pub reads: u64,
+    pub(crate) reads: u64,
     /// History-table writes performed by the last `update` call.
-    pub writes: u64,
+    pub(crate) writes: u64,
 }
 
 impl Predictor {
@@ -109,7 +109,7 @@ impl Predictor {
     ///
     /// `a_eff` / `b_eff` are the *effective* operands (subtraction already
     /// inverted) — needed only by the operand-derived predictors.
-    pub fn predict(
+    pub(crate) fn predict(
         &mut self,
         ctx: &OpContext,
         layout: SliceLayout,
@@ -156,7 +156,7 @@ impl Predictor {
     }
 
     /// Feeds back the true boundary carries of a completed operation.
-    pub fn update(
+    pub(crate) fn update(
         &mut self,
         ctx: &OpContext,
         layout: SliceLayout,
@@ -197,7 +197,7 @@ impl Predictor {
 /// enters the window. For `window == layout.width()` this is the "no
 /// cross-boundary chain" approximation.
 #[must_use]
-pub fn windowed_lookahead(layout: SliceLayout, a_eff: u64, b_eff: u64, window: u8) -> u64 {
+pub(crate) fn windowed_lookahead(layout: SliceLayout, a_eff: u64, b_eff: u64, window: u8) -> u64 {
     let w = window.clamp(1, layout.width());
     let mut out = 0u64;
     for j in 0..layout.boundaries() {

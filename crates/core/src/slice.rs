@@ -66,22 +66,22 @@ pub struct SliceEval {
     /// The (always correct) result, masked to the adder width.
     pub sum: u64,
     /// Carry out of the most significant slice.
-    pub carry_out: bool,
+    pub(crate) carry_out: bool,
     /// True boundary carries (bit `j` = true carry into slice `j + 1`).
     /// These are what the history table learns.
-    pub true_carries: u64,
+    pub(crate) true_carries: u64,
     /// Boundary carry-outs observed at the end of the speculative first
     /// cycle (may differ from `true_carries` below a misprediction).
-    pub cycle1_carries: u64,
+    pub(crate) cycle1_carries: u64,
     /// The carry-ins actually supplied to slices `1..n` in cycle 1, after
     /// the static Peek override.
-    pub supplied_predictions: u64,
+    pub(crate) supplied_predictions: u64,
     /// Boundaries whose detector fired (`E` signals): the received
     /// prediction differed from the neighbour's first-cycle carry-out.
-    pub error_mask: u64,
+    pub(crate) error_mask: u64,
     /// Slices that re-executed in the second cycle; bit `j` set means slice
     /// `j + 1` recomputed with the inverted carry-in.
-    pub recompute_mask: u64,
+    pub(crate) recompute_mask: u64,
     /// Whether the operation needed a second cycle.
     pub mispredicted: bool,
     /// Latency in cycles (1 or 2).
@@ -97,7 +97,7 @@ impl SliceEval {
 
     /// Number of boundary detectors that fired.
     #[must_use]
-    pub fn error_count(&self) -> u32 {
+    pub(crate) fn error_count(&self) -> u32 {
         self.error_mask.count_ones()
     }
 }
@@ -112,25 +112,25 @@ impl SliceEval {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PreparedAdd {
     /// The slice layout.
-    pub layout: SliceLayout,
+    pub(crate) layout: SliceLayout,
     /// First effective operand (masked to the layout).
-    pub a: u64,
+    pub(crate) a: u64,
     /// Second effective operand (masked, inverted for subtraction).
-    pub b: u64,
+    pub(crate) b: u64,
     /// Architectural carry-in of slice 0.
-    pub cin0: bool,
+    pub(crate) cin0: bool,
     /// The exact result, masked to the adder width.
-    pub sum: u64,
+    pub(crate) sum: u64,
     /// Carry out of the most significant slice.
-    pub carry_out: bool,
+    pub(crate) carry_out: bool,
     /// True boundary carries.
-    pub true_carries: u64,
+    pub(crate) true_carries: u64,
     /// Slices that carry out with carry-in 0, one bit per slice.
-    pub generate: u64,
+    pub(crate) generate: u64,
     /// Slices that pass their carry-in through, one bit per slice.
-    pub propagate: u64,
+    pub(crate) propagate: u64,
     /// Static carry knowledge for these operands.
-    pub peek: PeekOutcome,
+    pub(crate) peek: PeekOutcome,
 }
 
 /// Prepares `a + b` (or `a − b` when `sub`) for [`speculate`]: effective

@@ -119,10 +119,10 @@ proptest! {
             pc_index: PcIndex::ModPc(pc_bits),
             ..SpeculationConfig::st2()
         };
-        let mut adder = SpeculativeAdder::new(SliceLayout::INT64, cfg);
+        let mut adder = SpeculativeAdder::new(cfg);
         for &(a, b, sub, lane, pc) in &ops {
             let ctx = OpContext { pc, gtid: lane, ltid: lane & 31 };
-            let out = adder.add(&ctx, a, b, sub);
+            let out = adder.add(&ctx, SliceLayout::INT64, a, b, sub);
             let expect = if sub { a.wrapping_sub(b) } else { a.wrapping_add(b) };
             prop_assert_eq!(out.sum, expect);
         }

@@ -2,7 +2,6 @@
 //! operand sequences, update-policy effects, history depth, and the
 //! floating-point mantissa path.
 
-use st2_core::dse::ConfigRunner;
 use st2_core::float::{f32_add_operands, f64_add_operands};
 use st2_core::{
     AddRecord, OpContext, PcIndex, SliceLayout, SpeculationConfig, SpeculativeAdder, ThreadKey,
@@ -15,6 +14,15 @@ fn ctx(pc: u32, lane: u32) -> OpContext {
         gtid: lane,
         ltid: lane & 31,
     }
+}
+
+/// An adder under `config` that has replayed `records`.
+fn replayed(config: SpeculationConfig, records: &[AddRecord]) -> SpeculativeAdder {
+    let mut adder = SpeculativeAdder::new(config);
+    for rec in records {
+        let _ = adder.replay(rec);
+    }
+    adder
 }
 
 /// A stream of FP32 accumulations as an FPU would see them.
@@ -42,10 +50,8 @@ fn fp_accumulation_is_highly_predictable() {
     // A running sum's mantissa alignment changes slowly; ST² should learn
     // the carry pattern quickly.
     let records = fp_accumulation_records(5_000);
-    let mut st2 = ConfigRunner::new(SpeculationConfig::st2());
-    st2.process_all(&records);
-    let mut zero = ConfigRunner::new(SpeculationConfig::static_zero());
-    zero.process_all(&records);
+    let st2 = replayed(SpeculationConfig::st2(), &records);
+    let zero = replayed(SpeculationConfig::static_zero(), &records);
     // Mantissa bits churn more than integer iterators, so the absolute
     // rate is moderate — but history must clearly beat static guessing.
     assert!(
@@ -64,12 +70,12 @@ fn fp_accumulation_is_highly_predictable() {
 
 #[test]
 fn f64_mantissa_stream_flows_through_mant53_adders() {
-    let mut adder = SpeculativeAdder::st2(SliceLayout::MANT53);
+    let mut adder = SpeculativeAdder::st2();
     let mut acc = 1.0f64;
     for i in 0..2_000 {
         let x = f64::from(i) * 1e-3 + 1.0;
         if let Some(m) = f64_add_operands(acc, x) {
-            let out = adder.add(&ctx(9, 0), m.a, m.b, m.sub);
+            let out = adder.add(&ctx(9, 0), SliceLayout::MANT53, m.a, m.b, m.sub);
             // The sliced result matches plain masked arithmetic.
             let expect = if m.sub {
                 m.a.wrapping_sub(m.b)
@@ -96,11 +102,11 @@ fn update_on_mispredict_keeps_stale_entries_until_needed() {
         thread_key: ThreadKey::Ltid,
         ..SpeculationConfig::st2()
     };
-    let mut adder = SpeculativeAdder::new(SliceLayout::INT64, cfg);
+    let mut adder = SpeculativeAdder::new(cfg);
     let c = ctx(2, 0);
     // Phase 1: stable all-carry pattern (a - b with a > b).
     for i in 0..100u64 {
-        let _ = adder.add(&c, 1_000 + i, 3, true);
+        let _ = adder.add(&c, SliceLayout::INT64, 1_000 + i, 3, true);
     }
     let miss_phase1 = adder.stats().mispredicted_ops;
     assert!(
@@ -109,7 +115,7 @@ fn update_on_mispredict_keeps_stale_entries_until_needed() {
     );
     // Phase 2: stable no-carry pattern (small adds).
     for i in 0..100u64 {
-        let _ = adder.add(&c, i % 10, 3, false);
+        let _ = adder.add(&c, SliceLayout::INT64, i % 10, 3, false);
     }
     let miss_phase2 = adder.stats().mispredicted_ops - miss_phase1;
     assert!(
@@ -128,10 +134,8 @@ fn always_update_writes_more_but_predicts_no_better_on_stable_streams() {
     let stream: Vec<AddRecord> = (0..2_000u64)
         .map(|i| AddRecord::int64(5, (i % 32) as u32, (i % 32) as u32, i as i64, 1, false))
         .collect();
-    let mut a = ConfigRunner::new(on_miss);
-    a.process_all(&stream);
-    let mut b = ConfigRunner::new(always);
-    b.process_all(&stream);
+    let a = replayed(on_miss, &stream);
+    let b = replayed(always, &stream);
     assert!(b.stats().history_writes > a.stats().history_writes * 5);
     let diff = (a.stats().misprediction_rate() - b.stats().misprediction_rate()).abs();
     assert!(
@@ -163,10 +167,8 @@ fn history_depth_slows_adaptation_on_alternating_patterns() {
             ));
         }
     }
-    let mut d1 = ConfigRunner::new(mk(1));
-    d1.process_all(&stream);
-    let mut d4 = ConfigRunner::new(mk(4));
-    d4.process_all(&stream);
+    let d1 = replayed(mk(1), &stream);
+    let d4 = replayed(mk(4), &stream);
     assert!(
         d1.stats().misprediction_rate() <= d4.stats().misprediction_rate() + 1e-9,
         "depth 1 ({:.3}) should adapt at least as fast as depth 4 ({:.3})",
@@ -194,10 +196,8 @@ fn lane_sharing_accelerates_warm_up() {
         peek: false,
         ..SpeculationConfig::st2()
     };
-    let mut s = ConfigRunner::new(shared);
-    s.process_all(&stream);
-    let mut l = ConfigRunner::new(ltid);
-    l.process_all(&stream);
+    let s = replayed(shared, &stream);
+    let l = replayed(ltid, &stream);
     assert_eq!(s.stats().mispredicted_ops, 1, "shared: one cold miss total");
     assert_eq!(
         l.stats().mispredicted_ops,
@@ -209,7 +209,7 @@ fn lane_sharing_accelerates_warm_up() {
 #[test]
 fn mixed_width_interleaving_shares_one_crf() {
     // Integer and FP records with the same PC row interleave through one
-    // runner, as one CRF serves an SM's ALUs and FPUs.
+    // adder, as one CRF serves an SM's ALUs and FPUs.
     let mut records = Vec::new();
     for i in 0..500u64 {
         records.push(AddRecord::int64(0x12, 0, 0, i as i64, 1, false));
@@ -223,11 +223,10 @@ fn mixed_width_interleaving_shares_one_crf() {
             });
         }
     }
-    let mut runner = ConfigRunner::new(SpeculationConfig::st2());
-    runner.process_all(&records);
+    let adder = replayed(SpeculationConfig::st2(), &records);
     // Aliasing across the two instruction kinds raises misses but must
-    // never threaten correctness (enforced by execute_op's asserts) and
+    // never threaten correctness (enforced by the slice engine's asserts) and
     // the rate stays bounded.
-    assert!(runner.stats().ops >= 1_000);
-    assert!(runner.stats().misprediction_rate() < 0.6);
+    assert!(adder.stats().ops >= 1_000);
+    assert!(adder.stats().misprediction_rate() < 0.6);
 }

@@ -58,7 +58,7 @@ impl KernelBuilder {
 
     /// Current PC (index of the next instruction).
     #[must_use]
-    pub fn here(&self) -> u32 {
+    pub(crate) fn here(&self) -> u32 {
         self.insts.len() as u32
     }
 
@@ -328,11 +328,6 @@ impl KernelBuilder {
         let d = self.reg();
         self.emit(Inst::Special { d, s });
         d
-    }
-
-    /// Reads a special value into an existing register.
-    pub fn special_into(&mut self, d: Reg, s: Special) {
-        self.emit(Inst::Special { d, s });
     }
 
     /// Block-wide barrier.

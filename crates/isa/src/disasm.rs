@@ -195,6 +195,8 @@ pub fn disasm_inst(inst: &Inst) -> String {
 /// assert!(text.contains("add.i64"));
 /// assert!(text.contains("exit"));
 /// ```
+// Public with no caller in the workspace: a debugging aid for kernel
+// authors, shown by the example above.
 #[must_use]
 pub fn disasm(program: &Program) -> String {
     let mut out = String::new();
@@ -239,7 +241,7 @@ mod tests {
         k.i2f(b, a.into());
         k.ld_global_u32(a, b, 4);
         k.st_shared_u64(a.into(), b, -8);
-        k.special_into(a, Special::LaneId);
+        let _ = k.special(Special::LaneId);
         k.bar();
         let c = k.reg();
         k.if_(c, |k| k.mov(a, Operand::Imm(0x10000)));

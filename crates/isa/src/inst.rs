@@ -189,16 +189,7 @@ pub enum MemWidth {
     W8,
 }
 
-impl MemWidth {
-    /// Width in bytes.
-    #[must_use]
-    pub fn bytes(self) -> u64 {
-        match self {
-            MemWidth::W4 => 4,
-            MemWidth::W8 => 8,
-        }
-    }
-}
+impl MemWidth {}
 
 /// Branch condition: taken when the register is non-zero (or zero, when
 /// `if_nonzero` is false).
@@ -393,18 +384,6 @@ impl Inst {
             Inst::Mov { .. } | Inst::Special { .. } => InstClass::Other,
         }
     }
-
-    /// Whether executing this instruction drives an add/sub through a
-    /// (potentially speculative) adder datapath.
-    #[must_use]
-    pub fn uses_adder(&self) -> bool {
-        match self {
-            Inst::Int { op, .. } => op.uses_adder(),
-            Inst::Float { op, .. } => matches!(op, FloatOp::Add | FloatOp::Sub),
-            Inst::Fma { .. } => true,
-            _ => false,
-        }
-    }
 }
 
 /// All [`InstClass`] values, for iteration in reports.
@@ -437,7 +416,7 @@ mod tests {
             b: Operand::Imm(2),
         };
         assert_eq!(add.class(), InstClass::AluAdd);
-        assert!(add.uses_adder());
+        assert!(IntOp::Add.uses_adder());
 
         let min = Inst::Int {
             op: IntOp::Min,
@@ -446,7 +425,7 @@ mod tests {
             b: Operand::Imm(2),
         };
         assert_eq!(min.class(), InstClass::AluOther);
-        assert!(min.uses_adder(), "MIN compares by subtracting");
+        assert!(IntOp::Min.uses_adder(), "MIN compares by subtracting");
 
         let fma = Inst::Fma {
             w: FloatWidth::F32,
@@ -456,7 +435,6 @@ mod tests {
             c: Operand::f32(3.0),
         };
         assert_eq!(fma.class(), InstClass::FpuOther);
-        assert!(fma.uses_adder(), "FMA accumulates on the mantissa adder");
 
         let mul = Inst::Int {
             op: IntOp::Mul,
@@ -465,7 +443,7 @@ mod tests {
             b: Operand::Imm(2),
         };
         assert_eq!(mul.class(), InstClass::IntMulDiv);
-        assert!(!mul.uses_adder());
+        assert!(!IntOp::Mul.uses_adder());
     }
 
     #[test]

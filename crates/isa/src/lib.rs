@@ -31,11 +31,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod builder;
+pub(crate) mod builder;
 pub mod disasm;
 pub mod inst;
-pub mod mem;
-pub mod program;
+pub(crate) mod mem;
+pub(crate) mod program;
 
 pub use builder::KernelBuilder;
 pub use inst::{

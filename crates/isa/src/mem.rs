@@ -128,22 +128,6 @@ impl MemImage {
     pub fn as_bytes(&self) -> &[u8] {
         &self.data
     }
-
-    /// Extracts `count` f32 values starting at `addr`.
-    #[must_use]
-    pub fn read_f32_slice(&self, addr: u64, count: usize) -> Vec<f32> {
-        (0..count)
-            .map(|i| self.read_f32(addr + i as u64 * 4))
-            .collect()
-    }
-
-    /// Extracts `count` i32 values (sign-extended) starting at `addr`.
-    #[must_use]
-    pub fn read_i32_slice(&self, addr: u64, count: usize) -> Vec<i64> {
-        (0..count)
-            .map(|i| self.read_i32_sext(addr + i as u64 * 4))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -164,9 +148,10 @@ mod tests {
     #[test]
     fn from_slices() {
         let m = MemImage::from_f32(&[1.0, 2.0, 3.5]);
-        assert_eq!(m.read_f32_slice(0, 3), vec![1.0, 2.0, 3.5]);
+        let floats: Vec<f32> = (0..3).map(|i| m.read_f32(4 * i)).collect();
+        assert_eq!(floats, vec![1.0, 2.0, 3.5]);
         let m = MemImage::from_i32(&[-5, 7]);
-        assert_eq!(m.read_i32_slice(0, 2), vec![-5, 7]);
+        assert_eq!([m.read_i32_sext(0), m.read_i32_sext(4)], [-5, 7]);
     }
 
     #[test]

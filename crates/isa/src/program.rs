@@ -70,7 +70,7 @@ impl Program {
 
     /// Kernel name.
     #[must_use]
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -93,6 +93,7 @@ impl Program {
     }
 
     /// Whether the program has no instructions.
+    // Public beside the public `len`, as `clippy::len_without_is_empty` asks.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.insts.is_empty()

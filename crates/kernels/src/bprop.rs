@@ -15,7 +15,7 @@ const MOMENTUM: f32 = 0.3;
 
 /// Builds bprop_K1 (layer-forward).
 #[must_use]
-pub fn build_k1(scale: Scale) -> KernelSpec {
+pub(crate) fn build_k1(scale: Scale) -> KernelSpec {
     let n_in = 64usize;
     let n_hidden = 64 * scale.factor() as usize;
 
@@ -94,7 +94,7 @@ pub fn build_k1(scale: Scale) -> KernelSpec {
 
 /// Builds bprop_K2 (weight adjustment).
 #[must_use]
-pub fn build_k2(scale: Scale) -> KernelSpec {
+pub(crate) fn build_k2(scale: Scale) -> KernelSpec {
     let n_in = 64usize;
     let n_hidden = 64 * scale.factor() as usize;
     let total = n_in * n_hidden;

@@ -176,7 +176,7 @@ pub fn build_k1(scale: Scale) -> KernelSpec {
 
 /// Builds b+tree_K2 (findRangeK: leaf slots of `q` and `q + span`).
 #[must_use]
-pub fn build_k2(scale: Scale) -> KernelSpec {
+pub(crate) fn build_k2(scale: Scale) -> KernelSpec {
     let (tree, queries, nq) = common("btree2", scale);
     let (memory, sep_base, q_base, o_base) = layout(&tree, &queries, 2);
     let span = 10_000i32;

@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 /// A seeded generator for one workload (seed derives from the name so
 /// workloads don't share streams).
 #[must_use]
-pub fn rng_for(name: &str) -> StdRng {
+pub(crate) fn rng_for(name: &str) -> StdRng {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in name.bytes() {
         h ^= u64::from(b);
@@ -20,20 +20,20 @@ pub fn rng_for(name: &str) -> StdRng {
 
 /// Uniform f32 values in `[lo, hi)`.
 #[must_use]
-pub fn f32_vec(rng: &mut StdRng, n: usize, lo: f32, hi: f32) -> Vec<f32> {
+pub(crate) fn f32_vec(rng: &mut StdRng, n: usize, lo: f32, hi: f32) -> Vec<f32> {
     (0..n).map(|_| rng.random_range(lo..hi)).collect()
 }
 
 /// Uniform i32 values in `[lo, hi)`.
 #[must_use]
-pub fn i32_vec(rng: &mut StdRng, n: usize, lo: i32, hi: i32) -> Vec<i32> {
+pub(crate) fn i32_vec(rng: &mut StdRng, n: usize, lo: i32, hi: i32) -> Vec<i32> {
     (0..n).map(|_| rng.random_range(lo..hi)).collect()
 }
 
 /// A smooth "image-like" f32 field: low-frequency structure plus noise —
 /// the gradually-evolving data that real stencil workloads see.
 #[must_use]
-pub fn smooth_field(rng: &mut StdRng, w: usize, h: usize, amplitude: f32) -> Vec<f32> {
+pub(crate) fn smooth_field(rng: &mut StdRng, w: usize, h: usize, amplitude: f32) -> Vec<f32> {
     let mut v = Vec::with_capacity(w * h);
     let fx = rng.random_range(0.02..0.08f32);
     let fy = rng.random_range(0.02..0.08f32);
@@ -49,7 +49,7 @@ pub fn smooth_field(rng: &mut StdRng, w: usize, h: usize, amplitude: f32) -> Vec
 
 /// A smooth integer field in `[0, max)` (e.g. pathfinder wall weights).
 #[must_use]
-pub fn smooth_i32_field(rng: &mut StdRng, w: usize, h: usize, max: i32) -> Vec<i32> {
+pub(crate) fn smooth_i32_field(rng: &mut StdRng, w: usize, h: usize, max: i32) -> Vec<i32> {
     smooth_field(rng, w, h, max as f32)
         .into_iter()
         .map(|f| (f as i32).clamp(0, max - 1))

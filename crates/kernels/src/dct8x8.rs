@@ -14,7 +14,7 @@ const B: usize = 8;
 /// Builds dct8x8_K1.
 #[must_use]
 #[allow(clippy::needless_range_loop)] // index math mirrors the kernel
-pub fn build(scale: Scale) -> KernelSpec {
+pub(crate) fn build(scale: Scale) -> KernelSpec {
     let blocks_x = 2 * scale.factor() as usize;
     let blocks_y = 2usize;
     let w = blocks_x * B;

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 /// Builds dwt2d_K1.
 #[must_use]
-pub fn build(scale: Scale) -> KernelSpec {
+pub(crate) fn build(scale: Scale) -> KernelSpec {
     let w = 64 * scale.factor() as usize; // even
     let h = 16usize;
     let n = w * h;

@@ -26,11 +26,11 @@
 #![warn(missing_docs)]
 
 pub mod binomial;
-pub mod bprop;
+pub(crate) mod bprop;
 pub mod btree;
-pub mod data;
-pub mod dct8x8;
-pub mod dwt2d;
+pub(crate) mod data;
+pub(crate) mod dct8x8;
+pub(crate) mod dwt2d;
 pub mod histogram;
 pub mod kmeans;
 pub mod mergesort;
@@ -41,8 +41,8 @@ pub mod sad;
 pub mod sgemm;
 pub mod sobol;
 pub mod sortnets;
-pub mod spec;
-pub mod sradv1;
+pub(crate) mod spec;
+pub(crate) mod sradv1;
 pub mod suite;
 pub mod walsh;
 
@@ -55,7 +55,7 @@ pub(crate) mod testutil {
     use st2_sim::{run_functional, FunctionalOptions};
 
     /// Runs a kernel functionally and applies its CPU reference checker.
-    pub fn run_and_verify(spec: &KernelSpec) {
+    pub(crate) fn run_and_verify(spec: &KernelSpec) {
         let mut mem = spec.memory.clone();
         let out = run_functional(
             &spec.program,

@@ -15,7 +15,7 @@ const RUN: usize = 8; // keys per thread in K1; K2 merges pairs of RUNs
 
 /// Builds msort_K1 (per-thread insertion sort of RUN-element chunks).
 #[must_use]
-pub fn build_k1(scale: Scale) -> KernelSpec {
+pub(crate) fn build_k1(scale: Scale) -> KernelSpec {
     let threads = 128 * scale.factor() as usize;
     let n = threads * RUN;
     let keys = data::i32_vec(&mut data::rng_for("msort1"), n, 0, 1 << 16);

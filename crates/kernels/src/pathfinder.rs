@@ -25,7 +25,7 @@ use st2_isa::{KernelBuilder, MemImage, Operand, Special};
 use std::sync::Arc;
 
 /// Threads per block (the tile width).
-pub const BLOCK_SIZE: u32 = 64;
+pub(crate) const BLOCK_SIZE: u32 = 64;
 
 /// Builds the pathfinder kernel.
 #[must_use]

@@ -41,7 +41,7 @@ pub enum Scale {
 impl Scale {
     /// A multiplicative size knob (kernels interpret it appropriately).
     #[must_use]
-    pub fn factor(self) -> u32 {
+    pub(crate) fn factor(self) -> u32 {
         match self {
             Scale::Test => 1,
             Scale::Full => 4,
@@ -50,7 +50,7 @@ impl Scale {
 }
 
 /// Post-run output checker against a CPU reference.
-pub type Checker = Arc<dyn Fn(&MemImage) -> Result<(), String> + Send + Sync>;
+pub(crate) type Checker = Arc<dyn Fn(&MemImage) -> Result<(), String> + Send + Sync>;
 
 /// One runnable kernel with everything needed to execute and verify it.
 #[derive(Clone)]
@@ -58,7 +58,7 @@ pub struct KernelSpec {
     /// The paper's kernel label (e.g. `"pathfinder"`, `"msort_K2"`).
     pub name: &'static str,
     /// Source benchmark suite.
-    pub suite: BenchSuite,
+    pub(crate) suite: BenchSuite,
     /// The program.
     pub program: Program,
     /// Launch geometry.
@@ -66,7 +66,7 @@ pub struct KernelSpec {
     /// Initialised device memory (inputs laid out by the builder).
     pub memory: MemImage,
     /// CPU reference checker, run against post-execution memory.
-    pub check: Option<Checker>,
+    pub(crate) check: Option<Checker>,
 }
 
 impl fmt::Debug for KernelSpec {
@@ -100,7 +100,12 @@ impl KernelSpec {
 /// # Errors
 ///
 /// Returns a description of the first mismatch.
-pub fn check_f32_region(mem: &MemImage, base: u64, expect: &[f32], tol: f32) -> Result<(), String> {
+pub(crate) fn check_f32_region(
+    mem: &MemImage,
+    base: u64,
+    expect: &[f32],
+    tol: f32,
+) -> Result<(), String> {
     for (i, &e) in expect.iter().enumerate() {
         let got = mem.read_f32(base + i as u64 * 4);
         let err = (got - e).abs();
@@ -119,7 +124,7 @@ pub fn check_f32_region(mem: &MemImage, base: u64, expect: &[f32], tol: f32) -> 
 /// # Errors
 ///
 /// Returns a description of the first mismatch.
-pub fn check_i32_region(mem: &MemImage, base: u64, expect: &[i64]) -> Result<(), String> {
+pub(crate) fn check_i32_region(mem: &MemImage, base: u64, expect: &[i64]) -> Result<(), String> {
     for (i, &e) in expect.iter().enumerate() {
         let got = mem.read_i32_sext(base + i as u64 * 4);
         if got != e {

@@ -15,7 +15,7 @@ const Q0SQR: f32 = 0.05 * 0.05;
 
 /// Builds sradv1_K1.
 #[must_use]
-pub fn build(scale: Scale) -> KernelSpec {
+pub(crate) fn build(scale: Scale) -> KernelSpec {
     let w = 32 * scale.factor() as usize;
     let h = 24usize;
     let n = w * h;

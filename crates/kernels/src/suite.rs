@@ -33,12 +33,6 @@ pub fn suite(scale: Scale) -> Vec<KernelSpec> {
     ]
 }
 
-/// The 14 kernels the paper classifies as arithmetic-intensive (> 20 % of
-/// system energy in ALU+FPU); used by the Fig. 7 aggregate rows. The
-/// membership here is computed from *our* runs by the harness — this
-/// helper just names the paper's count for documentation purposes.
-pub const ARITHMETIC_INTENSE_COUNT_IN_PAPER: usize = 14;
-
 #[cfg(test)]
 mod tests {
     use super::*;

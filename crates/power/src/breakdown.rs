@@ -66,14 +66,14 @@ impl KernelEnergy {
 
     /// Fraction of baseline *chip* energy spent in ALU+FPU.
     #[must_use]
-    pub fn alu_fpu_chip_share(&self) -> f64 {
+    pub(crate) fn alu_fpu_chip_share(&self) -> f64 {
         self.baseline.get(Component::AluFpu) / self.baseline.chip()
     }
 
     /// Whether the paper would classify this kernel as
     /// arithmetic-intensive (> 20 % of system energy in ALU+FPU).
     #[must_use]
-    pub fn is_arithmetic_intense(&self) -> bool {
+    pub(crate) fn is_arithmetic_intense(&self) -> bool {
         self.alu_fpu_system_share() > 0.20
     }
 

@@ -49,7 +49,7 @@ pub fn all_components() -> [Component; NUM_COMPONENTS] {
 
 /// Dense index of a component.
 #[must_use]
-pub fn component_index(c: Component) -> usize {
+pub(crate) fn component_index(c: Component) -> usize {
     match c {
         Component::AluFpu => 0,
         Component::IntMulDiv => 1,

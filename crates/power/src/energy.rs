@@ -28,7 +28,7 @@ impl ComponentEnergy {
     }
 
     /// Adds energy to a component.
-    pub fn add(&mut self, c: Component, joules: f64) {
+    pub(crate) fn add(&mut self, c: Component, joules: f64) {
         self.values[component_index(c)] += joules;
     }
 
@@ -41,13 +41,13 @@ impl ComponentEnergy {
     /// Chip energy (system minus DRAM) — the paper's "chip energy
     /// (excluding DRAM)".
     #[must_use]
-    pub fn chip(&self) -> f64 {
+    pub(crate) fn chip(&self) -> f64 {
         self.system() - self.get(Component::Dram)
     }
 
     /// The raw component vector (Fig. 7 stacking order).
     #[must_use]
-    pub fn as_array(&self) -> [f64; NUM_COMPONENTS] {
+    pub(crate) fn as_array(&self) -> [f64; NUM_COMPONENTS] {
         self.values
     }
 }
@@ -56,58 +56,58 @@ impl ComponentEnergy {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EnergyCoefficients {
     /// Simple non-adder ALU op (logic/shift/select), per thread-op.
-    pub alu_logic_fj: f64,
+    pub(crate) alu_logic_fj: f64,
     /// FP exponent/normalisation overhead per FP add-path op.
-    pub fp_overhead_fj: f64,
+    pub(crate) fp_overhead_fj: f64,
     /// Integer multiply/divide per thread-op.
-    pub int_muldiv_fj: f64,
+    pub(crate) int_muldiv_fj: f64,
     /// FP multiply (also the multiply half of an FMA) per thread-op.
-    pub fp_mul_fj: f64,
+    pub(crate) fp_mul_fj: f64,
     /// SFU operation per thread-op.
-    pub sfu_fj: f64,
+    pub(crate) sfu_fj: f64,
     /// Register-file access per thread operand.
-    pub regfile_fj: f64,
+    pub(crate) regfile_fj: f64,
     /// L1 transaction (128 B).
-    pub l1_fj: f64,
+    pub(crate) l1_fj: f64,
     /// L2 transaction.
-    pub l2_fj: f64,
+    pub(crate) l2_fj: f64,
     /// Shared-memory transaction.
-    pub shared_fj: f64,
+    pub(crate) shared_fj: f64,
     /// NoC flit.
-    pub noc_flit_fj: f64,
+    pub(crate) noc_flit_fj: f64,
     /// MSHR merge: a CAM match plus an entry update — no array traffic,
     /// so an order of magnitude under an L1 transaction.
-    pub mshr_merge_fj: f64,
+    pub(crate) mshr_merge_fj: f64,
     /// Crossbar hop: one fill traversing the SM↔partition crossbar
     /// (arbitration + link toggle), on top of its NoC flits.
-    pub xbar_hop_fj: f64,
+    pub(crate) xbar_hop_fj: f64,
     /// Write-allocate fill: the tag write and line install a store miss
     /// adds on top of the fill itself.
-    pub write_alloc_fj: f64,
+    pub(crate) write_alloc_fj: f64,
     /// Per cycle a request sits queued for a bandwidth slot or crossbar
     /// port (occupied queue-buffer entry).
-    pub queue_wait_fj: f64,
+    pub(crate) queue_wait_fj: f64,
     /// DRAM background (refresh + standby) per device clock tick,
     /// pro-rated to the simulated slice. Reporting-layer only — like
     /// the static SM power it stays out of the calibrated components.
-    pub dram_background_fj: f64,
+    pub(crate) dram_background_fj: f64,
     /// DRAM access (128 B).
-    pub dram_fj: f64,
+    pub(crate) dram_fj: f64,
     /// Front-end (fetch/decode/issue) per warp instruction.
-    pub issue_fj: f64,
+    pub(crate) issue_fj: f64,
     /// Misc per thread-op (pipeline registers, operand routing).
-    pub misc_thread_fj: f64,
+    pub(crate) misc_thread_fj: f64,
     /// Constant board power per *simulated SM* (fans, regulators,
     /// peripheral circuitry pro-rated to the simulated slice of the
     /// chip), watts.
-    pub p_const_sm_w: f64,
+    pub(crate) p_const_sm_w: f64,
     /// Static power per idle SM, watts.
-    pub p_idle_sm_w: f64,
+    pub(crate) p_idle_sm_w: f64,
     /// Per-SM active baseline power (clock tree etc.), watts.
-    pub p_active_sm_w: f64,
+    pub(crate) p_active_sm_w: f64,
     /// Level-shifter dynamic energy per ST² adder op (pessimistic
     /// per-bit toggle model folded to a per-op figure).
-    pub level_shifter_fj: f64,
+    pub(crate) level_shifter_fj: f64,
 }
 
 impl Default for EnergyCoefficients {
@@ -143,7 +143,7 @@ impl Default for EnergyCoefficients {
 #[derive(Debug, Clone)]
 pub struct EnergyModel {
     /// Event-energy coefficients.
-    pub coeff: EnergyCoefficients,
+    pub(crate) coeff: EnergyCoefficients,
     /// Adder energies from the gate-level characterisation.
     pub adders: AdderEnergyTable,
 }
@@ -163,16 +163,10 @@ impl EnergyModel {
         }
     }
 
-    /// Builds from existing parts (e.g. a cached characterisation).
-    #[must_use]
-    pub fn new(coeff: EnergyCoefficients, adders: AdderEnergyTable) -> Self {
-        EnergyModel { coeff, adders }
-    }
-
     /// Reference adder energy for a datapath width (fJ), linear in bits
     /// relative to the characterised 64-bit reference.
     #[must_use]
-    pub fn reference_adder_fj(&self, bits: u32) -> f64 {
+    pub(crate) fn reference_adder_fj(&self, bits: u32) -> f64 {
         self.adders.reference_energy_fj * f64::from(bits) / 64.0
     }
 
@@ -284,7 +278,7 @@ impl EnergyModel {
     /// Events are priced exactly as [`EnergyModel::component_energy`]
     /// prices the matching activity counters; the per-cycle terms
     /// (SM-resident static floor, DRAM background) mirror
-    /// [`EnergyModel::static_energy_j`]'s treatment — reporting-layer
+    /// `EnergyModel::static_energy_j`'s treatment — reporting-layer
     /// charges that never enter the calibration design matrix. The SM
     /// floor is the unconditional constant + idle power every resident
     /// SM pays per tick; the active-above-idle increment shows up
@@ -313,7 +307,7 @@ impl EnergyModel {
     /// Fig. 7 breakdown; in Eq. 1 these are the dedicated
     /// `P_const`/`P_idleSM` terms.
     #[must_use]
-    pub fn static_energy_j(&self, act: &ActivityCounters, clock_ghz: f64) -> f64 {
+    pub(crate) fn static_energy_j(&self, act: &ActivityCounters, clock_ghz: f64) -> f64 {
         let hz = clock_ghz * 1e9;
         // Constant power is pro-rated to the simulated SM count so that
         // scaled-down simulations keep the paper's dynamic:static balance.

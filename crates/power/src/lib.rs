@@ -4,15 +4,15 @@
 //!
 //! 1. A component-level power model
 //!    `P_total = P_const + N_idleSM·P_idleSM + Σ P_i·Scale_i`  (Eq. 1)
-//!    over the activity counters the simulator produces ([`energy`],
-//!    [`model`]).
+//!    over the activity counters the simulator produces (`energy`,
+//!    `model`).
 //! 2. A suite of 123 micro-benchmark *stressors* that isolate individual
 //!    components ([`micro`]).
 //! 3. A synthetic "silicon" oracle standing in for NVML measurements of a
-//!    TITAN V ([`oracle`]) — hidden true scale factors plus measurement
+//!    TITAN V (`oracle`) — hidden true scale factors plus measurement
 //!    noise.
 //! 4. A least-squares solver that calibrates the scale factors from the
-//!    stressors alone ([`solver`], [`calibrate`]), then validates on the
+//!    stressors alone (`solver`, [`calibrate`]), then validates on the
 //!    23-kernel suite, reporting mean absolute relative error and the
 //!    Pearson correlation ([`validate`]) — the paper reports
 //!    10.5 % ± 3.8 % and r ≈ 0.8.
@@ -25,12 +25,12 @@
 pub mod breakdown;
 pub mod calibrate;
 pub mod component;
-pub mod energy;
+pub(crate) mod energy;
 pub mod micro;
-pub mod model;
-pub mod oracle;
+pub(crate) mod model;
+pub(crate) mod oracle;
 pub mod overheads;
-pub mod solver;
+pub(crate) mod solver;
 pub mod validate;
 
 pub use breakdown::{KernelEnergy, SuiteSummary};

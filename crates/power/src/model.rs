@@ -22,19 +22,9 @@ pub struct PowerModel {
 }
 
 impl PowerModel {
-    /// An uncalibrated model (all scales 1, no constant terms).
-    #[must_use]
-    pub fn unit() -> Self {
-        PowerModel {
-            p_const_w: 0.0,
-            p_idle_sm_w: 0.0,
-            scales: [1.0; NUM_COMPONENTS],
-        }
-    }
-
     /// Average number of idle SMs during a run.
     #[must_use]
-    pub fn avg_idle_sms(act: &ActivityCounters) -> f64 {
+    pub(crate) fn avg_idle_sms(act: &ActivityCounters) -> f64 {
         if act.cycles == 0 {
             0.0
         } else {
@@ -44,7 +34,7 @@ impl PowerModel {
 
     /// Total modelled power for a run (W).
     #[must_use]
-    pub fn total_power_w(
+    pub(crate) fn total_power_w(
         &self,
         components: &ComponentEnergy,
         act: &ActivityCounters,
@@ -69,6 +59,15 @@ mod tests {
     use super::*;
     use crate::component::Component;
 
+    /// An uncalibrated model (all scales 1, no constant terms).
+    fn unit() -> PowerModel {
+        PowerModel {
+            p_const_w: 0.0,
+            p_idle_sm_w: 0.0,
+            scales: [1.0; NUM_COMPONENTS],
+        }
+    }
+
     #[test]
     fn unit_model_reproduces_energy_over_time() {
         let mut e = ComponentEnergy::default();
@@ -77,7 +76,7 @@ mod tests {
             cycles: 1_200_000, // at 1.2 GHz → 1 ms
             ..Default::default()
         };
-        let p = PowerModel::unit().total_power_w(&e, &act, 1.2);
+        let p = unit().total_power_w(&e, &act, 1.2);
         assert!((p - 1.2).abs() < 1e-9, "1.2 mJ over 1 ms = 1.2 W, got {p}");
     }
 
@@ -90,7 +89,7 @@ mod tests {
             idle_sm_cycles: 2_400_000, // avg 2 idle SMs
             ..Default::default()
         };
-        let mut m = PowerModel::unit();
+        let mut m = unit();
         m.p_const_w = 10.0;
         m.p_idle_sm_w = 0.5;
         m.scales[crate::component::component_index(Component::Dram)] = 2.0;

@@ -53,7 +53,7 @@ impl SiliconOracle {
     }
 
     /// A noisy power "measurement" (W) for a run.
-    pub fn measure(
+    pub(crate) fn measure(
         &mut self,
         energy: &EnergyModel,
         components: &ComponentEnergy,

@@ -10,7 +10,7 @@
 /// Panics if the rows have inconsistent lengths, there are fewer rows
 /// than columns, or the normal matrix is numerically singular.
 #[must_use]
-pub fn least_squares(a: &[Vec<f64>], b: &[f64]) -> Vec<f64> {
+pub(crate) fn least_squares(a: &[Vec<f64>], b: &[f64]) -> Vec<f64> {
     assert_eq!(a.len(), b.len(), "row count mismatch");
     let rows = a.len();
     let cols = a.first().map_or(0, Vec::len);
@@ -89,7 +89,7 @@ pub fn least_squares(a: &[Vec<f64>], b: &[f64]) -> Vec<f64> {
 ///
 /// Panics on length mismatch or empty input.
 #[must_use]
-pub fn mean_absolute_relative_error(predicted: &[f64], measured: &[f64]) -> f64 {
+pub(crate) fn mean_absolute_relative_error(predicted: &[f64], measured: &[f64]) -> f64 {
     assert_eq!(predicted.len(), measured.len());
     assert!(!predicted.is_empty());
     predicted
@@ -106,7 +106,7 @@ pub fn mean_absolute_relative_error(predicted: &[f64], measured: &[f64]) -> f64 
 ///
 /// Panics on length mismatch or fewer than two samples.
 #[must_use]
-pub fn pearson_r(x: &[f64], y: &[f64]) -> f64 {
+pub(crate) fn pearson_r(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len());
     assert!(x.len() >= 2, "need at least two samples");
     let n = x.len() as f64;

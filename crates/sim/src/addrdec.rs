@@ -18,7 +18,7 @@
 /// core carries one so it can decrement the right per-partition MSHR
 /// credit at issue time without touching shared state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AddressDecoder {
+pub(crate) struct AddressDecoder {
     line_shift: u32,
     bits: u32,
     mask: u64,
@@ -34,7 +34,7 @@ impl AddressDecoder {
     /// of two ([`crate::config::GpuConfig::validate`] enforces this
     /// before any decoder is built).
     #[must_use]
-    pub fn new(line: u64, partitions: u32) -> Self {
+    pub(crate) fn new(line: u64, partitions: u32) -> Self {
         assert!(
             line > 0 && line.is_power_of_two(),
             "line size must be a positive power of two, got {line}"
@@ -50,16 +50,10 @@ impl AddressDecoder {
         }
     }
 
-    /// The partition count this decoder routes across.
-    #[must_use]
-    pub fn partitions(&self) -> u32 {
-        self.mask as u32 + 1
-    }
-
     /// The partition serving the line containing `addr`: the XOR of all
     /// `log2(partitions)`-bit chunks of the line index.
     #[must_use]
-    pub fn decode(&self, addr: u64) -> usize {
+    pub(crate) fn decode(&self, addr: u64) -> usize {
         if self.bits == 0 {
             return 0;
         }
@@ -106,7 +100,7 @@ mod tests {
     #[test]
     fn single_partition_is_constant_zero() {
         let dec = AddressDecoder::new(LINE, 1);
-        assert_eq!(dec.partitions(), 1);
+        assert_eq!(dec.mask, 0, "one partition");
         for a in [0u64, 1, LINE, 1 << 20, u64::MAX] {
             assert_eq!(dec.decode(a), 0);
         }

@@ -22,60 +22,60 @@ pub struct GpuConfig {
     /// grid — energy results are normalised so the shape is preserved.
     pub num_sms: u32,
     /// Max resident warps per SM (Volta: 64).
-    pub max_warps_per_sm: u32,
+    pub(crate) max_warps_per_sm: u32,
     /// Max resident blocks per SM.
-    pub max_blocks_per_sm: u32,
+    pub(crate) max_blocks_per_sm: u32,
     /// Instructions issued per SM per cycle (4 sub-schedulers).
     pub issue_width: u32,
 
     /// ALU pipelines per SM (warp-wide issue slots).
-    pub alu_pipes: u32,
+    pub(crate) alu_pipes: u32,
     /// FPU pipelines per SM.
-    pub fpu_pipes: u32,
+    pub(crate) fpu_pipes: u32,
     /// DPU pipelines per SM.
-    pub dpu_pipes: u32,
+    pub(crate) dpu_pipes: u32,
     /// Integer/FP multiply-divide pipelines per SM.
-    pub muldiv_pipes: u32,
+    pub(crate) muldiv_pipes: u32,
     /// SFU pipelines per SM.
-    pub sfu_pipes: u32,
+    pub(crate) sfu_pipes: u32,
     /// LD/ST ports per SM.
-    pub ldst_pipes: u32,
+    pub(crate) ldst_pipes: u32,
 
     /// ALU result latency.
-    pub alu_latency: u32,
+    pub(crate) alu_latency: u32,
     /// FPU result latency.
-    pub fpu_latency: u32,
+    pub(crate) fpu_latency: u32,
     /// DPU result latency.
-    pub dpu_latency: u32,
+    pub(crate) dpu_latency: u32,
     /// Multiplier latency.
-    pub mul_latency: u32,
+    pub(crate) mul_latency: u32,
     /// Divider latency (iterative).
-    pub div_latency: u32,
+    pub(crate) div_latency: u32,
     /// SFU latency.
-    pub sfu_latency: u32,
+    pub(crate) sfu_latency: u32,
     /// SFU issue interval (throughput ratio).
-    pub sfu_interval: u32,
+    pub(crate) sfu_interval: u32,
     /// Shared-memory access latency.
-    pub shared_latency: u32,
+    pub(crate) shared_latency: u32,
 
     /// L1 data cache size per SM (bytes).
-    pub l1_bytes: u64,
+    pub(crate) l1_bytes: u64,
     /// L1 line size.
-    pub l1_line: u64,
+    pub(crate) l1_line: u64,
     /// L1 associativity.
-    pub l1_assoc: u32,
+    pub(crate) l1_assoc: u32,
     /// L1 hit latency.
-    pub l1_latency: u32,
+    pub(crate) l1_latency: u32,
     /// L2 total size (bytes).
-    pub l2_bytes: u64,
+    pub(crate) l2_bytes: u64,
     /// L2 line size.
-    pub l2_line: u64,
+    pub(crate) l2_line: u64,
     /// L2 associativity.
-    pub l2_assoc: u32,
+    pub(crate) l2_assoc: u32,
     /// L2 hit latency.
-    pub l2_latency: u32,
+    pub(crate) l2_latency: u32,
     /// DRAM latency.
-    pub dram_latency: u32,
+    pub(crate) dram_latency: u32,
 
     /// Miss-status holding registers per SM: distinct L1 line fills that
     /// may be in flight concurrently. A full file back-pressures the
@@ -103,12 +103,12 @@ pub struct GpuConfig {
     pub clock_ghz: f64,
 
     /// Warp scheduling policy.
-    pub scheduler: SchedulerKind,
+    pub(crate) scheduler: SchedulerKind,
 
     /// ST² speculative adders in the execute stage, predicting through
     /// one Carry Register File per SM; `false` = baseline fixed-latency
     /// adders.
-    pub st2: bool,
+    pub(crate) st2: bool,
 }
 
 impl GpuConfig {
@@ -160,7 +160,7 @@ impl GpuConfig {
     /// (8 L2 partitions; two L2 request slots and one DRAM fill slot per
     /// partition per cycle; the full 64-entry MSHR file splits into
     /// 8-entry per-partition slices per SM). Guaranteed to pass
-    /// [`GpuConfig::validate`] — the config test suite pins the
+    /// `GpuConfig::validate` — the config test suite pins the
     /// divisibility so the per-partition derivation in
     /// `Partition::build_all` never rounds.
     #[must_use]
@@ -214,7 +214,7 @@ impl GpuConfig {
     /// Sets the per-SM dual/quad-issue width (issue slots per cycle).
     /// The warp-stall profiler attributes exactly `issue_width` slots
     /// per SM per cycle, so this also scales its slot accounting. Zero
-    /// is rejected by [`GpuConfig::validate`], not clamped here.
+    /// is rejected by `GpuConfig::validate`, not clamped here.
     #[must_use]
     pub fn with_issue_width(mut self, width: u32) -> Self {
         self.issue_width = width;
@@ -223,7 +223,7 @@ impl GpuConfig {
 
     /// Sets the per-SM MSHR file size. Small values throttle
     /// memory-level parallelism; zero is rejected by
-    /// [`GpuConfig::validate`], not clamped here.
+    /// `GpuConfig::validate`, not clamped here.
     #[must_use]
     pub fn with_mshr_entries(mut self, entries: u32) -> Self {
         self.mshr_entries = entries;
@@ -231,7 +231,7 @@ impl GpuConfig {
     }
 
     /// Sets the chip-wide L2 request bandwidth (requests per cycle).
-    /// Zero is rejected by [`GpuConfig::validate`], not clamped here.
+    /// Zero is rejected by `GpuConfig::validate`, not clamped here.
     #[must_use]
     pub fn with_l2_bw(mut self, bw: u32) -> Self {
         self.l2_bw = bw;
@@ -239,7 +239,7 @@ impl GpuConfig {
     }
 
     /// Sets the chip-wide DRAM fill bandwidth (fills per cycle). Zero
-    /// is rejected by [`GpuConfig::validate`], not clamped here.
+    /// is rejected by `GpuConfig::validate`, not clamped here.
     #[must_use]
     pub fn with_dram_bw(mut self, bw: u32) -> Self {
         self.dram_bw = bw;
@@ -248,7 +248,7 @@ impl GpuConfig {
 
     /// Sets the L2 partition count (address-sliced banks behind the
     /// crossbar). Must be a power of two — checked by
-    /// [`GpuConfig::validate`], not clamped here, so typos surface as
+    /// `GpuConfig::validate`, not clamped here, so typos surface as
     /// errors instead of silently running a different geometry.
     #[must_use]
     pub fn with_l2_partitions(mut self, partitions: u32) -> Self {
@@ -280,7 +280,7 @@ impl GpuConfig {
     /// is zero, or
     /// `l2_bw < l2_partitions` (each partition needs at least one L2
     /// request slot per cycle).
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (knob, v) in [
             ("num_sms", self.num_sms),
             ("max_warps_per_sm", self.max_warps_per_sm),

@@ -17,28 +17,19 @@ use st2_isa::{LaunchConfig, MemImage, Program};
 use st2_telemetry::Telemetry;
 
 /// Options for a functional run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FunctionalOptions {
     /// Collect [`AddRecord`]s for the design-space analyses.
     pub collect_records: bool,
     /// Trace result values of one global thread id (Fig. 2).
     pub trace_gtid: Option<u64>,
-    /// How many blocks run interleaved in one batch.
-    pub concurrent_blocks: u32,
-    /// Safety valve: abort after this many warp-steps.
-    pub max_steps: u64,
 }
 
-impl Default for FunctionalOptions {
-    fn default() -> Self {
-        FunctionalOptions {
-            collect_records: false,
-            trace_gtid: None,
-            concurrent_blocks: 8,
-            max_steps: 500_000_000,
-        }
-    }
-}
+/// How many blocks run interleaved in one batch.
+const CONCURRENT_BLOCKS: u32 = 8;
+
+/// Safety valve: a run aborts after this many warp-steps.
+const MAX_STEPS: u64 = 500_000_000;
 
 /// Results of a functional run.
 #[derive(Debug, Clone, Default)]
@@ -58,7 +49,8 @@ pub struct FunctionalOutput {
 /// # Panics
 ///
 /// Panics if the program is invalid, a kernel accesses memory out of
-/// bounds, or `max_steps` is exceeded (runaway kernel).
+/// bounds, or `MAX_STEPS` (500 million warp-steps) is exceeded (runaway
+/// kernel).
 pub fn run_functional(
     program: &Program,
     launch: LaunchConfig,
@@ -89,6 +81,18 @@ pub fn run_functional_with(
     opts: &FunctionalOptions,
     run_opts: RunOptions<'_>,
 ) -> FunctionalOutput {
+    run_in_batches(program, launch, global, opts, run_opts, CONCURRENT_BLOCKS)
+}
+
+/// [`run_functional_with`] interleaving `batch` blocks at a time.
+fn run_in_batches(
+    program: &Program,
+    launch: LaunchConfig,
+    global: &mut MemImage,
+    opts: &FunctionalOptions,
+    run_opts: RunOptions<'_>,
+    batch: u32,
+) -> FunctionalOutput {
     let mut disabled = Telemetry::disabled();
     let tele = run_opts.telemetry.unwrap_or(&mut disabled);
     program.validate().expect("invalid program");
@@ -96,7 +100,6 @@ pub fn run_functional_with(
     let mut steps = 0u64;
 
     let warps_per_block = launch.warps_per_block();
-    let batch = opts.concurrent_blocks.max(1);
     let mut lanes = LaneBuffers::default();
 
     let mut next_block = 0u32;
@@ -156,7 +159,7 @@ pub fn run_functional_with(
                     out.mix.add(info.class, u64::from(info.active_threads));
                     out.warp_instructions += 1;
                     steps += 1;
-                    assert!(steps < opts.max_steps, "runaway kernel (step limit)");
+                    assert!(steps < MAX_STEPS, "runaway kernel (step limit)");
                     if tele.is_enabled() {
                         // Logical time: the warp-instruction count.
                         let t = out.warp_instructions;
@@ -345,24 +348,9 @@ mod tests {
         // Same results regardless of how many blocks interleave.
         let (p, launch, mut g1) = vecadd(512);
         let (_, _, mut g2) = vecadd(512);
-        let o1 = run_functional(
-            &p,
-            launch,
-            &mut g1,
-            &FunctionalOptions {
-                concurrent_blocks: 1,
-                ..Default::default()
-            },
-        );
-        let o2 = run_functional(
-            &p,
-            launch,
-            &mut g2,
-            &FunctionalOptions {
-                concurrent_blocks: 16,
-                ..Default::default()
-            },
-        );
+        let opts = FunctionalOptions::default();
+        let o1 = run_in_batches(&p, launch, &mut g1, &opts, RunOptions::default(), 1);
+        let o2 = run_in_batches(&p, launch, &mut g2, &opts, RunOptions::default(), 16);
         assert_eq!(g1.as_bytes(), g2.as_bytes());
         assert_eq!(o1.mix, o2.mix);
     }

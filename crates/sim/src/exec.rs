@@ -27,34 +27,34 @@ use st2_isa::{
     Operand, Program, Reg, SfuOp, Space, Special,
 };
 
-pub use st2_core::event::LaneAdd;
+pub(crate) use st2_core::event::LaneAdd;
 
 #[cfg(test)]
 mod reference;
 
 /// Architectural state of one warp.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WarpCtx {
+pub(crate) struct WarpCtx {
     /// Warp index within its block.
-    pub warp_in_block: u32,
+    pub(crate) warp_in_block: u32,
     /// Block index within the grid.
-    pub block_id: u32,
+    pub(crate) block_id: u32,
     /// Global thread id of lane 0.
-    pub gtid_base: u64,
+    pub(crate) gtid_base: u64,
     /// Live lanes in this warp (the last warp of a block may be partial).
-    pub lanes: u32,
+    pub(crate) lanes: u32,
     /// Register file: `num_regs × lanes`, register-major (register `r` of
     /// lane `l` at `r × lanes + l`), so one register of every lane is a
     /// contiguous column.
     regs: Vec<u64>,
     /// Divergence stack.
-    pub stack: SimtStack,
+    pub(crate) stack: SimtStack,
 }
 
 impl WarpCtx {
     /// Creates a warp with zeroed registers.
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         warp_in_block: u32,
         block_id: u32,
         gtid_base: u64,
@@ -74,18 +74,20 @@ impl WarpCtx {
 
     /// Whether every thread has exited.
     #[must_use]
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.stack.is_done()
     }
 
     /// Register read.
+    #[cfg(test)]
     #[must_use]
-    pub fn reg(&self, lane: u32, r: Reg) -> u64 {
+    pub(crate) fn reg(&self, lane: u32, r: Reg) -> u64 {
         self.column(r)[lane as usize]
     }
 
     /// Register write.
-    pub fn set_reg(&mut self, lane: u32, r: Reg, v: u64) {
+    #[cfg(test)]
+    pub(crate) fn set_reg(&mut self, lane: u32, r: Reg, v: u64) {
         self.column_mut(r)[lane as usize] = v;
     }
 
@@ -122,53 +124,53 @@ impl WarpCtx {
 /// A warp-level memory access (post-execution, for timing/energy). Its
 /// per-lane addresses are in [`LaneBuffers::addrs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemAccess {
+pub(crate) struct MemAccess {
     /// Memory space.
-    pub space: Space,
+    pub(crate) space: Space,
     /// Access width.
-    pub width: MemWidth,
+    pub(crate) width: MemWidth,
     /// Whether this was a store.
-    pub store: bool,
+    pub(crate) store: bool,
 }
 
 /// Caller-owned per-lane outputs of [`step`], reused across steps so
 /// that executing an instruction allocates nothing once they have grown
 /// to a warp's width. Each [`step`] clears both before it runs.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct LaneBuffers {
+pub(crate) struct LaneBuffers {
     /// The adder inputs of the step's lanes that reached an adder
     /// datapath (inactive and special-cased lanes omitted), lane order.
     /// Filled only when the step's [`StepHooks`] consume lane adds;
     /// [`StepInfo::adder_lanes`] counts them either way.
-    pub adds: Vec<LaneAdd>,
+    pub(crate) adds: Vec<LaneAdd>,
     /// The byte address of each active lane of a memory access, lane
     /// order; empty when [`StepInfo::mem`] is `None`.
-    pub addrs: Vec<u64>,
+    pub(crate) addrs: Vec<u64>,
 }
 
 /// What one [`step`] did. Its per-lane detail is in the
 /// [`LaneBuffers`] passed to the step.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepInfo {
+pub(crate) struct StepInfo {
     /// PC of the executed instruction.
-    pub pc: u32,
+    pub(crate) pc: u32,
     /// Its class.
-    pub class: InstClass,
+    pub(crate) class: InstClass,
     /// Active threads that executed it.
-    pub active_threads: u32,
+    pub(crate) active_threads: u32,
     /// Thread-level register reads performed.
-    pub reg_reads: u64,
+    pub(crate) reg_reads: u64,
     /// Thread-level register writes performed.
-    pub reg_writes: u64,
+    pub(crate) reg_writes: u64,
     /// Memory access, if any.
-    pub mem: Option<MemAccess>,
+    pub(crate) mem: Option<MemAccess>,
     /// Datapath width class of the step's adds, if any lane reached an
     /// adder.
-    pub adder: Option<WidthClass>,
+    pub(crate) adder: Option<WidthClass>,
     /// Lanes that reached an adder (0 exactly when `adder` is `None`).
-    pub adder_lanes: u32,
+    pub(crate) adder_lanes: u32,
     /// The warp reached a barrier.
-    pub barrier: bool,
+    pub(crate) barrier: bool,
 }
 
 impl StepInfo {
@@ -176,7 +178,7 @@ impl StepInfo {
     /// (see `st2_telemetry::event::pool_name`), inferred from the
     /// instruction class.
     #[must_use]
-    pub fn pool_code(&self) -> u8 {
+    pub(crate) fn pool_code(&self) -> u8 {
         match self.class {
             InstClass::FpuAdd | InstClass::FpuOther => 1,
             InstClass::IntMulDiv | InstClass::FpMulDiv => 3,
@@ -188,27 +190,27 @@ impl StepInfo {
 }
 
 /// Mutable execution environment shared by a block's warps.
-pub struct ExecEnv<'a> {
+pub(crate) struct ExecEnv<'a> {
     /// The kernel.
-    pub program: &'a Program,
+    pub(crate) program: &'a Program,
     /// Launch geometry.
-    pub launch: LaunchConfig,
+    pub(crate) launch: LaunchConfig,
     /// Device global memory.
-    pub global: &'a mut MemImage,
+    pub(crate) global: &'a mut MemImage,
     /// This block's shared memory.
-    pub shared: &'a mut MemImage,
+    pub(crate) shared: &'a mut MemImage,
 }
 
 /// Optional per-step hooks.
 #[derive(Default)]
-pub struct StepHooks<'a> {
+pub(crate) struct StepHooks<'a> {
     /// Collect adder records here (one per lane add).
-    pub records: Option<&'a mut Vec<AddRecord>>,
+    pub(crate) records: Option<&'a mut Vec<AddRecord>>,
     /// Trace result values of one global thread id.
-    pub trace: Option<(&'a mut ValueTrace, u64)>,
+    pub(crate) trace: Option<(&'a mut ValueTrace, u64)>,
     /// Fill [`LaneBuffers::adds`] (speculation consumes them); the
     /// records hook fills them regardless.
-    pub lane_adds: bool,
+    pub(crate) lane_adds: bool,
 }
 
 fn as_f32(bits: u64) -> f32 {
@@ -327,7 +329,7 @@ fn mantissa_lanes(
 ///
 /// Panics if the warp has already finished, or on out-of-bounds memory
 /// accesses (a kernel bug, surfaced loudly).
-pub fn step(
+pub(crate) fn step(
     warp: &mut WarpCtx,
     env: &mut ExecEnv<'_>,
     hooks: &mut StepHooks<'_>,
@@ -1119,7 +1121,7 @@ mod tests {
         let mut global = memory.clone();
         let mut shared = memory.clone();
         let mut recs = Vec::new();
-        let mut values = ValueTrace::new();
+        let mut values = ValueTrace::default();
         let mut lanes = LaneBuffers::default();
         let info = {
             let mut e = env(program, launch, &mut global, &mut shared);

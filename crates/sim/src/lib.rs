@@ -8,7 +8,7 @@
 //! **ST² variable-latency speculative adders** wired into the execute
 //! stage with a per-SM Carry Register File.
 //!
-//! Two execution modes share one functional core ([`exec`]):
+//! Two execution modes share one functional core (`exec`):
 //!
 //! * [`engine::run_functional`] — fast warp-lockstep execution producing
 //!   dynamic instruction mixes (Fig. 1), [`st2_core::AddRecord`] streams
@@ -18,34 +18,31 @@
 //!   (the §VI performance-overhead study) and the per-component activity
 //!   counts the power model consumes (Fig. 7).
 //!
-//! The timed mode is layered: [`sm::SmCore`] is a self-contained per-SM
+//! The timed mode is layered: `sm::SmCore` is a self-contained per-SM
 //! core (scheduler, scoreboard, pipes, ST² speculation) that reaches the
-//! cache hierarchy only through a [`memory::RequestQueue`]; [`timed`] is
+//! cache hierarchy only through a `memory::RequestQueue`; `timed` is
 //! the driver that owns block dispatch, the shared
-//! [`memory::MemoryHierarchy`] (sharded into [`memory::Partition`] banks
-//! by [`addrdec::AddressDecoder`]), and the global clock. One loop steps
+//! `memory::MemoryHierarchy` (sharded into `memory::Partition` banks
+//! by `addrdec::AddressDecoder`), and the global clock. One loop steps
 //! every core in SM-index order, then serves the queued memory
 //! transactions in (SM-index, issue) order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod addrdec;
-pub mod config;
-pub mod engine;
-pub mod exec;
+pub(crate) mod addrdec;
+pub(crate) mod config;
+pub(crate) mod engine;
+pub(crate) mod exec;
 pub mod memory;
 pub mod simt;
-pub mod sm;
-pub mod stats;
-pub mod timed;
-pub mod trace;
+pub(crate) mod sm;
+pub(crate) mod stats;
+pub(crate) mod timed;
+pub(crate) mod trace;
 
-pub use addrdec::AddressDecoder;
 pub use config::{GpuConfig, SchedulerKind};
 pub use engine::{run_functional, run_functional_with, FunctionalOptions, FunctionalOutput};
-pub use memory::RequestQueue;
-pub use sm::{CycleReport, SmCore};
 pub use stats::{ActivityCounters, InstMix};
 pub use timed::{run_timed, run_timed_lockstep, run_timed_with, RunOptions, TimedOutput};
-pub use trace::ValueTrace;
+pub use trace::{TraceEntry, ValueTrace};

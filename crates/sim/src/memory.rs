@@ -12,16 +12,16 @@
 //! ([`st2_telemetry::StallReason::MemThrottle`] in the profiler).
 //!
 //! The hierarchy is sharded into [`GpuConfig::l2_partitions`]
-//! independent [`Partition`]s selected by an
-//! [`crate::addrdec::AddressDecoder`] (XOR-folded line-address hash).
+//! independent `Partition`s selected by an
+//! `crate::addrdec::AddressDecoder` (XOR-folded line-address hash).
 //! Each partition owns an address slice of every structure a request
 //! touches after decode — per-SM L1 bank and MSHR file slices, an L2
 //! bank, its own L2/DRAM bandwidth arbiters, and per-SM crossbar
 //! injection ports — so two requests routed to different partitions
 //! share **no** mutable state: each partition's timing depends only on
-//! the order of its own requests. [`Partition::access`] touches no
+//! the order of its own requests. `Partition::access` touches no
 //! counters; the per-SM completion phase
-//! ([`crate::sm::SmCore::complete_memory`]) replays counter and
+//! (`crate::sm::SmCore::complete_memory`) replays counter and
 //! telemetry updates in (SM-index, issue) order. With
 //! one partition, the model degenerates to the legacy monolithic L2:
 //! same geometry, no crossbar, bit-identical timing.
@@ -33,11 +33,10 @@ use std::collections::VecDeque;
 
 /// A set-associative cache with true-LRU replacement.
 #[derive(Debug, Clone)]
-pub struct Cache {
+pub(crate) struct Cache {
     /// `sets[s]` is the MRU-ordered tag list of set `s`.
     sets: Vec<Vec<u64>>,
     assoc: usize,
-    line: u64,
     set_shift: u32,
     set_mask: u64,
 }
@@ -55,7 +54,7 @@ impl Cache {
     /// front by [`GpuConfig::validate`], so a zero here is a caller bug,
     /// not something to silently round up — or fewer than one set).
     #[must_use]
-    pub fn new(bytes: u64, line: u64, assoc: u32) -> Self {
+    pub(crate) fn new(bytes: u64, line: u64, assoc: u32) -> Self {
         assert!(assoc >= 1, "cache associativity must be at least 1");
         let assoc = assoc as usize;
         let lines = (bytes / line).max(1);
@@ -64,7 +63,6 @@ impl Cache {
         Cache {
             sets: vec![Vec::with_capacity(assoc); sets],
             assoc,
-            line,
             set_shift: line.trailing_zeros(),
             set_mask: sets as u64 - 1,
         }
@@ -72,7 +70,7 @@ impl Cache {
 
     /// Accesses `addr`; returns `true` on hit. Misses allocate (for both
     /// loads and stores — an allocate-on-write model).
-    pub fn access(&mut self, addr: u64) -> bool {
+    pub(crate) fn access(&mut self, addr: u64) -> bool {
         let block = addr >> self.set_shift;
         let set = (block & self.set_mask) as usize;
         let tag = block >> self.sets.len().trailing_zeros();
@@ -88,18 +86,6 @@ impl Cache {
             ways.insert(0, tag);
             false
         }
-    }
-
-    /// Line size in bytes.
-    #[must_use]
-    pub fn line(&self) -> u64 {
-        self.line
-    }
-
-    /// Modeled capacity in lines (`sets × ways`).
-    #[must_use]
-    pub fn lines(&self) -> u64 {
-        (self.sets.len() * self.assoc) as u64
     }
 }
 
@@ -294,7 +280,7 @@ impl XbarPort {
 /// injection ports. Partitions share no mutable state, so interleaving
 /// requests across partitions never changes a result.
 #[derive(Debug, Clone)]
-pub struct Partition {
+pub(crate) struct Partition {
     l1s: Vec<Cache>,
     l2: Cache,
     mshrs: Vec<MshrFile>,
@@ -318,10 +304,9 @@ pub struct Partition {
 /// occupancy accounting. A thin owner around the [`Partition`] slices
 /// plus the address decoder that routes between them.
 #[derive(Debug, Clone)]
-pub struct MemoryHierarchy {
+pub(crate) struct MemoryHierarchy {
     parts: Vec<Partition>,
     decoder: AddressDecoder,
-    line: u64,
 }
 
 /// Result of one coalesced transaction, carrying the request's
@@ -333,41 +318,41 @@ pub struct MemoryHierarchy {
 /// ([`apply_access_counters`]), which is what lets the per-SM
 /// completion phase apply the counters in issue order afterwards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AccessResult {
+pub(crate) struct AccessResult {
     /// Absolute cycle the result is available to the issuing warp.
-    pub ready_at: u64,
+    pub(crate) ready_at: u64,
     /// Latency in cycles relative to the request cycle (saturating).
-    pub latency: u32,
+    pub(crate) latency: u32,
     /// Hit in L1.
-    pub l1_hit: bool,
+    pub(crate) l1_hit: bool,
     /// Hit in L2 (only meaningful when `!l1_hit && !merged`).
-    pub l2_hit: bool,
+    pub(crate) l2_hit: bool,
     /// Merged into an already-in-flight MSHR line fill (no new L2/DRAM
     /// traffic was generated).
-    pub merged: bool,
+    pub(crate) merged: bool,
     /// The request arrived at a full MSHR file (a back-pressure event;
     /// implies `mshr_wait > 0` whenever retirement ran first).
-    pub mshr_full: bool,
+    pub(crate) mshr_full: bool,
     /// Cycles the request waited for a free MSHR entry before it could
     /// even start (request cycle → MSHR allocate).
-    pub mshr_wait: u64,
+    pub(crate) mshr_wait: u64,
     /// Cycles the started request queued at its crossbar injection port
     /// before the partition accepted it (MSHR allocate → port admit).
     /// Always zero with one partition (no crossbar).
-    pub xbar_wait: u64,
+    pub(crate) xbar_wait: u64,
     /// Cycles the admitted request queued for an L2 request slot
     /// (port admit → L2 slot grant).
-    pub l2_wait: u64,
+    pub(crate) l2_wait: u64,
     /// Cycles the L2 miss queued for a DRAM request slot
     /// (L2 slot grant → DRAM slot grant). Zero on L2 hits.
-    pub dram_wait: u64,
+    pub(crate) dram_wait: u64,
 }
 
 impl AccessResult {
     /// The hierarchy level that served the transaction: 0 = L1, 1 = L2,
     /// 2 = DRAM, 3 = merged into an in-flight fill (telemetry encoding).
     #[must_use]
-    pub fn level(&self) -> u8 {
+    pub(crate) fn level(&self) -> u8 {
         if self.merged {
             3
         } else if self.l1_hit {
@@ -382,17 +367,8 @@ impl AccessResult {
     /// Whether this transaction started a fresh line fill (an L1 miss
     /// that allocated an MSHR entry and generated L2/DRAM traffic).
     #[must_use]
-    pub fn is_fill(&self) -> bool {
+    pub(crate) fn is_fill(&self) -> bool {
         !self.l1_hit && !self.merged
-    }
-
-    /// Total cycles the fill spent queued for bandwidth slots
-    /// (L2 + DRAM), i.e. the wait attributable purely to finite
-    /// request bandwidth rather than crossbar ports, MSHR capacity or
-    /// service latency.
-    #[must_use]
-    pub fn bw_wait(&self) -> u64 {
-        self.l2_wait + self.dram_wait
     }
 }
 
@@ -402,13 +378,13 @@ impl AccessResult {
 /// [`crate::sm::SmCore::complete_memory`], which refreshes the core's
 /// per-partition credit mirror and wake hint from it.
 #[derive(Debug, Clone, Copy)]
-pub struct MshrView {
+pub(crate) struct MshrView {
     /// Free MSHR entries in this (SM, partition) slice.
-    pub free: u32,
+    pub(crate) free: u32,
     /// Earliest in-flight fill time (`u64::MAX` when empty).
-    pub earliest: u64,
+    pub(crate) earliest: u64,
     /// Occupied entries (in-flight line fills).
-    pub occupied: u32,
+    pub(crate) occupied: u32,
 }
 
 impl Partition {
@@ -426,7 +402,7 @@ impl Partition {
     /// Panics when `cfg.l1_line != cfg.l2_line` (mixed-granularity
     /// tagging is not supported — see [`GpuConfig::validate`]).
     #[must_use]
-    pub fn build_all(cfg: &GpuConfig) -> Vec<Partition> {
+    pub(crate) fn build_all(cfg: &GpuConfig) -> Vec<Partition> {
         assert_eq!(cfg.l1_line, cfg.l2_line, "L1 and L2 line sizes must match");
         let parts = cfg.l2_partitions.max(1);
         let p64 = u64::from(parts);
@@ -469,7 +445,7 @@ impl Partition {
     /// or telemetry updates — those are reconstructed from the returned
     /// [`AccessResult`] by [`apply_access_counters`] in the per-SM
     /// completion phase.
-    pub fn access(&mut self, sm: usize, addr: u64, now: u64) -> AccessResult {
+    pub(crate) fn access(&mut self, sm: usize, addr: u64, now: u64) -> AccessResult {
         let line_id = addr / self.line;
         if let Some(fill) = self.mshrs[sm].find(line_id, now) {
             let _ = self.l1s[sm].access(addr); // LRU touch only
@@ -535,7 +511,7 @@ impl Partition {
 
     /// Retires SM `sm`'s MSHR entries in this partition whose fills
     /// have landed by `now`.
-    pub fn retire_fills(&mut self, sm: usize, now: u64) {
+    pub(crate) fn retire_fills(&mut self, sm: usize, now: u64) {
         self.mshrs[sm].retire(now);
     }
 
@@ -546,13 +522,13 @@ impl Partition {
     /// through [`MshrView::earliest`] as [`crate::sm::SmCore::fill_wake`]),
     /// so a fill retiring into a slice is exactly a calendar wake.
     #[must_use]
-    pub fn earliest_fill(&self, sm: usize) -> u64 {
+    pub(crate) fn earliest_fill(&self, sm: usize) -> u64 {
         self.mshrs[sm].earliest()
     }
 
     /// SM `sm`'s MSHR slice state in this partition.
     #[must_use]
-    pub fn mshr_view(&self, sm: usize) -> MshrView {
+    pub(crate) fn mshr_view(&self, sm: usize) -> MshrView {
         MshrView {
             free: self.mshrs[sm].free(),
             earliest: self.earliest_fill(sm),
@@ -562,14 +538,14 @@ impl Partition {
 }
 
 /// Replays the counter updates one transaction implies onto `act`.
-/// Reconstructs exactly what the pre-partitioning
-/// `MemoryHierarchy::access` charged inline: an L1 access always; a
+/// Reconstructs exactly what the pre-partitioning hierarchy charged
+/// inline: an L1 access always; a
 /// merge; or a fresh fill's miss/NoC/queue-wait/backpressure counters,
 /// with L2 misses also charging DRAM. `line` is the L1 line size (NoC
 /// response flits are `line/32`). `store` marks write-allocate
 /// transactions and `xbar` whether the run models a crossbar (more than
 /// one L2 partition) — both price fresh fills for the energy model.
-pub fn apply_access_counters(
+pub(crate) fn apply_access_counters(
     act: &mut ActivityCounters,
     r: &AccessResult,
     line: u64,
@@ -616,96 +592,56 @@ impl MemoryHierarchy {
     /// partition count is not a power of two (see
     /// [`GpuConfig::validate`]).
     #[must_use]
-    pub fn new(cfg: &GpuConfig) -> Self {
+    pub(crate) fn new(cfg: &GpuConfig) -> Self {
         MemoryHierarchy {
             parts: Partition::build_all(cfg),
             decoder: AddressDecoder::new(cfg.l1_line, cfg.l2_partitions.max(1)),
-            line: cfg.l1_line,
         }
     }
 
     /// The address decoder routing lines to partitions (cheap copy).
     #[must_use]
-    pub fn decoder(&self) -> AddressDecoder {
+    pub(crate) fn decoder(&self) -> AddressDecoder {
         self.decoder
     }
 
     /// Mutable access to partition `p`.
-    pub fn partition_mut(&mut self, p: usize) -> &mut Partition {
+    pub(crate) fn partition_mut(&mut self, p: usize) -> &mut Partition {
         &mut self.parts[p]
-    }
-
-    /// One coalesced global-memory transaction from SM `sm` touching the
-    /// line containing `addr` at cycle `now`, with counter updates:
-    /// routes through the address decoder, accesses the partition, and
-    /// applies the implied counters. The single-structure convenience
-    /// path (unit tests, single-SM tools); the driver instead routes,
-    /// accesses and completes in separate phases.
-    pub fn access(
-        &mut self,
-        sm: usize,
-        addr: u64,
-        now: u64,
-        act: &mut ActivityCounters,
-    ) -> AccessResult {
-        let p = self.decoder.decode(addr);
-        let r = self.parts[p].access(sm, addr, now);
-        apply_access_counters(act, &r, self.line, false, self.parts.len() > 1);
-        r
     }
 
     /// Retires SM `sm`'s MSHR entries (every partition slice) whose
     /// fills have landed by `now`. The driver calls this for every awake
     /// SM at the start of each drain, before any access, so the cycle's
     /// requests see the post-retirement files.
-    pub fn retire_fills(&mut self, sm: usize, now: u64) {
+    pub(crate) fn retire_fills(&mut self, sm: usize, now: u64) {
         for part in &mut self.parts {
             part.retire_fills(sm, now);
         }
     }
 
-    /// SM `sm`'s aggregate MSHR file state across partitions: `(total
-    /// free entries, earliest in-flight fill time)`.
-    #[must_use]
-    pub fn mshr_state(&self, sm: usize) -> (u32, u64) {
-        let free = self.parts.iter().map(|p| p.mshrs[sm].free()).sum();
-        let earliest = self
-            .parts
-            .iter()
-            .map(|p| p.mshrs[sm].earliest())
-            .min()
-            .unwrap_or(u64::MAX);
-        (free, earliest)
-    }
-
     /// SM `sm`'s per-partition MSHR views, appended to `out` in
     /// partition-index order (`out` is cleared first; reused buffer).
-    pub fn mshr_views(&self, sm: usize, out: &mut Vec<MshrView>) {
+    pub(crate) fn mshr_views(&self, sm: usize, out: &mut Vec<MshrView>) {
         out.clear();
         out.extend(self.parts.iter().map(|p| p.mshr_view(sm)));
-    }
-
-    /// L1 line size.
-    #[must_use]
-    pub fn line(&self) -> u64 {
-        self.line
     }
 }
 
 /// One completed transaction handed back to its SM in issue order:
 /// the request identity plus the partition's [`AccessResult`].
 #[derive(Debug, Clone, Copy)]
-pub struct Completion {
+pub(crate) struct Completion {
     /// Core-local token matching the result to a scoreboard entry.
-    pub token: u32,
+    pub(crate) token: u32,
     /// Coalesced line address.
-    pub addr: u64,
+    pub(crate) addr: u64,
     /// Store traffic (write-allocate; never blocks the warp).
-    pub store: bool,
+    pub(crate) store: bool,
     /// Partition that served the request.
-    pub partition: u32,
+    pub(crate) partition: u32,
     /// The partition's access result.
-    pub result: AccessResult,
+    pub(crate) result: AccessResult,
 }
 
 fn saturate(cycles: u64) -> u32 {
@@ -722,20 +658,20 @@ fn saturate(cycles: u64) -> u32 {
 /// the cycle, then hands the results back via
 /// [`crate::sm::SmCore::complete_memory`].
 #[derive(Debug, Default)]
-pub struct RequestQueue {
+pub(crate) struct RequestQueue {
     entries: Vec<(u32, u64, bool)>,
 }
 
 impl RequestQueue {
     /// An empty queue.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RequestQueue::default()
     }
 
     /// The queued requests in issue order, leaving the queue empty (the
     /// allocation is retained for reuse via the swap in the caller).
-    pub fn drain(&mut self) -> std::vec::Drain<'_, (u32, u64, bool)> {
+    pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, (u32, u64, bool)> {
         self.entries.drain(..)
     }
 
@@ -744,14 +680,8 @@ impl RequestQueue {
     /// worst-case completion time back to its scoreboard entry;
     /// `store` discriminates write traffic for telemetry (stores take
     /// the same write-allocate path through the hierarchy).
-    pub fn request(&mut self, token: u32, addr: u64, store: bool) {
+    pub(crate) fn request(&mut self, token: u32, addr: u64, store: bool) {
         self.entries.push((token, addr, store));
-    }
-
-    /// Whether any requests are queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -761,7 +691,7 @@ impl RequestQueue {
 /// conflict-free, as on real hardware). An empty lane set — a fully
 /// predicated-off warp — touches no bank and has degree 0.
 #[must_use]
-pub fn bank_conflict_degree(addrs: &[u64]) -> u32 {
+pub(crate) fn bank_conflict_degree(addrs: &[u64]) -> u32 {
     let mut per_bank = [0u32; 32];
     for (i, &a) in addrs.iter().enumerate() {
         let word = a / 4;
@@ -776,7 +706,7 @@ pub fn bank_conflict_degree(addrs: &[u64]) -> u32 {
 /// Coalesces per-lane byte addresses into the unique `line`-byte
 /// segments they touch, in first-touch order, replacing the contents of
 /// `segs` (a buffer the caller reuses). `line` is a power of two, as
-/// [`GpuConfig::validate`] requires, so a mask finds each segment.
+/// `GpuConfig::validate` requires, so a mask finds each segment.
 pub fn coalesce(addrs: &[u64], line: u64, segs: &mut Vec<u64>) {
     debug_assert!(line.is_power_of_two(), "line {line} is not a power of two");
     let keep = !(line - 1);
@@ -792,6 +722,29 @@ pub fn coalesce(addrs: &[u64], line: u64, segs: &mut Vec<u64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One transaction from SM `sm` through the whole hierarchy, the way
+    /// the driver's route, access and complete phases run it.
+    fn access(
+        h: &mut MemoryHierarchy,
+        sm: usize,
+        addr: u64,
+        now: u64,
+        act: &mut ActivityCounters,
+    ) -> AccessResult {
+        let p = h.decoder.decode(addr);
+        let r = h.parts[p].access(sm, addr, now);
+        apply_access_counters(act, &r, h.parts[p].line, false, h.parts.len() > 1);
+        r
+    }
+
+    /// SM `sm`'s MSHR state across partitions: `(total free entries,
+    /// earliest in-flight fill time)`.
+    fn mshr_state(h: &MemoryHierarchy, sm: usize) -> (u32, u64) {
+        let free = h.parts.iter().map(|p| p.mshrs[sm].free()).sum();
+        let earliest = h.parts.iter().map(|p| p.mshrs[sm].earliest()).min();
+        (free, earliest.unwrap_or(u64::MAX))
+    }
 
     #[test]
     fn lru_behaviour() {
@@ -809,14 +762,18 @@ mod tests {
         // 96 KiB / 128 B / 4-way => 192 sets wanted; the old
         // `next_power_of_two` rounded to 256 sets (128 KiB modeled).
         let c = Cache::new(96 * 1024, 128, 4);
-        assert_eq!(c.lines(), 128 * 4, "rounded down to 128 sets");
+        assert_eq!(
+            (c.sets.len() * c.assoc) as u64,
+            128 * 4,
+            "rounded down to 128 sets"
+        );
         assert!(
-            c.lines() <= 96 * 1024 / 128,
+            (c.sets.len() * c.assoc) as u64 <= 96 * 1024 / 128,
             "modeled lines exceed configured capacity"
         );
         // Power-of-two geometries are exact.
         let exact = Cache::new(128 * 1024, 128, 4);
-        assert_eq!(exact.lines(), 128 * 1024 / 128);
+        assert_eq!((exact.sets.len() * exact.assoc) as u64, 128 * 1024 / 128);
         // And a conflict probe: with only 128 sets modeled, addresses
         // 128 sets apart map to the same set and 5 of them overflow
         // 4 ways.
@@ -833,7 +790,7 @@ mod tests {
         cfg.l1_line = 64;
         cfg.l2_line = 64;
         let h = MemoryHierarchy::new(&cfg);
-        assert_eq!(h.line(), 64);
+        assert!(h.parts.iter().all(|p| p.line == 64));
     }
 
     #[test]
@@ -878,13 +835,13 @@ mod tests {
         let cfg = GpuConfig::scaled(1);
         let mut h = MemoryHierarchy::new(&cfg);
         let mut act = ActivityCounters::default();
-        let miss = h.access(0, 1 << 20, 0, &mut act);
+        let miss = access(&mut h, 0, 1 << 20, 0, &mut act);
         assert!(!miss.l1_hit && !miss.l2_hit && !miss.merged);
         assert_eq!(miss.latency, cfg.dram_latency);
         assert_eq!(miss.ready_at, u64::from(cfg.dram_latency));
         // Re-access after the fill landed: a plain L1 hit.
         h.retire_fills(0, miss.ready_at);
-        let hit = h.access(0, 1 << 20, miss.ready_at, &mut act);
+        let hit = access(&mut h, 0, 1 << 20, miss.ready_at, &mut act);
         assert!(hit.l1_hit);
         assert_eq!(hit.latency, cfg.l1_latency);
         assert_eq!(act.l1_accesses, 2);
@@ -897,10 +854,10 @@ mod tests {
         let cfg = GpuConfig::scaled(1);
         let mut h = MemoryHierarchy::new(&cfg);
         let mut act = ActivityCounters::default();
-        let first = h.access(0, 1 << 20, 0, &mut act);
+        let first = access(&mut h, 0, 1 << 20, 0, &mut act);
         // A second miss to the same line while the fill is in flight
         // piggybacks on it: same completion time, no second DRAM access.
-        let second = h.access(0, (1 << 20) + 8, 5, &mut act);
+        let second = access(&mut h, 0, (1 << 20) + 8, 5, &mut act);
         assert!(second.merged);
         assert_eq!(second.level(), 3);
         assert_eq!(second.ready_at, first.ready_at);
@@ -922,7 +879,7 @@ mod tests {
         let n = 16u64;
         let mut last = 0;
         for k in 0..n {
-            let r = h.access(0, (1 << 24) + k * 4096, 0, &mut act);
+            let r = access(&mut h, 0, (1 << 24) + k * 4096, 0, &mut act);
             assert!(!r.l1_hit && !r.merged);
             if k > 0 {
                 assert_eq!(r.ready_at, last + 1, "FIFO backlog grows latency");
@@ -938,19 +895,19 @@ mod tests {
         cfg.mshr_entries = 2;
         let mut h = MemoryHierarchy::new(&cfg);
         let mut act = ActivityCounters::default();
-        let a = h.access(0, 0x10000, 0, &mut act);
-        let _b = h.access(0, 0x20000, 0, &mut act);
-        let (free, earliest) = h.mshr_state(0);
+        let a = access(&mut h, 0, 0x10000, 0, &mut act);
+        let _b = access(&mut h, 0, 0x20000, 0, &mut act);
+        let (free, earliest) = mshr_state(&h, 0);
         assert_eq!(free, 0);
         assert_eq!(earliest, a.ready_at);
         // Third distinct line with the file full: its request cannot
         // start before the earliest outstanding fill frees an entry.
-        let c = h.access(0, 0x30000, 1, &mut act);
+        let c = access(&mut h, 0, 0x30000, 1, &mut act);
         assert!(c.ready_at >= a.ready_at + u64::from(cfg.dram_latency));
         assert_eq!(act.mem_throttle, 1);
         // Once fills land, retirement frees the file again.
         h.retire_fills(0, c.ready_at);
-        assert_eq!(h.mshr_state(0).0, cfg.mshr_entries);
+        assert_eq!(mshr_state(&h, 0).0, cfg.mshr_entries);
     }
 
     #[test]
@@ -959,7 +916,7 @@ mod tests {
         let mut h = MemoryHierarchy::new(&cfg);
         let mut act = ActivityCounters::default();
         assert_eq!(h.partition_mut(0).earliest_fill(0), u64::MAX);
-        let a = h.access(0, 0x10000, 0, &mut act);
+        let a = access(&mut h, 0, 0x10000, 0, &mut act);
         let p = h.decoder().decode(0x10000);
         assert_eq!(h.partition_mut(p).earliest_fill(0), a.ready_at);
         // Slices are per-SM: the sibling reports no wake.
@@ -980,15 +937,15 @@ mod tests {
         // exactly like a load fill, so a load behind a store burst
         // queues behind it.
         for k in 0..8u64 {
-            let _ = h.access(0, (1 << 26) + k * 4096, 0, &mut act);
+            let _ = access(&mut h, 0, (1 << 26) + k * 4096, 0, &mut act);
         }
-        let load = h.access(0, 1 << 27, 0, &mut act);
+        let load = access(&mut h, 0, 1 << 27, 0, &mut act);
         assert!(
             load.ready_at >= u64::from(cfg.dram_latency) + 8,
             "load was not delayed by the store burst: ready_at {}",
             load.ready_at
         );
-        assert_eq!(h.mshr_state(0).0, GpuConfig::scaled(1).mshr_entries - 9);
+        assert_eq!(mshr_state(&h, 0).0, GpuConfig::scaled(1).mshr_entries - 9);
     }
 
     #[test]
@@ -999,16 +956,16 @@ mod tests {
         let mut h = MemoryHierarchy::new(&cfg);
         let mut act = ActivityCounters::default();
         // First miss of the cycle: granted immediately, no queueing.
-        let first = h.access(0, 1 << 24, 0, &mut act);
+        let first = access(&mut h, 0, 1 << 24, 0, &mut act);
         assert!(first.is_fill());
         assert_eq!((first.mshr_wait, first.l2_wait, first.dram_wait), (0, 0, 0));
         // Same-cycle misses queue behind it: the k-th distinct line
         // waits k cycles for its L2 slot (and its latency grows by
         // exactly that queueing delay).
         for k in 1..4u64 {
-            let r = h.access(0, (1 << 24) + k * 4096, 0, &mut act);
+            let r = access(&mut h, 0, (1 << 24) + k * 4096, 0, &mut act);
             assert_eq!(r.mshr_wait, 0);
-            assert_eq!(r.bw_wait(), k, "k-th request queues k cycles");
+            assert_eq!((r.l2_wait + r.dram_wait), k, "k-th request queues k cycles");
             assert_eq!(
                 u64::from(r.latency),
                 u64::from(cfg.dram_latency) + k,
@@ -1024,16 +981,16 @@ mod tests {
         cfg.mshr_entries = 1;
         let mut h = MemoryHierarchy::new(&cfg);
         let mut act = ActivityCounters::default();
-        let a = h.access(0, 0x10000, 0, &mut act);
+        let a = access(&mut h, 0, 0x10000, 0, &mut act);
         // File full: the second miss cannot allocate until a's fill
         // frees the single entry.
-        let b = h.access(0, 0x20000, 3, &mut act);
+        let b = access(&mut h, 0, 0x20000, 3, &mut act);
         assert_eq!(b.mshr_wait, a.ready_at - 3);
         assert_eq!(act.mem_throttle, 1);
         // Hits and merges carry zero stage waits.
-        let merged = h.access(0, 0x20000 + 8, 4, &mut act);
+        let merged = access(&mut h, 0, 0x20000 + 8, 4, &mut act);
         assert!(merged.merged);
-        assert_eq!(merged.mshr_wait + merged.bw_wait(), 0);
+        assert_eq!(merged.mshr_wait + (merged.l2_wait + merged.dram_wait), 0);
     }
 
     #[test]
@@ -1041,10 +998,10 @@ mod tests {
         let cfg = GpuConfig::scaled(2);
         let mut h = MemoryHierarchy::new(&cfg);
         let mut act = ActivityCounters::default();
-        let _ = h.access(0, 4096, 0, &mut act);
+        let _ = access(&mut h, 0, 4096, 0, &mut act);
         // Other SM misses its own L1 (and its own MSHR file) but hits
         // the shared L2.
-        let r = h.access(1, 4096, 0, &mut act);
+        let r = access(&mut h, 1, 4096, 0, &mut act);
         assert!(!r.l1_hit && r.l2_hit && !r.merged);
     }
 }

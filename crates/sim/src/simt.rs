@@ -7,7 +7,7 @@
 //! its own reconvergence pc, revealing the merged parent.
 
 /// A 32-bit lane mask.
-pub type Mask = u32;
+pub(crate) type Mask = u32;
 
 /// Full warp mask for `n` active lanes.
 #[must_use]
@@ -27,7 +27,7 @@ struct Entry {
 }
 
 /// Sentinel "no reconvergence" pc for the base entry.
-pub const NO_RPC: u32 = u32::MAX;
+pub(crate) const NO_RPC: u32 = u32::MAX;
 
 /// The per-warp divergence stack.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,7 +50,7 @@ impl SimtStack {
 
     /// Whether every thread has finished.
     #[must_use]
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.entries.is_empty()
     }
 
@@ -85,7 +85,7 @@ impl SimtStack {
     }
 
     /// Sequential advance past a non-branch instruction.
-    pub fn advance(&mut self) {
+    pub(crate) fn advance(&mut self) {
         let pc = self.top().pc + 1;
         self.set_pc(pc);
     }
@@ -135,7 +135,7 @@ impl SimtStack {
     }
 
     /// Kills `mask` threads everywhere in the stack (thread `Exit`).
-    pub fn exit_threads(&mut self, mask: Mask) {
+    pub(crate) fn exit_threads(&mut self, mask: Mask) {
         for e in &mut self.entries {
             e.mask &= !mask;
         }

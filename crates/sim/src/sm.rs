@@ -18,17 +18,14 @@
 //! 2. The driver runs the queued transactions through their L2
 //!    partitions and hands the completed results back through
 //!    [`SmCore::complete_memory`], which resolves the parked scoreboard
-//!    entries ([`SmCore::drain_memory`] bundles the whole phase for
-//!    single-SM callers).
+//!    entries.
 //! 3. [`SmCore::finish_cycle`] — release satisfied block barriers and
 //!    retire finished blocks.
 
 use crate::addrdec::AddressDecoder;
 use crate::config::{GpuConfig, SchedulerKind};
 use crate::exec::{step, ExecEnv, LaneAdd, LaneBuffers, StepHooks, WarpCtx};
-use crate::memory::{
-    apply_access_counters, coalesce, Completion, MemoryHierarchy, MshrView, RequestQueue,
-};
+use crate::memory::{apply_access_counters, coalesce, Completion, MshrView, RequestQueue};
 use crate::stats::ActivityCounters;
 use st2_core::adder::execute_st2_warp_op;
 use st2_core::crf::CRF_ROWS;
@@ -301,7 +298,7 @@ impl DecodedInst {
 /// instruction, built once per run and shared by reference by every
 /// [`SmCore`].
 #[derive(Debug)]
-pub struct DecodedProgram<'p> {
+pub(crate) struct DecodedProgram<'p> {
     program: &'p Program,
     /// One entry per instruction, plus a trailing `exit` that every
     /// out-of-range PC reads (as [`step`] executes one).
@@ -311,7 +308,7 @@ pub struct DecodedProgram<'p> {
 impl<'p> DecodedProgram<'p> {
     /// Decodes every instruction of `program`.
     #[must_use]
-    pub fn new(program: &'p Program) -> Self {
+    pub(crate) fn new(program: &'p Program) -> Self {
         let insts = program
             .insts()
             .iter()
@@ -333,7 +330,7 @@ impl<'p> DecodedProgram<'p> {
 }
 
 /// One global-memory access in flight between [`SmCore::step_cycle`] and
-/// [`SmCore::drain_memory`] (same cycle): which warp issued it and the
+/// [`SmCore::complete_memory`] (same cycle): which warp issued it and the
 /// scoreboard destination to resolve (None for stores, which retire
 /// without blocking the warp).
 #[derive(Debug, Clone, Copy)]
@@ -345,11 +342,11 @@ struct PendingAccess {
 /// What one [`SmCore::step_cycle`] call did, aggregated by the driver
 /// into the global clock decision.
 #[derive(Debug, Clone, Copy)]
-pub struct CycleReport {
+pub(crate) struct CycleReport {
     /// The SM had resident warps this cycle.
-    pub resident: bool,
+    pub(crate) resident: bool,
     /// At least one warp instruction issued.
-    pub issued: bool,
+    pub(crate) issued: bool,
     /// Earliest future cycle at which a currently-stalled warp could
     /// issue (`u64::MAX` = no stalled warp); lets the driver fast-forward
     /// idle stretches. Memory stalls always publish a *finite* wake:
@@ -363,7 +360,7 @@ pub struct CycleReport {
     /// say) are covered by their SM's calendar entry, which is at or
     /// before its `fill_wake`, so the quiet-machine jump in `timed.rs`
     /// needs no memory-side term.
-    pub next_wake: u64,
+    pub(crate) next_wake: u64,
 }
 
 impl Default for CycleReport {
@@ -379,7 +376,7 @@ impl Default for CycleReport {
 /// A self-contained per-SM simulation core. See the module docs for the
 /// cycle protocol.
 #[derive(Debug)]
-pub struct SmCore {
+pub(crate) struct SmCore {
     index: usize,
     cfg: GpuConfig,
     /// Resident warps in admission order: [`SmCore::admit_block`] appends
@@ -443,7 +440,7 @@ impl SmCore {
     /// Creates the core for SM `index` with `block_slots` resident-block
     /// slots.
     #[must_use]
-    pub fn new(index: usize, cfg: &GpuConfig, block_slots: u32) -> Self {
+    pub(crate) fn new(index: usize, cfg: &GpuConfig, block_slots: u32) -> Self {
         SmCore {
             index,
             cfg: *cfg,
@@ -478,21 +475,9 @@ impl SmCore {
         }
     }
 
-    /// This core's SM index.
-    #[must_use]
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Whether no block is resident.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.warps.is_empty()
-    }
-
     /// The per-SM activity accumulated so far.
     #[must_use]
-    pub fn activity(&self) -> &ActivityCounters {
+    pub(crate) fn activity(&self) -> &ActivityCounters {
         &self.act
     }
 
@@ -503,7 +488,7 @@ impl SmCore {
     /// the credit mirrors, occupancy and throttle state stay exactly
     /// what the frozen report and [`SmCore::replay_parked`] assume.
     #[must_use]
-    pub fn fill_wake(&self) -> u64 {
+    pub(crate) fn fill_wake(&self) -> u64 {
         self.mem_wake
     }
 
@@ -512,21 +497,26 @@ impl SmCore {
     /// is SM-index ordered, so a sleeping admissible SM would steal a
     /// different block than the step-everything path hands it.
     #[must_use]
-    pub fn has_free_slot(&self) -> bool {
+    pub(crate) fn has_free_slot(&self) -> bool {
         self.slots.iter().any(Option::is_none)
     }
 
     /// Earliest cycle a stalled warp's classification could change (see
     /// the field docs); the profiling-mode component of the sleep bound.
     #[must_use]
-    pub fn stall_stable_until(&self) -> u64 {
+    pub(crate) fn stall_stable_until(&self) -> u64 {
         self.stall_stable_until
     }
 
     /// Places block `block` into a free slot, materialising its warps.
     /// Returns `false` (without consuming the block) when every slot is
     /// occupied.
-    pub fn admit_block(&mut self, block: u32, program: &Program, launch: LaunchConfig) -> bool {
+    pub(crate) fn admit_block(
+        &mut self,
+        block: u32,
+        program: &Program,
+        launch: LaunchConfig,
+    ) -> bool {
         let Some(slot) = self.slots.iter().position(Option::is_none) else {
             return false;
         };
@@ -567,7 +557,7 @@ impl SmCore {
     /// per-step copies of the issue gates (each pool's earliest free
     /// pipe and the any-credit-exhausted flag), which are refreshed at
     /// each issue — the only point either can change within a step.
-    pub fn step_cycle(
+    pub(crate) fn step_cycle(
         &mut self,
         now: u64,
         code: &DecodedProgram<'_>,
@@ -939,7 +929,7 @@ impl SmCore {
     /// fast-forwarded to the next wake-up). The driver calls this once
     /// per SM per stepped cycle, before advancing telemetry time; a
     /// disabled collector makes it a no-op.
-    pub fn commit_profile(&mut self, dt: u64, tele: &mut Telemetry) {
+    pub(crate) fn commit_profile(&mut self, dt: u64, tele: &mut Telemetry) {
         tele.profile_commit(self.index, dt, &self.cycle_profile);
     }
 
@@ -956,7 +946,7 @@ impl SmCore {
     /// covers). The driver calls this once per SM per cycle — all
     /// updates are SM-local, so the call order across SMs is free; the
     /// per-SM issue order is what keeps runs bit-identical.
-    pub fn complete_memory(
+    pub(crate) fn complete_memory(
         &mut self,
         completions: &mut Vec<Completion>,
         views: &[MshrView],
@@ -1035,7 +1025,7 @@ impl SmCore {
     /// in `dt` for a zero-issue cycle (every accumulator is `+= k * dt`
     /// with `k` from the frozen profile). The throttle counter counts
     /// completion *calls*, not cycles, hence the separate `iters`.
-    pub fn replay_parked(&mut self, iters: u64, cycles: u64, tele: &mut Telemetry) {
+    pub(crate) fn replay_parked(&mut self, iters: u64, cycles: u64, tele: &mut Telemetry) {
         if cycles == 0 {
             return;
         }
@@ -1050,47 +1040,13 @@ impl SmCore {
         tele.profile_commit(self.index, cycles, &self.cycle_profile);
     }
 
-    /// Single-SM bundle of the whole memory phase: retire fills, run
-    /// this core's queued requests through their partitions, and apply
-    /// the completions. The driver runs the phases separately across all
-    /// SMs; this wrapper serves single-core callers and tests.
-    pub fn drain_memory(
-        &mut self,
-        queue: &mut RequestQueue,
-        hier: &mut MemoryHierarchy,
-        now: u64,
-        dt: u64,
-        tele: &mut Telemetry,
-    ) {
-        // Retire completed line fills first so this cycle's requests and
-        // the refreshed credit mirrors both see the post-retirement
-        // files.
-        hier.retire_fills(self.index, now);
-        let decoder = hier.decoder();
-        let mut completions = Vec::new();
-        for (token, addr, store) in queue.drain() {
-            let p = decoder.decode(addr);
-            let result = hier.partition_mut(p).access(self.index, addr, now);
-            completions.push(Completion {
-                token,
-                addr,
-                store,
-                partition: p as u32,
-                result,
-            });
-        }
-        let mut views = Vec::new();
-        hier.mshr_views(self.index, &mut views);
-        self.complete_memory(&mut completions, &views, now, dt, tele);
-    }
-
     /// End-of-cycle bookkeeping: releases block barriers once every
     /// resident warp is waiting or done, and retires fully-finished
     /// blocks (freeing their slots for the next admission). Both tests
     /// read the per-slot counters, so the cycle costs one pass over the
     /// slots plus, only when a barrier releases or a block retires, one
     /// pass over the warps.
-    pub fn finish_cycle(&mut self) {
+    pub(crate) fn finish_cycle(&mut self) {
         debug_assert!(
             self.slot_counts_match(),
             "SM {}: block-slot counters disagree with the resident warps",
@@ -1151,6 +1107,36 @@ impl SmCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::MemoryHierarchy;
+
+    /// One core's whole memory phase: retire fills, run the core's queued
+    /// requests through their partitions, and apply the completions (the
+    /// driver runs these phases across all SMs).
+    fn drain_memory(
+        core: &mut SmCore,
+        queue: &mut RequestQueue,
+        hier: &mut MemoryHierarchy,
+        now: u64,
+        tele: &mut Telemetry,
+    ) {
+        hier.retire_fills(core.index, now);
+        let decoder = hier.decoder();
+        let mut completions = Vec::new();
+        for (token, addr, store) in queue.drain() {
+            let p = decoder.decode(addr);
+            let result = hier.partition_mut(p).access(core.index, addr, now);
+            completions.push(Completion {
+                token,
+                addr,
+                store,
+                partition: p as u32,
+                result,
+            });
+        }
+        let mut views = Vec::new();
+        hier.mshr_views(core.index, &mut views);
+        core.complete_memory(&mut completions, &views, now, 1, tele);
+    }
 
     #[test]
     fn crf_row_conflicts_use_fixed_rows() {
@@ -1222,8 +1208,8 @@ mod tests {
         // so run a fixed window that covers all five instructions.
         for now in 0..50u64 {
             core.step_cycle(now, &code, launch, &mut g, &mut q, &mut tele);
-            assert!(q.is_empty(), "zero-lane op queued a transaction");
-            core.drain_memory(&mut q, &mut hier, now, 1, &mut tele);
+            assert_eq!(q.drain().len(), 0, "zero-lane op queued a transaction");
+            drain_memory(&mut core, &mut q, &mut hier, now, &mut tele);
             core.finish_cycle();
         }
         let act = core.activity();
@@ -1240,11 +1226,11 @@ mod tests {
         let launch = LaunchConfig::new(4, 64);
         let cfg = GpuConfig::scaled(1);
         let mut core = SmCore::new(0, &cfg, 2);
-        assert!(core.is_idle());
+        assert!(core.warps.is_empty());
         assert!(core.admit_block(0, &k, launch));
         assert!(core.admit_block(1, &k, launch));
         assert!(!core.admit_block(2, &k, launch), "both slots occupied");
-        assert!(!core.is_idle());
+        assert!(!core.warps.is_empty());
         assert_eq!(core.warps.len(), 2 * launch.warps_per_block() as usize);
     }
 }

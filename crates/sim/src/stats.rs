@@ -6,11 +6,11 @@ use st2_core::AdderStats;
 use st2_isa::InstClass;
 
 /// Number of [`InstClass`] values.
-pub const NUM_CLASSES: usize = 10;
+pub(crate) const NUM_CLASSES: usize = 10;
 
 /// Dense index of an instruction class.
 #[must_use]
-pub fn class_index(c: InstClass) -> usize {
+pub(crate) fn class_index(c: InstClass) -> usize {
     match c {
         InstClass::AluAdd => 0,
         InstClass::AluOther => 1,
@@ -73,7 +73,7 @@ impl InstMix {
     }
 
     /// Folds another mix into this one.
-    pub fn merge(&mut self, other: &InstMix) {
+    pub(crate) fn merge(&mut self, other: &InstMix) {
         for i in 0..NUM_CLASSES {
             self.counts[i] += other.counts[i];
         }
@@ -173,7 +173,7 @@ pub struct ActivityCounters {
 impl ActivityCounters {
     /// Folds another counter block into this one (summing cycles — use for
     /// accumulating across kernels, not across SMs of one run).
-    pub fn merge(&mut self, other: &ActivityCounters) {
+    pub(crate) fn merge(&mut self, other: &ActivityCounters) {
         self.mix.merge(&other.mix);
         self.warp_instructions += other.warp_instructions;
         self.regfile_reads += other.regfile_reads;

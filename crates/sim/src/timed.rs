@@ -67,7 +67,7 @@ pub struct TimedOutput {
 pub struct RunOptions<'t> {
     /// Telemetry collector observing the run; `None` records nothing at
     /// zero cost.
-    pub telemetry: Option<&'t mut Telemetry>,
+    pub(crate) telemetry: Option<&'t mut Telemetry>,
 }
 
 impl<'t> RunOptions<'t> {
@@ -110,7 +110,7 @@ pub fn run_timed(
 /// # Panics
 ///
 /// Same conditions as [`run_timed`], plus an invalid [`GpuConfig`]
-/// (see [`GpuConfig::validate`]) or a block with more warps than
+/// (see `GpuConfig::validate`) or a block with more warps than
 /// `max_warps_per_sm`.
 pub fn run_timed_with(
     program: &Program,

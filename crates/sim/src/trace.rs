@@ -8,23 +8,23 @@ use std::collections::HashSet;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TraceEntry {
     /// PC of the producing instruction.
-    pub pc: u32,
+    pub(crate) pc: u32,
     /// Logical time: the order in which the traced thread executed its
     /// instructions.
-    pub logical_time: u64,
+    pub(crate) logical_time: u64,
     /// The produced value, interpreted as a signed integer (for float
     /// producers this is the rounded numeric value, matching the paper's
     /// plot of result magnitudes).
     pub value: i64,
     /// Class of the producing instruction.
-    pub class: InstClass,
+    pub(crate) class: InstClass,
 }
 
 /// The value history of one thread.
 ///
-/// Bounded: once [`ValueTrace::capacity`] entries are stored, further
-/// records are counted in [`ValueTrace::dropped`] but not retained, so
-/// tracing a long-running thread cannot grow memory without limit. The
+/// Bounded: once its capacity is reached, further records advance the
+/// logical clock but are not retained, so tracing a long-running thread
+/// cannot grow memory without limit. The
 /// retained prefix is what Fig. 2 plots anyway (value evolution from the
 /// start of the thread).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -32,11 +32,10 @@ pub struct ValueTrace {
     entries: Vec<TraceEntry>,
     clock: u64,
     capacity: usize,
-    dropped: u64,
 }
 
 /// Default retention bound (entries), generous for every Fig. 2 use.
-pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
+pub(crate) const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 
 impl Default for ValueTrace {
     fn default() -> Self {
@@ -45,26 +44,19 @@ impl Default for ValueTrace {
 }
 
 impl ValueTrace {
-    /// An empty trace with the default capacity.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// An empty trace retaining at most `capacity` entries.
     #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         ValueTrace {
             entries: Vec::new(),
             clock: 0,
             capacity: capacity.max(1),
-            dropped: 0,
         }
     }
 
     /// Records one produced value. Logical time always advances;
-    /// entries beyond the capacity are dropped (and counted).
-    pub fn record(&mut self, pc: u32, value: i64, class: InstClass) {
+    /// entries beyond the capacity are dropped.
+    pub(crate) fn record(&mut self, pc: u32, value: i64, class: InstClass) {
         if self.entries.len() < self.capacity {
             self.entries.push(TraceEntry {
                 pc,
@@ -72,8 +64,6 @@ impl ValueTrace {
                 value,
                 class,
             });
-        } else {
-            self.dropped += 1;
         }
         self.clock += 1;
     }
@@ -82,18 +72,6 @@ impl ValueTrace {
     #[must_use]
     pub fn entries(&self) -> &[TraceEntry] {
         &self.entries
-    }
-
-    /// Retention bound.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Records that arrived after the trace was full.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Entries produced by one PC.
@@ -126,7 +104,7 @@ mod tests {
 
     #[test]
     fn logical_time_increments() {
-        let mut t = ValueTrace::new();
+        let mut t = ValueTrace::default();
         t.record(3, 10, InstClass::AluAdd);
         t.record(5, -7, InstClass::AluAdd);
         t.record(3, 11, InstClass::AluAdd);
@@ -138,7 +116,7 @@ mod tests {
 
     #[test]
     fn pcs_first_appearance_order_many_distinct() {
-        let mut t = ValueTrace::new();
+        let mut t = ValueTrace::default();
         // Interleave a large distinct-PC population to exercise the
         // seen-set path (the old quadratic scan made this O(n²)).
         for round in 0..3 {
@@ -160,8 +138,8 @@ mod tests {
             t.record(i, i64::from(i), InstClass::AluAdd);
         }
         assert_eq!(t.entries().len(), 4);
-        assert_eq!(t.dropped(), 6);
-        assert_eq!(t.capacity(), 4);
+        assert_eq!(t.capacity, 4);
+        assert_eq!(t.clock, 10, "dropped records still advance time");
         // The retained prefix keeps its original timestamps.
         assert_eq!(t.entries()[3].logical_time, 3);
     }

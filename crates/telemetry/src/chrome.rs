@@ -298,7 +298,16 @@ mod tests {
     fn export_parses_and_has_schema_fields() {
         let mut t = Telemetry::for_run(1, TelemetryConfig::default());
         t.issue(0, 5, 2, 16, 0);
-        t.mem_access(0, 6, 4096, 120, 2);
+        t.mem_transaction(
+            0,
+            6,
+            &crate::MemTxn {
+                addr: 4096,
+                latency: 120,
+                level: 2,
+                ..crate::MemTxn::default()
+            },
+        );
         t.barrier(0, 9, 2);
         t.span(0, "phase", 0, 10);
         assert_eq!(t.span_name(0), "phase");

@@ -3,7 +3,7 @@
 //! The collector records *what happened* per interval — DRAM fills, L2
 //! slot grants, MSHR merges, crossbar hops, write-allocates, issued
 //! instructions, SM-resident cycles — as pure integer counts (see
-//! [`crate::ENERGY_SERIES_COLUMNS`]). This module prices those events:
+//! `crate::ENERGY_SERIES_COLUMNS`). This module prices those events:
 //! an [`EnergyWeights`] table (joules per event, produced by the
 //! calibrated `st2-power` model) turns the timeline into per-interval
 //! power and a run-level [`EnergySummary`]. Keeping joules out of the
@@ -149,7 +149,11 @@ impl EnergySummary {
     /// memory row supplies the interval's queued cycles). Missing mem
     /// rows price queue energy as zero.
     #[must_use]
-    pub fn from_series(energy: &IntervalSeries, mem: &IntervalSeries, w: &EnergyWeights) -> Self {
+    pub(crate) fn from_series(
+        energy: &IntervalSeries,
+        mem: &IntervalSeries,
+        w: &EnergyWeights,
+    ) -> Self {
         let mut sum = ComponentJoules::default();
         let mut instructions = 0.0;
         let mut peak_power_w = 0.0;
@@ -203,11 +207,12 @@ impl EnergySummary {
 }
 
 /// Power-lane column order (see [`power_series`]).
-pub const POWER_SERIES_COLUMNS: [&str; 3] = ["power.total_w", "power.dram_w", "power.static_w"];
+pub(crate) const POWER_SERIES_COLUMNS: [&str; 3] =
+    ["power.total_w", "power.dram_w", "power.static_w"];
 
 /// Derives a per-interval average-power series (watts) from the
 /// energy-event timeline, for the profile-report power track and the
-/// Chrome-trace counter lane. Columns: [`POWER_SERIES_COLUMNS`].
+/// Chrome-trace counter lane. Columns: `POWER_SERIES_COLUMNS`.
 #[must_use]
 pub fn power_series(
     energy: &IntervalSeries,

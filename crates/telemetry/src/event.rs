@@ -11,7 +11,7 @@
 /// cycles are SM cycles, `pc` is the instruction address, `warp` the
 /// SM-local warp index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
+pub(crate) enum EventKind {
     /// The scheduler issued a warp instruction to a functional-unit pool.
     SchedIssue {
         /// Issuing warp (SM-local index).
@@ -79,7 +79,7 @@ pub enum EventKind {
 /// Human-readable name of a functional-unit pool index as encoded in
 /// [`EventKind::SchedIssue::pool`].
 #[must_use]
-pub fn pool_name(pool: u8) -> &'static str {
+pub(crate) fn pool_name(pool: u8) -> &'static str {
     match pool {
         0 => "alu",
         1 => "fpu",
@@ -93,17 +93,17 @@ pub fn pool_name(pool: u8) -> &'static str {
 
 /// One recorded event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
+pub(crate) struct Event {
     /// SM cycle at which the event occurred.
-    pub cycle: u64,
+    pub(crate) cycle: u64,
     /// What happened.
-    pub kind: EventKind,
+    pub(crate) kind: EventKind,
 }
 
 /// A bounded ring of [`Event`]s. Pushing past capacity overwrites the
 /// oldest entry (and counts it as dropped).
 #[derive(Debug, Clone)]
-pub struct RingBuffer {
+pub(crate) struct RingBuffer {
     slots: Vec<Event>,
     capacity: usize,
     /// Next write position.
@@ -115,7 +115,7 @@ pub struct RingBuffer {
 impl RingBuffer {
     /// A ring holding at most `capacity` events (at least 1).
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         RingBuffer {
             slots: Vec::with_capacity(capacity),
@@ -126,7 +126,7 @@ impl RingBuffer {
     }
 
     /// Records one event. Never allocates once the ring has filled.
-    pub fn push(&mut self, event: Event) {
+    pub(crate) fn push(&mut self, event: Event) {
         if self.slots.len() < self.capacity {
             self.slots.push(event);
         } else {
@@ -137,7 +137,7 @@ impl RingBuffer {
     }
 
     /// Events currently held, oldest first.
-    pub fn iter_in_order(&self) -> impl Iterator<Item = &Event> {
+    pub(crate) fn iter_in_order(&self) -> impl Iterator<Item = &Event> {
         let (wrapped, recent) = if self.slots.len() < self.capacity {
             (&self.slots[..0], &self.slots[..])
         } else {
@@ -149,25 +149,13 @@ impl RingBuffer {
 
     /// Number of events currently held.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Whether no events are held.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Ring capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Events lost to overwriting.
     #[must_use]
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 }
@@ -215,7 +203,7 @@ mod tests {
     #[test]
     fn capacity_clamped_to_one() {
         let mut r = RingBuffer::new(0);
-        assert_eq!(r.capacity(), 1);
+        assert_eq!(r.capacity, 1);
         r.push(ev(1));
         r.push(ev(2));
         assert_eq!(r.iter_in_order().next().unwrap().cycle, 2);

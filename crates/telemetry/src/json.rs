@@ -104,13 +104,7 @@ impl Writer {
     }
 
     /// Writes an unsigned integer value.
-    pub fn u64(&mut self, v: u64) {
-        self.before_value();
-        let _ = write!(self.buf, "{v}");
-    }
-
-    /// Writes a signed integer value.
-    pub fn i64(&mut self, v: i64) {
+    pub(crate) fn u64(&mut self, v: u64) {
         self.before_value();
         let _ = write!(self.buf, "{v}");
     }
@@ -390,7 +384,7 @@ mod tests {
         w.begin_array();
         w.bool(true);
         w.bool(false);
-        w.i64(-7);
+        w.f64(-7.0);
         w.end_array();
         w.key("nested");
         w.begin_object();

@@ -134,7 +134,16 @@ mod tests {
     fn every_line_is_valid_json_with_a_type() {
         let mut t = Telemetry::for_run(2, TelemetryConfig::default());
         t.issue(0, 3, 0, 8, 0);
-        t.mem_access(1, 4, 256, 30, 1);
+        t.mem_transaction(
+            1,
+            4,
+            &crate::MemTxn {
+                addr: 256,
+                latency: 30,
+                level: 1,
+                ..crate::MemTxn::default()
+            },
+        );
         t.finalize(2048);
         let text = export(&t, "unit");
         let mut types = std::collections::BTreeSet::new();

@@ -2,11 +2,11 @@
 //!
 //! Three layers, all behind one [`Telemetry`] handle:
 //!
-//! 1. **Events** ([`event`]) — cycle-stamped scheduler / adder / CRF /
+//! 1. **Events** (`event`) — cycle-stamped scheduler / adder / CRF /
 //!    memory events in a bounded per-SM ring buffer. Constant memory,
 //!    allocation-free on the hot path, one branch per callback on a
 //!    disabled collector.
-//! 2. **Metrics** ([`metrics`]) — named counters, gauges and
+//! 2. **Metrics** (`metrics`) — named counters, gauges and
 //!    log2-bucketed histograms, plus periodic interval snapshots so
 //!    quantities like adder prediction accuracy and IPC can be plotted
 //!    over simulated time.
@@ -26,10 +26,10 @@
 
 pub mod chrome;
 pub mod energy;
-pub mod event;
+pub(crate) mod event;
 pub mod json;
 pub mod jsonl;
-pub mod metrics;
+pub(crate) mod metrics;
 pub mod profile;
 pub mod summary;
 
@@ -39,21 +39,23 @@ use st2_core::event::OpContext;
 use st2_core::sink::EventSink;
 
 pub use energy::{EnergySummary, EnergyWeights};
-pub use event::{Event, EventKind, RingBuffer};
-pub use metrics::{Histogram, IntervalSeries, MetricsRegistry};
+pub(crate) use event::{Event, EventKind, RingBuffer};
+// Named here so that the types `Telemetry` and the profiles return can be
+// written.
+pub use metrics::{Histogram, IntervalPoint, IntervalSeries, MetricsRegistry};
 pub use profile::{CycleProfile, KernelProfile, ProfileCollector, SmProfile, StallReason};
 
 /// Sizing and cadence knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct TelemetryConfig {
     /// Events retained per SM ring buffer.
-    pub ring_capacity: usize,
+    pub(crate) ring_capacity: usize,
     /// Cycles between interval snapshots.
     pub interval_cycles: u64,
     /// Distinct PCs tracked in the warp-stall profiler's hotspot table
     /// before new PCs fold into an overflow bucket
     /// (see [`profile::PC_OVERFLOW`]).
-    pub profile_pc_capacity: usize,
+    pub(crate) profile_pc_capacity: usize,
 }
 
 impl Default for TelemetryConfig {
@@ -222,7 +224,8 @@ pub struct Telemetry {
 }
 
 /// Interval-series column order (see [`Telemetry::series`]).
-pub const SERIES_COLUMNS: [&str; 4] = ["adder.accuracy", "adder.ops", "adder.mispredicts", "ipc"];
+pub(crate) const SERIES_COLUMNS: [&str; 4] =
+    ["adder.accuracy", "adder.ops", "adder.mispredicts", "ipc"];
 
 /// Memory interval-series column order (see [`Telemetry::mem_series`]).
 /// All columns are extensive integer sums over the interval:
@@ -231,7 +234,7 @@ pub const SERIES_COLUMNS: [&str; 4] = ["adder.accuracy", "adder.ops", "adder.mis
 /// bandwidth slots, and cycles spent queued at crossbar injection
 /// ports (Little's law: divide by the interval length for the average
 /// queue depth).
-pub const MEM_SERIES_COLUMNS: [&str; 6] = [
+pub(crate) const MEM_SERIES_COLUMNS: [&str; 6] = [
     "mem.mshr_occupied_cycles",
     "mem.mshr_peak",
     "mem.l2_requests",
@@ -246,7 +249,7 @@ pub const MEM_SERIES_COLUMNS: [&str; 6] = [
 /// merges, crossbar hops, write-allocate fills, issued warp
 /// instructions, and SM-resident cycles (awake or parked). Multiply by
 /// per-event joules ([`energy::EnergyWeights`]) to get interval energy.
-pub const ENERGY_SERIES_COLUMNS: [&str; 7] = [
+pub(crate) const ENERGY_SERIES_COLUMNS: [&str; 7] = [
     "energy.dram_fills",
     "energy.l2_grants",
     "energy.mshr_merges",
@@ -388,7 +391,7 @@ impl Telemetry {
     }
 
     /// Records a raw event into an SM's ring. Prefer the typed helpers.
-    pub fn record_event(&mut self, sm: usize, cycle: u64, kind: EventKind) {
+    pub(crate) fn record_event(&mut self, sm: usize, cycle: u64, kind: EventKind) {
         if !self.enabled {
             return;
         }
@@ -397,7 +400,7 @@ impl Telemetry {
     }
 
     /// Interns a span name, returning its index for [`EventKind::Span`].
-    pub fn intern_span_name(&mut self, name: &str) -> u16 {
+    pub(crate) fn intern_span_name(&mut self, name: &str) -> u16 {
         if let Some(i) = self.span_names.iter().position(|n| n == name) {
             return u16::try_from(i).unwrap_or(u16::MAX);
         }
@@ -407,7 +410,7 @@ impl Telemetry {
 
     /// The interned name behind a span index.
     #[must_use]
-    pub fn span_name(&self, idx: u16) -> &str {
+    pub(crate) fn span_name(&self, idx: u16) -> &str {
         self.span_names
             .get(usize::from(idx))
             .map_or("span", String::as_str)
@@ -430,32 +433,12 @@ impl Telemetry {
         self.record_event(sm, cycle, EventKind::SchedIssue { warp, pc, pool });
     }
 
-    /// One coalesced global-memory transaction completed.
-    /// `level`: 0 = L1 hit, 1 = L2 hit, 2 = DRAM, 3 = merged into an
-    /// already-in-flight MSHR line fill (neither a hit nor a fresh miss
-    /// — it generated no new L2/DRAM traffic).
-    ///
-    /// Convenience wrapper over [`Telemetry::mem_transaction`] with no
-    /// lifecycle stamps (a zero-wait load).
-    pub fn mem_access(&mut self, sm: usize, cycle: u64, addr: u64, latency: u32, level: u8) {
-        self.mem_transaction(
-            sm,
-            cycle,
-            &MemTxn {
-                addr,
-                latency,
-                level,
-                ..MemTxn::default()
-            },
-        );
-    }
-
     /// One coalesced global-memory transaction completed, with its full
     /// lifecycle stamps. Updates the hit/miss counters and latency
     /// histograms (total plus a load/store split); fresh fills
     /// (`level` 1 or 2) additionally feed the per-stage queue-wait
     /// histograms, the `mem.mshr_wait_cycles` / `mem.bw_starved_cycles`
-    /// counters and an [`EventKind::MemFill`] lifecycle event for the
+    /// counters and an `EventKind::MemFill` lifecycle event for the
     /// Chrome-trace async spans.
     pub fn mem_transaction(&mut self, sm: usize, cycle: u64, t: &MemTxn) {
         if !self.enabled {
@@ -720,20 +703,20 @@ impl Telemetry {
         &self.registry
     }
 
-    /// The interval-snapshot series (columns: [`SERIES_COLUMNS`]).
+    /// The interval-snapshot series (columns: `SERIES_COLUMNS`).
     #[must_use]
     pub fn series(&self) -> &IntervalSeries {
         &self.series
     }
 
-    /// The memory interval timeline (columns: [`MEM_SERIES_COLUMNS`]).
+    /// The memory interval timeline (columns: `MEM_SERIES_COLUMNS`).
     #[must_use]
     pub fn mem_series(&self) -> &IntervalSeries {
         &self.mem_series
     }
 
     /// The energy-event interval timeline (columns:
-    /// [`ENERGY_SERIES_COLUMNS`]).
+    /// `ENERGY_SERIES_COLUMNS`).
     #[must_use]
     pub fn energy_series(&self) -> &IntervalSeries {
         &self.energy_series
@@ -764,13 +747,13 @@ impl Telemetry {
 
     /// Per-SM event rings.
     #[must_use]
-    pub fn rings(&self) -> &[RingBuffer] {
+    pub(crate) fn rings(&self) -> &[RingBuffer] {
         &self.rings
     }
 
     /// The warp-stall / hotspot / occupancy profile collector.
     #[must_use]
-    pub fn profile(&self) -> &ProfileCollector {
+    pub(crate) fn profile(&self) -> &ProfileCollector {
         &self.profile
     }
 
@@ -789,7 +772,7 @@ impl Telemetry {
     /// Per-PC prediction accuracy, worst first:
     /// `(pc, ops, mispredicts)`.
     #[must_use]
-    pub fn pc_accuracy(&self) -> Vec<(u32, u64, u64)> {
+    pub(crate) fn pc_accuracy(&self) -> Vec<(u32, u64, u64)> {
         let mut v: Vec<(u32, u64, u64)> = (0u32..)
             .zip(&self.pc_stats)
             .filter(|(_, s)| s.ops > 0)
@@ -897,7 +880,16 @@ mod tests {
         let mut t = Telemetry::disabled();
         assert!(!t.is_enabled());
         t.issue(0, 10, 0, 4, 0);
-        t.mem_access(0, 10, 128, 30, 1);
+        t.mem_transaction(
+            0,
+            10,
+            &MemTxn {
+                addr: 128,
+                latency: 30,
+                level: 1,
+                ..MemTxn::default()
+            },
+        );
         t.barrier(0, 11, 2);
         t.adder_op(&OpContext::default(), SliceLayout::INT64, &outcome(true));
         t.span(0, "x", 0, 10);
@@ -1004,7 +996,16 @@ mod tests {
                 ..MemTxn::default()
             },
         );
-        t.mem_access(0, 7, 4096, 4, 0);
+        t.mem_transaction(
+            0,
+            7,
+            &MemTxn {
+                addr: 4096,
+                latency: 4,
+                level: 0,
+                ..MemTxn::default()
+            },
+        );
         let r = t.registry();
         assert_eq!(r.counter_by_name("mem.bw_starved_cycles"), Some(5));
         assert_eq!(r.counter_by_name("mem.mshr_wait_cycles"), Some(10));
@@ -1055,7 +1056,6 @@ mod tests {
             .find(|(n, _)| n == "sched.issue_gap")
             .unwrap();
         assert_eq!(h.count(), 2);
-        assert_eq!(h.buckets()[0], 1);
-        assert_eq!(h.buckets()[metrics::Histogram::bucket_index(8)], 1);
+        assert_eq!(h.nonzero_buckets(), vec![(0, 0, 1), (8, 15, 1)]);
     }
 }

@@ -8,19 +8,19 @@
 
 /// Dense handle of a counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
+pub(crate) struct CounterId(usize);
 
 /// Dense handle of a gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
+pub(crate) struct GaugeId(usize);
 
 /// Dense handle of a histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramId(usize);
+pub(crate) struct HistogramId(usize);
 
 /// Number of histogram buckets: one for zero plus one per power of two
 /// up to `2^63`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A log2-bucketed histogram of `u64` samples.
 ///
@@ -50,7 +50,7 @@ impl Default for Histogram {
 impl Histogram {
     /// The bucket index a value falls into.
     #[must_use]
-    pub fn bucket_index(value: u64) -> usize {
+    pub(crate) fn bucket_index(value: u64) -> usize {
         if value == 0 {
             0
         } else {
@@ -64,7 +64,7 @@ impl Histogram {
     ///
     /// Panics if `i >= HISTOGRAM_BUCKETS`.
     #[must_use]
-    pub fn bucket_bounds(i: usize) -> (u64, u64) {
+    pub(crate) fn bucket_bounds(i: usize) -> (u64, u64) {
         assert!(i < HISTOGRAM_BUCKETS, "bucket index out of range");
         if i == 0 {
             (0, 0)
@@ -76,7 +76,7 @@ impl Histogram {
     }
 
     /// Records one sample.
-    pub fn record(&mut self, value: u64) {
+    pub(crate) fn record(&mut self, value: u64) {
         self.buckets[Self::bucket_index(value)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
@@ -91,7 +91,7 @@ impl Histogram {
 
     /// Sum of all samples (saturating).
     #[must_use]
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
@@ -103,18 +103,12 @@ impl Histogram {
 
     /// Mean sample (0 when empty).
     #[must_use]
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// Per-bucket counts.
-    #[must_use]
-    pub fn buckets(&self) -> &[u64; HISTOGRAM_BUCKETS] {
-        &self.buckets
     }
 
     /// The `p`-quantile of the recorded samples at bucket resolution:
@@ -123,7 +117,7 @@ impl Histogram {
     /// the recorded maximum so a reported percentile never exceeds any
     /// observed sample. Returns 0 on an empty histogram.
     #[must_use]
-    pub fn percentile(&self, p: f64) -> u64 {
+    pub(crate) fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -139,14 +133,14 @@ impl Histogram {
         self.max
     }
 
-    /// The median at bucket resolution (see [`Histogram::percentile`]).
+    /// The median at bucket resolution (see `Histogram::percentile`).
     #[must_use]
     pub fn p50(&self) -> u64 {
         self.percentile(0.50)
     }
 
     /// The 95th percentile at bucket resolution
-    /// (see [`Histogram::percentile`]).
+    /// (see `Histogram::percentile`).
     #[must_use]
     pub fn p95(&self) -> u64 {
         self.percentile(0.95)
@@ -154,7 +148,7 @@ impl Histogram {
 
     /// The non-empty buckets as `(lo, hi, count)` triples, low to high.
     #[must_use]
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
+    pub(crate) fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
         self.buckets
             .iter()
             .enumerate()
@@ -172,8 +166,8 @@ impl Histogram {
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntervalPoint {
     /// Cycle at which the snapshot was taken (end of the interval).
-    pub cycle: u64,
-    /// Values aligned with [`IntervalSeries::columns`].
+    pub(crate) cycle: u64,
+    /// Values aligned with `IntervalSeries::columns`.
     pub values: Vec<f64>,
 }
 
@@ -187,7 +181,7 @@ pub struct IntervalSeries {
 impl IntervalSeries {
     /// A series with the given column names.
     #[must_use]
-    pub fn new(columns: Vec<String>) -> Self {
+    pub(crate) fn new(columns: Vec<String>) -> Self {
         IntervalSeries {
             columns,
             points: Vec::new(),
@@ -196,7 +190,7 @@ impl IntervalSeries {
 
     /// Column names, in value order.
     #[must_use]
-    pub fn columns(&self) -> &[String] {
+    pub(crate) fn columns(&self) -> &[String] {
         &self.columns
     }
 
@@ -205,7 +199,7 @@ impl IntervalSeries {
     /// # Panics
     ///
     /// Panics if `values` does not match the column count.
-    pub fn push(&mut self, cycle: u64, values: Vec<f64>) {
+    pub(crate) fn push(&mut self, cycle: u64, values: Vec<f64>) {
         assert_eq!(values.len(), self.columns.len(), "snapshot column mismatch");
         self.points.push(IntervalPoint { cycle, values });
     }
@@ -240,12 +234,12 @@ pub struct MetricsRegistry {
 impl MetricsRegistry {
     /// An empty registry.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Registers (or finds) a counter by name.
-    pub fn counter(&mut self, name: &str) -> CounterId {
+    pub(crate) fn counter(&mut self, name: &str) -> CounterId {
         if let Some(i) = self.counters.iter().position(|(n, _)| n == name) {
             return CounterId(i);
         }
@@ -255,18 +249,18 @@ impl MetricsRegistry {
 
     /// Adds `n` to a counter.
     #[inline]
-    pub fn inc(&mut self, id: CounterId, n: u64) {
+    pub(crate) fn inc(&mut self, id: CounterId, n: u64) {
         self.counters[id.0].1 += n;
     }
 
     /// Current value of a counter.
     #[must_use]
-    pub fn counter_value(&self, id: CounterId) -> u64 {
+    pub(crate) fn counter_value(&self, id: CounterId) -> u64 {
         self.counters[id.0].1
     }
 
     /// Registers (or finds) a gauge by name.
-    pub fn gauge(&mut self, name: &str) -> GaugeId {
+    pub(crate) fn gauge(&mut self, name: &str) -> GaugeId {
         if let Some(i) = self.gauges.iter().position(|(n, _)| n == name) {
             return GaugeId(i);
         }
@@ -276,18 +270,12 @@ impl MetricsRegistry {
 
     /// Sets a gauge.
     #[inline]
-    pub fn set(&mut self, id: GaugeId, value: f64) {
+    pub(crate) fn set(&mut self, id: GaugeId, value: f64) {
         self.gauges[id.0].1 = value;
     }
 
-    /// Current value of a gauge.
-    #[must_use]
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0].1
-    }
-
     /// Registers (or finds) a histogram by name.
-    pub fn histogram(&mut self, name: &str) -> HistogramId {
+    pub(crate) fn histogram(&mut self, name: &str) -> HistogramId {
         if let Some(i) = self.histograms.iter().position(|(n, _)| n == name) {
             return HistogramId(i);
         }
@@ -298,14 +286,8 @@ impl MetricsRegistry {
 
     /// Records one histogram sample.
     #[inline]
-    pub fn record(&mut self, id: HistogramId, value: u64) {
+    pub(crate) fn record(&mut self, id: HistogramId, value: u64) {
         self.histograms[id.0].1.record(value);
-    }
-
-    /// The histogram behind an id.
-    #[must_use]
-    pub fn histogram_data(&self, id: HistogramId) -> &Histogram {
-        &self.histograms[id.0].1
     }
 
     /// All counters as `(name, value)`.
@@ -316,7 +298,7 @@ impl MetricsRegistry {
 
     /// All gauges as `(name, value)`.
     #[must_use]
-    pub fn gauges(&self) -> &[(String, f64)] {
+    pub(crate) fn gauges(&self) -> &[(String, f64)] {
         &self.gauges
     }
 
@@ -379,10 +361,10 @@ mod tests {
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 105);
         assert_eq!(h.max(), 100);
-        assert_eq!(h.buckets()[0], 1);
-        assert_eq!(h.buckets()[1], 2);
-        assert_eq!(h.buckets()[2], 1);
-        assert_eq!(h.buckets()[Histogram::bucket_index(100)], 1);
+        assert_eq!(h.buckets[0], 1);
+        assert_eq!(h.buckets[1], 2);
+        assert_eq!(h.buckets[2], 1);
+        assert_eq!(h.buckets[Histogram::bucket_index(100)], 1);
         assert!((h.mean() - 21.0).abs() < 1e-12);
     }
 
@@ -461,11 +443,11 @@ mod tests {
 
         let g = r.gauge("ratio");
         r.set(g, 0.25);
-        assert_eq!(r.gauge_value(g), 0.25);
+        assert_eq!(r.gauges()[g.0].1, 0.25);
 
         let h = r.histogram("lat");
         r.record(h, 7);
-        assert_eq!(r.histogram_data(h).count(), 1);
+        assert_eq!(r.histograms()[h.0].1.count(), 1);
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl StallReason {
     }
 
     /// Pipe-busy reason for a functional-unit pool's dense index (the
-    /// same encoding as [`crate::event::pool_name`]).
+    /// same encoding as `crate::event::pool_name`).
     #[must_use]
     pub fn pipe(pool: usize) -> StallReason {
         match pool {
@@ -225,7 +225,7 @@ impl SmProfile {
     }
 
     /// Folds another SM profile into this one.
-    pub fn merge(&mut self, other: &SmProfile) {
+    pub(crate) fn merge(&mut self, other: &SmProfile) {
         self.cycles += other.cycles;
         self.slots += other.slots;
         self.issued += other.issued;
@@ -241,22 +241,14 @@ impl SmProfile {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PcCounters {
     /// Issue slots spent at this PC.
-    pub issued: u64,
+    pub(crate) issued: u64,
     /// Warp-cycles stalled at this PC, per reason (dense index).
-    pub stalls: [u64; NUM_STALL_REASONS],
-}
-
-impl PcCounters {
-    /// Total stalled warp-cycles at this PC.
-    #[must_use]
-    pub fn stalled(&self) -> u64 {
-        self.stalls.iter().sum()
-    }
+    pub(crate) stalls: [u64; NUM_STALL_REASONS],
 }
 
 /// Occupancy-timeline column names (raw extensive sums per interval;
 /// ratios are computed at render time).
-pub const PROFILE_SERIES_COLUMNS: [&str; 4] = [
+pub(crate) const PROFILE_SERIES_COLUMNS: [&str; 4] = [
     "occ.warp_cycles",
     "occ.eligible_cycles",
     "occ.issued_slots",
@@ -273,7 +265,7 @@ struct OccTotals {
 }
 
 /// PC key used for hotspot entries evicted by the table bound.
-pub const PC_OVERFLOW: u32 = u32::MAX;
+pub(crate) const PC_OVERFLOW: u32 = u32::MAX;
 
 /// The stall/hotspot/occupancy collector carried inside [`Telemetry`].
 #[derive(Debug, Clone)]
@@ -281,9 +273,6 @@ pub struct ProfileCollector {
     sms: Vec<SmProfile>,
     pcs: HashMap<u32, PcCounters>,
     pc_capacity: usize,
-    /// Counters folded into the [`PC_OVERFLOW`] bucket once the table is
-    /// full (keeps slot totals exact even when PCs are dropped).
-    overflow_events: u64,
     series: IntervalSeries,
     cum: OccTotals,
     base: OccTotals,
@@ -298,7 +287,6 @@ impl ProfileCollector {
             sms: vec![SmProfile::default(); num_sms.max(1)],
             pcs: HashMap::new(),
             pc_capacity: pc_capacity.max(1),
-            overflow_events: 0,
             series: IntervalSeries::new(
                 PROFILE_SERIES_COLUMNS
                     .iter()
@@ -312,7 +300,6 @@ impl ProfileCollector {
 
     fn pc_entry(&mut self, pc: u32) -> &mut PcCounters {
         if self.pcs.len() >= self.pc_capacity && !self.pcs.contains_key(&pc) {
-            self.overflow_events += 1;
             return self.pcs.entry(PC_OVERFLOW).or_default();
         }
         self.pcs.entry(pc).or_default()
@@ -378,7 +365,7 @@ impl ProfileCollector {
         &self.sms
     }
 
-    /// The per-PC hotspot table, sorted by PC (the [`PC_OVERFLOW`]
+    /// The per-PC hotspot table, sorted by PC (the `PC_OVERFLOW`
     /// sentinel, if present, sorts last).
     #[must_use]
     pub fn pcs_sorted(&self) -> Vec<(u32, PcCounters)> {
@@ -387,30 +374,11 @@ impl ProfileCollector {
         v
     }
 
-    /// Hotspot events that landed in the overflow bucket because the
-    /// per-PC table bound was reached.
-    #[must_use]
-    pub fn overflow_events(&self) -> u64 {
-        self.overflow_events
-    }
-
     /// The occupancy interval series (columns:
-    /// [`PROFILE_SERIES_COLUMNS`]).
+    /// `PROFILE_SERIES_COLUMNS`).
     #[must_use]
     pub fn series(&self) -> &IntervalSeries {
         &self.series
-    }
-
-    /// Device-wide totals: summed SM profiles.
-    #[must_use]
-    pub fn total(&self) -> SmProfile {
-        let mut t = SmProfile::default();
-        for s in &self.sms {
-            t.merge(s);
-        }
-        // `cycles` is per-SM wall clock, not additive across SMs.
-        t.cycles = self.sms.iter().map(|s| s.cycles).max().unwrap_or(0);
-        t
     }
 }
 
@@ -420,16 +388,16 @@ pub struct PcRow {
     /// Program counter.
     pub pc: u32,
     /// Disassembled instruction at this PC (when a program was supplied
-    /// at capture; the [`PC_OVERFLOW`] bucket has none).
+    /// at capture; the `PC_OVERFLOW` bucket has none).
     pub label: Option<String>,
     /// Issue slots spent at this PC.
     pub issued: u64,
     /// Warp-cycles stalled at this PC per reason.
-    pub stalls: [u64; NUM_STALL_REASONS],
+    pub(crate) stalls: [u64; NUM_STALL_REASONS],
     /// Speculative-adder warp operations at this PC.
     pub adder_ops: u64,
     /// Mispredicted adder warp operations at this PC.
-    pub mispredicts: u64,
+    pub(crate) mispredicts: u64,
 }
 
 impl PcRow {
@@ -445,7 +413,7 @@ impl PcRow {
 
     /// Total stalled warp-cycles at this PC.
     #[must_use]
-    pub fn stalled(&self) -> u64 {
+    pub(crate) fn stalled(&self) -> u64 {
         self.stalls.iter().sum()
     }
 }
@@ -457,9 +425,9 @@ pub struct OccPoint {
     /// Cycle at the end of the interval.
     pub cycle: u64,
     /// Σ resident warps × cycles over the interval.
-    pub warp_cycles: u64,
+    pub(crate) warp_cycles: u64,
     /// Σ issue-ready warps × cycles over the interval.
-    pub eligible_cycles: u64,
+    pub(crate) eligible_cycles: u64,
     /// Issue slots that issued during the interval.
     pub issued_slots: u64,
     /// Issue slots owned during the interval.
@@ -474,9 +442,9 @@ pub struct MemSummary {
     /// Coalesced global transactions (L1 accesses).
     pub l1_accesses: u64,
     /// Fresh L1 misses (excludes merges).
-    pub l1_misses: u64,
+    pub(crate) l1_misses: u64,
     /// L2 misses.
-    pub l2_misses: u64,
+    pub(crate) l2_misses: u64,
     /// DRAM line fills.
     pub dram_accesses: u64,
     /// Misses merged into an already-in-flight MSHR fill.
@@ -488,9 +456,9 @@ pub struct MemSummary {
     /// Maximum observed fill latency (cycles, exact).
     pub fill_max: u64,
     /// Σ occupied MSHR entries × cycles (device-wide time integral).
-    pub mshr_occupied_cycles: u64,
+    pub(crate) mshr_occupied_cycles: u64,
     /// Cycles requests spent queued for a free MSHR entry.
-    pub mshr_wait_cycles: u64,
+    pub(crate) mshr_wait_cycles: u64,
     /// Cycles granted-ready requests waited purely for an L2/DRAM
     /// bandwidth slot.
     pub bw_starved_cycles: u64,
@@ -518,7 +486,7 @@ impl MemSummary {
 
     /// Average MSHR entries occupied per cycle over a `cycles`-long run.
     #[must_use]
-    pub fn avg_mshr_occupancy(&self, cycles: u64) -> f64 {
+    pub(crate) fn avg_mshr_occupancy(&self, cycles: u64) -> f64 {
         self.mshr_occupied_cycles as f64 / cycles.max(1) as f64
     }
 
@@ -539,7 +507,7 @@ impl MemSummary {
 
 /// One memory-timeline interval of a captured [`KernelProfile`] (raw
 /// extensive sums over the interval, mirroring
-/// [`crate::MEM_SERIES_COLUMNS`]).
+/// `crate::MEM_SERIES_COLUMNS`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemPoint {
     /// Cycle at the end of the interval.
@@ -560,24 +528,24 @@ pub struct MemPoint {
 
 /// One energy-timeline interval of a captured [`KernelProfile`]: raw
 /// integer event counts over the interval, mirroring
-/// [`crate::ENERGY_SERIES_COLUMNS`]. Joules are applied at report time
+/// `crate::ENERGY_SERIES_COLUMNS`. Joules are applied at report time
 /// by [`crate::energy::EnergyWeights`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EnergyPoint {
     /// Cycle at the end of the interval.
-    pub cycle: u64,
+    pub(crate) cycle: u64,
     /// DRAM line fills during the interval.
     pub dram_fills: u64,
     /// Fresh fills granted an L2 request slot.
-    pub l2_grants: u64,
+    pub(crate) l2_grants: u64,
     /// Misses merged into in-flight MSHR fills.
-    pub mshr_merges: u64,
+    pub(crate) mshr_merges: u64,
     /// Fills that crossed the SM↔partition crossbar.
-    pub xbar_hops: u64,
+    pub(crate) xbar_hops: u64,
     /// Store misses that installed a line (write-allocates).
-    pub write_allocs: u64,
+    pub(crate) write_allocs: u64,
     /// Warp instructions issued during the interval.
-    pub instructions: u64,
+    pub(crate) instructions: u64,
     /// SM-resident clock ticks (awake or parked) during the interval.
     pub sm_cycles: u64,
 }
@@ -617,7 +585,7 @@ pub struct KernelProfile {
 /// (`partitions`, `xbar_wait_cycles`, `part_fills`); version 5 added
 /// the energy timeline and the optional priced energy summary (4 is
 /// skipped so profile and bench-summary documents shared one numbering).
-pub const PROFILE_VERSION: u32 = 5;
+pub(crate) const PROFILE_VERSION: u32 = 5;
 
 impl KernelProfile {
     /// Captures a profile from a finalized [`Telemetry`]. Pass the
@@ -1173,7 +1141,7 @@ mod tests {
         // Per-PC stalls scale with dt.
         let pcs = c.pcs_sorted();
         let at7 = pcs.iter().find(|(pc, _)| *pc == 7).unwrap().1;
-        assert_eq!(at7.stalled(), 1 + 16 + 4);
+        assert_eq!(at7.stalls.iter().sum::<u64>(), 1 + 16 + 4);
     }
 
     #[test]
@@ -1185,7 +1153,6 @@ mod tests {
         }
         c.commit(0, 1, &cp);
         assert!(c.pcs_sorted().len() <= 5, "4 entries + overflow bucket");
-        assert!(c.overflow_events() > 0);
         let total: u64 = c.pcs_sorted().iter().map(|(_, c)| c.issued).sum();
         assert_eq!(total, 10, "overflow keeps totals exact");
     }

@@ -9,9 +9,10 @@ use st2::prelude::*;
 fn main() {
     println!("== ST2 adder quickstart ==\n");
 
-    // The paper's final design point: Ltid+Prev+ModPC4+Peek on a 64-bit
-    // adder decomposed into 8-bit slices.
-    let mut adder = SpeculativeAdder::st2(SliceLayout::INT64);
+    // The paper's final design point: Ltid+Prev+ModPC4+Peek, here on a
+    // 64-bit adder decomposed into 8-bit slices.
+    let mut adder = SpeculativeAdder::st2();
+    let int64 = SliceLayout::INT64;
 
     // A loop iterator (PC 5) and an accumulating sum (PC 6): the
     // canonical spatio-temporally correlated operand streams.
@@ -27,9 +28,9 @@ fn main() {
     };
     let mut acc: u64 = 0;
     for i in 0..10_000u64 {
-        let it = adder.add(&iter_pc, i, 1, false);
+        let it = adder.add(&iter_pc, int64, i, 1, false);
         assert_eq!(it.sum, i + 1, "speculation never changes results");
-        let ac = adder.add(&acc_pc, acc, i * 3, false);
+        let ac = adder.add(&acc_pc, int64, acc, i * 3, false);
         acc = ac.sum;
     }
     let s = adder.stats();
@@ -58,30 +59,11 @@ fn main() {
         SpeculationConfig::valhalla_peek(),
         SpeculationConfig::prev_peek(),
     ] {
-        let mut a = SpeculativeAdder::new(SliceLayout::INT64, cfg);
+        let mut a = SpeculativeAdder::new(cfg);
         let mut acc: u64 = 0;
         for i in 0..10_000u64 {
-            let _ = a.add(
-                &OpContext {
-                    pc: 5,
-                    gtid: 0,
-                    ltid: 0,
-                },
-                i,
-                1,
-                false,
-            );
-            let r = a.add(
-                &OpContext {
-                    pc: 6,
-                    gtid: 0,
-                    ltid: 0,
-                },
-                acc,
-                i * 3,
-                false,
-            );
-            acc = r.sum;
+            let _ = a.add(&iter_pc, int64, i, 1, false);
+            acc = a.add(&acc_pc, int64, acc, i * 3, false).sum;
         }
         println!(
             "  {:24} miss rate {:6.2}%",
