@@ -32,7 +32,7 @@ use crate::memory::{Completion, MemoryHierarchy, MshrView, RequestQueue};
 use crate::sm::{CycleReport, DecodedProgram, SmCore};
 use crate::stats::ActivityCounters;
 use st2_isa::{LaunchConfig, MemImage, Program};
-use st2_telemetry::Telemetry;
+use st2_telemetry::{EnergyPoint, Telemetry};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -212,9 +212,10 @@ struct WakeCalendar {
     /// *call*, while the telemetry integrals scale with `dt`.
     iter: u64,
     /// Next telemetry snapshot boundary — mirrors `Telemetry`'s cadence
-    /// (first at `interval_cycles`, then every interval; `u64::MAX`
-    /// when disabled). Sleepers must replay up to a boundary *before*
-    /// the snapshot fires so interval rows match the lockstep path.
+    /// (first at `Telemetry::first_snapshot`, then every that many
+    /// cycles; `u64::MAX` when disabled). Sleepers must replay up to a
+    /// boundary *before* the snapshot fires so interval rows match the
+    /// lockstep path.
     next_flush: u64,
     interval: u64,
     sleep_cycles: u64,
@@ -224,7 +225,7 @@ struct WakeCalendar {
 
 impl WakeCalendar {
     fn new(lockstep: bool, tele: &Telemetry, num_sms: usize) -> Self {
-        let interval = tele.config().interval_cycles.max(1);
+        let interval = tele.first_snapshot();
         WakeCalendar {
             lockstep,
             asleep: vec![false; num_sms],
@@ -232,11 +233,7 @@ impl WakeCalendar {
             from_iter: vec![0; num_sms],
             calendar: BinaryHeap::new(),
             iter: 0,
-            next_flush: if tele.is_enabled() {
-                interval
-            } else {
-                u64::MAX
-            },
+            next_flush: interval,
             interval,
             sleep_cycles: 0,
             wakeups: 0,
@@ -521,6 +518,25 @@ fn drive(
     }
     act.cycles = now;
     tele.finalize(now);
+    // Energy conservation: the timeline's interval rows sum back to the
+    // run's activity, and every SM is priced for every cycle, parked or
+    // not.
+    if tele.is_enabled() {
+        debug_assert_eq!(
+            tele.energy_totals(),
+            EnergyPoint {
+                cycle: now,
+                dram_fills: act.dram_accesses,
+                l2_grants: act.l1_misses,
+                mshr_merges: act.mshr_merges,
+                xbar_hops: act.xbar_hops,
+                write_allocs: act.write_allocates,
+                instructions: act.warp_instructions,
+                sm_cycles: u64::from(cfg.num_sms) * now,
+            },
+            "energy timeline drifted from the activity counters"
+        );
+    }
     TimedOutput {
         cycles: now,
         activity: act,

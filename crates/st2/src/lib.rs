@@ -52,7 +52,5 @@ pub mod prelude {
         run_functional, run_functional_with, run_timed, run_timed_with, FunctionalOptions,
         GpuConfig, RunOptions, SchedulerKind, TimedOutput, ValueTrace,
     };
-    pub use st2_telemetry::{
-        KernelProfile, ProfileCollector, StallReason, Telemetry, TelemetryConfig,
-    };
+    pub use st2_telemetry::{KernelProfile, StallReason, Telemetry, TelemetryConfig};
 }

@@ -3,12 +3,13 @@
 //! Produces the "JSON object format" of the Trace Event spec: a
 //! `traceEvents` array plus metadata, loadable in `chrome://tracing` or
 //! Perfetto. Simulated cycles map 1:1 to trace microseconds (`ts`), each
-//! SM becomes a thread (`tid`), and the interval series become counter
-//! tracks (`ph: "C"`).
+//! SM becomes a thread (`tid`), and each interval-row column becomes a
+//! counter track (`ph: "C"`).
 
+use crate::energy::PowerPoint;
 use crate::event::{pool_name, EventKind};
 use crate::json::Writer;
-use crate::metrics::IntervalSeries;
+use crate::metrics::IntervalRow;
 use crate::Telemetry;
 
 fn meta_event(w: &mut Writer, name: &str, tid: Option<usize>, arg_name: &str) {
@@ -100,6 +101,15 @@ fn async_event(
     w.end_object();
 }
 
+/// One counter track per column of `rows`, in column order.
+fn counter_tracks<const N: usize, R: IntervalRow<N>>(w: &mut Writer, rows: &[R]) {
+    for (ci, col) in R::COLUMNS.iter().enumerate() {
+        for r in rows {
+            counter_event(w, col, r.cycle(), r.values()[ci]);
+        }
+    }
+}
+
 fn counter_event(w: &mut Writer, name: &str, ts: u64, value: f64) {
     w.begin_object();
     w.field_str("name", name);
@@ -124,7 +134,7 @@ pub fn export(tele: &Telemetry, label: &str) -> String {
 /// counter ("C") track, so traces render live watts next to the IPC
 /// and memory counters.
 #[must_use]
-pub fn export_with_power(tele: &Telemetry, label: &str, power: Option<&IntervalSeries>) -> String {
+pub fn export_with_power(tele: &Telemetry, label: &str, power: Option<&[PowerPoint]>) -> String {
     let mut w = Writer::new();
     w.begin_object();
     w.key("traceEvents");
@@ -261,20 +271,14 @@ pub fn export_with_power(tele: &Telemetry, label: &str, power: Option<&IntervalS
         }
     }
 
-    // Interval series as counter tracks (core metrics, the memory
+    // Interval rows as counter tracks (core metrics, the memory
     // timeline, the raw energy-event timeline, and — when priced — the
     // derived power lane).
-    let mut tracks = vec![tele.series(), tele.mem_series(), tele.energy_series()];
-    if let Some(p) = power {
-        tracks.push(p);
-    }
-    for series in tracks {
-        let columns = series.columns().to_vec();
-        for (ci, col) in columns.iter().enumerate() {
-            for p in series.points() {
-                counter_event(&mut w, col, p.cycle, p.values[ci]);
-            }
-        }
+    counter_tracks(&mut w, tele.series());
+    counter_tracks(&mut w, tele.mem_series());
+    counter_tracks(&mut w, tele.energy_series());
+    if let Some(power) = power {
+        counter_tracks(&mut w, power);
     }
 
     w.end_array();
@@ -340,13 +344,12 @@ mod tests {
         t.issue(0, 5, 0, 0, 0);
         t.energy_cycles(100);
         t.finalize(100);
-        let mut power = IntervalSeries::new(
-            crate::energy::POWER_SERIES_COLUMNS
-                .iter()
-                .map(|s| (*s).to_string())
-                .collect(),
-        );
-        power.push(100, vec![2.5, 1.0, 0.5]);
+        let power = [PowerPoint {
+            cycle: 100,
+            total_w: 2.5,
+            dram_w: 1.0,
+            static_w: 0.5,
+        }];
         let text = export_with_power(&t, "unit", Some(&power));
         let v = json::parse(&text).expect("valid JSON");
         let events = v.get("traceEvents").unwrap().as_array().unwrap();

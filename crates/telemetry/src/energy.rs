@@ -2,28 +2,15 @@
 //!
 //! The collector records *what happened* per interval — DRAM fills, L2
 //! slot grants, MSHR merges, crossbar hops, write-allocates, issued
-//! instructions, SM-resident cycles — as pure integer counts (see
-//! `crate::ENERGY_SERIES_COLUMNS`). This module prices those events:
+//! instructions, SM-resident cycles — as pure integer counts in
+//! [`EnergyPoint`]s. This module prices those events:
 //! an [`EnergyWeights`] table (joules per event, produced by the
 //! calibrated `st2-power` model) turns the timeline into per-interval
 //! power and a run-level [`EnergySummary`]. Keeping joules out of the
 //! hot path keeps the timeline exact integers, so lockstep and
 //! event-driven runs agree bit for bit.
 
-use crate::metrics::IntervalSeries;
-
-/// Column indices of [`crate::ENERGY_SERIES_COLUMNS`].
-const DRAM_FILLS: usize = 0;
-const L2_GRANTS: usize = 1;
-const MSHR_MERGES: usize = 2;
-const XBAR_HOPS: usize = 3;
-const WRITE_ALLOCS: usize = 4;
-const INSTRUCTIONS: usize = 5;
-const SM_CYCLES: usize = 6;
-
-/// Column indices of [`crate::MEM_SERIES_COLUMNS`] consumed here.
-const MEM_BW_WAIT: usize = 4;
-const MEM_XBAR_WAIT: usize = 5;
+use crate::metrics::{EnergyPoint, IntervalRow, MemPoint};
 
 /// Joules charged per energy-timeline event. Produced by the calibrated
 /// power model (`st2_power::EnergyModel::interval_weights`); the
@@ -64,15 +51,15 @@ impl EnergyWeights {
     /// crossbar) from the memory timeline; `dt` the interval length in
     /// device cycles.
     #[must_use]
-    fn split(&self, values: &[f64], waits: f64, dt: u64) -> ComponentJoules {
+    fn split(&self, p: &EnergyPoint, waits: f64, dt: u64) -> ComponentJoules {
         ComponentJoules {
-            dram: values[DRAM_FILLS] * self.dram_fill_j + dt as f64 * self.dram_cycle_j,
-            l2: values[L2_GRANTS] * self.l2_grant_j,
-            mshr: values[MSHR_MERGES] * self.mshr_merge_j,
-            xbar: values[XBAR_HOPS] * self.xbar_hop_j,
-            write_alloc: values[WRITE_ALLOCS] * self.write_alloc_j,
-            issue: values[INSTRUCTIONS] * self.instruction_j,
-            static_: values[SM_CYCLES] * self.sm_cycle_j,
+            dram: p.dram_fills as f64 * self.dram_fill_j + dt as f64 * self.dram_cycle_j,
+            l2: p.l2_grants as f64 * self.l2_grant_j,
+            mshr: p.mshr_merges as f64 * self.mshr_merge_j,
+            xbar: p.xbar_hops as f64 * self.xbar_hop_j,
+            write_alloc: p.write_allocs as f64 * self.write_alloc_j,
+            issue: p.instructions as f64 * self.instruction_j,
+            static_: p.sm_cycles as f64 * self.sm_cycle_j,
             queue: waits * self.queue_wait_j,
         }
     }
@@ -141,33 +128,38 @@ pub struct EnergySummary {
     pub energy_per_instruction_pj: f64,
 }
 
+/// Prices each interval of the energy timeline: `(row, interval length
+/// in cycles, joules)`. The energy and memory timelines snapshot at the
+/// same boundaries, so rows pair by index (the memory row supplies the
+/// interval's queued cycles); a missing memory row prices queue energy
+/// as zero.
+fn priced<'a>(
+    energy: &'a [EnergyPoint],
+    mem: &'a [MemPoint],
+    w: &'a EnergyWeights,
+) -> impl Iterator<Item = (&'a EnergyPoint, u64, ComponentJoules)> + 'a {
+    let mut prev_cycle = 0u64;
+    energy.iter().enumerate().map(move |(i, p)| {
+        let dt = p.cycle.saturating_sub(prev_cycle);
+        prev_cycle = p.cycle;
+        let waits = mem
+            .get(i)
+            .map_or(0.0, |m| m.bw_wait_cycles as f64 + m.xbar_wait_cycles as f64);
+        (p, dt, w.split(p, waits, dt))
+    })
+}
+
 impl EnergySummary {
-    /// Rolls the energy-event timeline up into a run summary.
-    ///
-    /// `energy` and `mem` are the collector's two interval series; they
-    /// snapshot at the same boundaries, so rows pair by index (the
-    /// memory row supplies the interval's queued cycles). Missing mem
-    /// rows price queue energy as zero.
+    /// Rolls the energy-event timeline up into a run summary, pairing
+    /// each row with the memory row of the same interval.
     #[must_use]
-    pub(crate) fn from_series(
-        energy: &IntervalSeries,
-        mem: &IntervalSeries,
-        w: &EnergyWeights,
-    ) -> Self {
+    pub(crate) fn price(energy: &[EnergyPoint], mem: &[MemPoint], w: &EnergyWeights) -> Self {
         let mut sum = ComponentJoules::default();
         let mut instructions = 0.0;
         let mut peak_power_w = 0.0;
         let mut peak_power_cycle = 0;
-        let mut prev_cycle = 0u64;
-        for (i, p) in energy.points().iter().enumerate() {
-            let dt = p.cycle.saturating_sub(prev_cycle);
-            prev_cycle = p.cycle;
-            let waits = mem
-                .points()
-                .get(i)
-                .map_or(0.0, |m| m.values[MEM_BW_WAIT] + m.values[MEM_XBAR_WAIT]);
-            let e = w.split(&p.values, waits, dt);
-            instructions += p.values[INSTRUCTIONS];
+        for (p, dt, e) in priced(energy, mem, w) {
+            instructions += p.instructions as f64;
             sum.dram += e.dram;
             sum.l2 += e.l2;
             sum.mshr += e.mshr;
@@ -206,44 +198,52 @@ impl EnergySummary {
     }
 }
 
-/// Power-lane column order (see [`power_series`]).
-pub(crate) const POWER_SERIES_COLUMNS: [&str; 3] =
-    ["power.total_w", "power.dram_w", "power.static_w"];
+/// One interval's average power, in watts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PowerPoint {
+    /// Cycle at the end of the interval.
+    pub cycle: u64,
+    /// Total modeled power.
+    pub total_w: f64,
+    /// DRAM power (fills plus background).
+    pub dram_w: f64,
+    /// Static/leakage power across SM-resident cycles.
+    pub static_w: f64,
+}
 
-/// Derives a per-interval average-power series (watts) from the
-/// energy-event timeline, for the profile-report power track and the
-/// Chrome-trace counter lane. Columns: `POWER_SERIES_COLUMNS`.
+impl IntervalRow<3> for PowerPoint {
+    const COLUMNS: [&'static str; 3] = ["power.total_w", "power.dram_w", "power.static_w"];
+
+    fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    fn values(&self) -> [f64; 3] {
+        [self.total_w, self.dram_w, self.static_w]
+    }
+}
+
+/// Derives a per-interval average-power track from the energy-event
+/// timeline, for the profile-report power column and the Chrome-trace
+/// counter lanes. Zero-length intervals are skipped.
 #[must_use]
 pub fn power_series(
-    energy: &IntervalSeries,
-    mem: &IntervalSeries,
+    energy: &[EnergyPoint],
+    mem: &[MemPoint],
     w: &EnergyWeights,
-) -> IntervalSeries {
-    let mut out = IntervalSeries::new(
-        POWER_SERIES_COLUMNS
-            .iter()
-            .map(|s| (*s).to_string())
-            .collect(),
-    );
-    let mut prev_cycle = 0u64;
-    for (i, p) in energy.points().iter().enumerate() {
-        let dt = p.cycle.saturating_sub(prev_cycle);
-        prev_cycle = p.cycle;
-        if dt == 0 {
-            continue;
-        }
-        let waits = mem
-            .points()
-            .get(i)
-            .map_or(0.0, |m| m.values[MEM_BW_WAIT] + m.values[MEM_XBAR_WAIT]);
-        let e = w.split(&p.values, waits, dt);
-        let secs = w.seconds(dt);
-        out.push(
-            p.cycle,
-            vec![e.total() / secs, e.dram / secs, e.static_ / secs],
-        );
-    }
-    out
+) -> Vec<PowerPoint> {
+    priced(energy, mem, w)
+        .filter(|&(_, dt, _)| dt > 0)
+        .map(|(p, dt, e)| {
+            let secs = w.seconds(dt);
+            PowerPoint {
+                cycle: p.cycle,
+                total_w: e.total() / secs,
+                dram_w: e.dram / secs,
+                static_w: e.static_ / secs,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -265,38 +265,38 @@ mod tests {
         }
     }
 
-    fn series(rows: &[(u64, [f64; 7])]) -> IntervalSeries {
-        let mut s = IntervalSeries::new(
-            crate::ENERGY_SERIES_COLUMNS
-                .iter()
-                .map(|c| (*c).to_string())
-                .collect(),
-        );
-        for (cycle, v) in rows {
-            s.push(*cycle, v.to_vec());
-        }
-        s
+    fn series(rows: &[(u64, [u64; 7])]) -> Vec<EnergyPoint> {
+        rows.iter()
+            .map(|&(cycle, v)| EnergyPoint {
+                cycle,
+                dram_fills: v[0],
+                l2_grants: v[1],
+                mshr_merges: v[2],
+                xbar_hops: v[3],
+                write_allocs: v[4],
+                instructions: v[5],
+                sm_cycles: v[6],
+            })
+            .collect()
     }
 
-    fn mem_series(rows: &[(u64, f64, f64)]) -> IntervalSeries {
-        let mut s = IntervalSeries::new(
-            crate::MEM_SERIES_COLUMNS
-                .iter()
-                .map(|c| (*c).to_string())
-                .collect(),
-        );
-        for (cycle, bw, xbar) in rows {
-            s.push(*cycle, vec![0.0, 0.0, 0.0, 0.0, *bw, *xbar]);
-        }
-        s
+    fn mem_series(rows: &[(u64, u64, u64)]) -> Vec<MemPoint> {
+        rows.iter()
+            .map(|&(cycle, bw_wait_cycles, xbar_wait_cycles)| MemPoint {
+                cycle,
+                bw_wait_cycles,
+                xbar_wait_cycles,
+                ..MemPoint::default()
+            })
+            .collect()
     }
 
     #[test]
     fn summary_prices_every_component() {
-        let e = series(&[(100, [2.0, 5.0, 3.0, 4.0, 1.0, 1000.0, 400.0])]);
-        let m = mem_series(&[(100, 30.0, 20.0)]);
+        let e = series(&[(100, [2, 5, 3, 4, 1, 1000, 400])]);
+        let m = mem_series(&[(100, 30, 20)]);
         let w = weights();
-        let s = EnergySummary::from_series(&e, &m, &w);
+        let s = EnergySummary::price(&e, &m, &w);
         let expect_dram = 2.0 * 140e-12 + 100.0 * 0.3e-12;
         assert!((s.dram_nj - expect_dram * 1e9).abs() < 1e-12);
         assert!((s.l2_nj - 5.0 * 8e-3).abs() < 1e-12);
@@ -322,34 +322,33 @@ mod tests {
     #[test]
     fn peak_interval_wins() {
         let e = series(&[
-            (100, [0.0, 0.0, 0.0, 0.0, 0.0, 10.0, 100.0]),
-            (200, [50.0, 0.0, 0.0, 0.0, 0.0, 10.0, 100.0]),
-            (300, [0.0, 0.0, 0.0, 0.0, 0.0, 10.0, 100.0]),
+            (100, [0, 0, 0, 0, 0, 10, 100]),
+            (200, [50, 0, 0, 0, 0, 10, 100]),
+            (300, [0, 0, 0, 0, 0, 10, 100]),
         ]);
-        let m = mem_series(&[(100, 0.0, 0.0), (200, 0.0, 0.0), (300, 0.0, 0.0)]);
-        let s = EnergySummary::from_series(&e, &m, &weights());
+        let m = mem_series(&[(100, 0, 0), (200, 0, 0), (300, 0, 0)]);
+        let s = EnergySummary::price(&e, &m, &weights());
         assert_eq!(s.peak_power_cycle, 200, "DRAM burst interval is hottest");
         let pw = power_series(&e, &m, &weights());
-        assert_eq!(pw.points().len(), 3);
-        let total_col = pw.column("power.total_w").unwrap();
-        assert!(total_col[1].1 > total_col[0].1);
-        assert!(total_col[1].1 > total_col[2].1);
+        assert_eq!(pw.len(), 3);
+        assert!(pw[1].total_w > pw[0].total_w);
+        assert!(pw[1].total_w > pw[2].total_w);
     }
 
     #[test]
     fn summary_is_additive_over_merged_series() {
         // Pricing is linear in the event counts: a series whose row is
         // the sum of two others' rows costs what they cost together.
-        let a = series(&[(100, [1.0, 2.0, 1.0, 0.0, 1.0, 500.0, 100.0])]);
-        let b = series(&[(100, [3.0, 4.0, 0.0, 2.0, 0.0, 700.0, 100.0])]);
-        let merged = series(&[(100, [4.0, 6.0, 1.0, 2.0, 1.0, 1200.0, 200.0])]);
-        let ma = mem_series(&[(100, 10.0, 0.0)]);
-        let mb = mem_series(&[(100, 5.0, 3.0)]);
-        let mm = mem_series(&[(100, 15.0, 3.0)]);
+        let a = series(&[(100, [1, 2, 1, 0, 1, 500, 100])]);
+        let b = series(&[(100, [3, 4, 0, 2, 0, 700, 100])]);
+        let merged = series(&[(100, [4, 6, 1, 2, 1, 1200, 200])]);
+        let ma = mem_series(&[(100, 10, 0)]);
+        let mb = mem_series(&[(100, 5, 3)]);
+        let mm = mem_series(&[(100, 15, 3)]);
         let w = weights();
-        let s = EnergySummary::from_series(&merged, &mm, &w);
-        let sa = EnergySummary::from_series(&a, &ma, &w);
-        let sb = EnergySummary::from_series(&b, &mb, &w);
+        let s = EnergySummary::price(&merged, &mm, &w);
+        let sa = EnergySummary::price(&a, &ma, &w);
+        let sb = EnergySummary::price(&b, &mb, &w);
         // DRAM background prices dt once per merged row, so compare
         // against a+b minus the double-counted background.
         let bg_nj = 100.0 * 0.3e-12 * 1e9;

@@ -1,12 +1,13 @@
 //! JSONL metric export: one self-describing JSON object per line.
 //!
 //! Line `type`s: `run` (header), `counter`, `gauge`, `histogram`,
-//! `series` (one per interval-series column), `pc_accuracy`, and
+//! `series` (one per core interval-row column), `pc_accuracy`, and
 //! `events` (per-SM ring occupancy). Each line parses independently,
 //! so the dump streams into `jq`, pandas or a spreadsheet without
 //! loading the whole file.
 
 use crate::json::Writer;
+use crate::metrics::{CorePoint, IntervalRow};
 use crate::Telemetry;
 
 /// How many per-PC rows the `pc_accuracy` line carries.
@@ -25,27 +26,27 @@ pub fn export(tele: &Telemetry, label: &str) -> String {
     w.end_object();
     lines.push(w.finish());
 
-    for (name, value) in tele.registry().counters() {
+    for (name, value) in tele.counters().named() {
         let mut w = Writer::new();
         w.begin_object();
         w.field_str("type", "counter");
         w.field_str("name", name);
-        w.field_u64("value", *value);
+        w.field_u64("value", value);
         w.end_object();
         lines.push(w.finish());
     }
 
-    for (name, value) in tele.registry().gauges() {
+    for (name, value) in tele.gauges() {
         let mut w = Writer::new();
         w.begin_object();
         w.field_str("type", "gauge");
         w.field_str("name", name);
-        w.field_f64("value", *value);
+        w.field_f64("value", value);
         w.end_object();
         lines.push(w.finish());
     }
 
-    for (name, hist) in tele.registry().histograms() {
+    for (name, hist) in tele.histograms().named() {
         let mut w = Writer::new();
         w.begin_object();
         w.field_str("type", "histogram");
@@ -68,19 +69,19 @@ pub fn export(tele: &Telemetry, label: &str) -> String {
         lines.push(w.finish());
     }
 
-    let columns = tele.series().columns().to_vec();
-    for (ci, col) in columns.iter().enumerate() {
+    let series = tele.series();
+    for (ci, col) in CorePoint::COLUMNS.iter().enumerate() {
         let mut w = Writer::new();
         w.begin_object();
         w.field_str("type", "series");
         w.field_str("name", col);
-        w.field_u64("interval_points", tele.series().points().len() as u64);
+        w.field_u64("interval_points", series.len() as u64);
         w.key("points");
         w.begin_array();
-        for p in tele.series().points() {
+        for p in series {
             w.begin_array();
             w.u64(p.cycle);
-            w.f64(p.values[ci]);
+            w.f64(p.values()[ci]);
             w.end_array();
         }
         w.end_array();

@@ -6,10 +6,13 @@
 //!    memory events in a bounded per-SM ring buffer. Constant memory,
 //!    allocation-free on the hot path, one branch per callback on a
 //!    disabled collector.
-//! 2. **Metrics** (`metrics`) — named counters, gauges and
-//!    log2-bucketed histograms, plus periodic interval snapshots so
-//!    quantities like adder prediction accuracy and IPC can be plotted
-//!    over simulated time.
+//! 2. **Metrics** — typed [`Counters`] and log2-bucketed
+//!    [`Histograms`] updated field by field, plus typed interval rows
+//!    ([`CorePoint`], [`MemPoint`], [`EnergyPoint`], [`OccPoint`])
+//!    pushed at every snapshot boundary, so quantities like adder
+//!    prediction accuracy, IPC and power can be plotted over simulated
+//!    time. The run-level gauges (accuracy, IPC, cycles) are computed
+//!    from the counters when exported.
 //! 3. **Exporters** ([`chrome`], [`jsonl`], [`summary`]) — Chrome
 //!    trace-event JSON (load in `chrome://tracing` or Perfetto), JSONL
 //!    metric dumps, and a human-readable per-kernel summary. JSON is
@@ -38,70 +41,26 @@ use st2_core::bits::SliceLayout;
 use st2_core::event::OpContext;
 use st2_core::sink::EventSink;
 
-pub use energy::{EnergySummary, EnergyWeights};
+pub use energy::{EnergySummary, EnergyWeights, PowerPoint};
 pub(crate) use event::{Event, EventKind, RingBuffer};
 // Named here so that the types `Telemetry` and the profiles return can be
 // written.
-pub use metrics::{Histogram, IntervalPoint, IntervalSeries, MetricsRegistry};
-pub use profile::{CycleProfile, KernelProfile, ProfileCollector, SmProfile, StallReason};
+pub use metrics::{CorePoint, Counters, EnergyPoint, Histogram, Histograms, MemPoint, OccPoint};
+use profile::ProfileCollector;
+pub use profile::{CycleProfile, KernelProfile, SmProfile, StallReason};
 
-/// Sizing and cadence knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct TelemetryConfig {
-    /// Events retained per SM ring buffer.
-    pub(crate) ring_capacity: usize,
-    /// Cycles between interval snapshots.
-    pub interval_cycles: u64,
-    /// Distinct PCs tracked in the warp-stall profiler's hotspot table
-    /// before new PCs fold into an overflow bucket
-    /// (see [`profile::PC_OVERFLOW`]).
-    pub(crate) profile_pc_capacity: usize,
-}
+/// Events retained per SM ring buffer.
+const RING_CAPACITY: usize = 4096;
+/// Cycles between interval snapshots.
+const INTERVAL_CYCLES: u64 = 1024;
+/// Distinct PCs tracked in the warp-stall profiler's hotspot table
+/// before new PCs fold into an overflow bucket (`profile::PC_OVERFLOW`).
+const PROFILE_PC_CAPACITY: usize = 4096;
 
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            ring_capacity: 4096,
-            interval_cycles: 1024,
-            profile_pc_capacity: 4096,
-        }
-    }
-}
-
-/// Ids of the metrics the simulator updates on its hot path, registered
-/// once at construction.
-#[derive(Debug, Clone, Copy)]
-struct HotIds {
-    warp_instructions: metrics::CounterId,
-    adder_ops: metrics::CounterId,
-    adder_mispredicts: metrics::CounterId,
-    history_reads: metrics::CounterId,
-    history_writes: metrics::CounterId,
-    crf_reads: metrics::CounterId,
-    crf_writes: metrics::CounterId,
-    crf_conflicts: metrics::CounterId,
-    l1_accesses: metrics::CounterId,
-    l1_misses: metrics::CounterId,
-    l2_misses: metrics::CounterId,
-    dram_accesses: metrics::CounterId,
-    mshr_merges: metrics::CounterId,
-    mshr_wait_cycles: metrics::CounterId,
-    bw_starved_cycles: metrics::CounterId,
-    xbar_wait_cycles: metrics::CounterId,
-    xbar_hops: metrics::CounterId,
-    write_allocs: metrics::CounterId,
-    barriers: metrics::CounterId,
-    recompute_slices: metrics::HistogramId,
-    issue_gap: metrics::HistogramId,
-    mem_latency: metrics::HistogramId,
-    fill_latency: metrics::HistogramId,
-    mshr_wait: metrics::HistogramId,
-    xbar_wait: metrics::HistogramId,
-    l2_queue_wait: metrics::HistogramId,
-    dram_queue_wait: metrics::HistogramId,
-    load_latency: metrics::HistogramId,
-    store_latency: metrics::HistogramId,
-}
+/// Collector settings for [`Telemetry::for_run`]. It has no fields: ring,
+/// hotspot-table and snapshot sizes are fixed.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TelemetryConfig {}
 
 /// Per-PC prediction bookkeeping.
 #[derive(Debug, Clone, Copy, Default)]
@@ -110,37 +69,27 @@ struct PcStat {
     mispredicts: u64,
 }
 
-/// Interval-snapshot baseline: cumulative values at the last snapshot.
+/// Cumulative run totals. Each snapshot row is the difference between
+/// these and the copy taken at the previous boundary.
 #[derive(Debug, Clone, Copy, Default)]
-struct SnapshotBase {
-    cycle: u64,
-    ops: u64,
-    mispredicts: u64,
-    instructions: u64,
-}
-
-/// Memory-timeline baseline: cumulative values at the last snapshot of
-/// the memory interval series.
-#[derive(Debug, Clone, Copy, Default)]
-struct MemBase {
-    occupied_cycles: u64,
-    l1_misses: u64,
-    dram_accesses: u64,
-    bw_wait: u64,
-    xbar_wait: u64,
-}
-
-/// Energy-timeline baseline: cumulative event counts at the last
-/// snapshot of the energy interval series.
-#[derive(Debug, Clone, Copy, Default)]
-struct EnergyBase {
-    dram_fills: u64,
-    l2_grants: u64,
-    mshr_merges: u64,
-    xbar_hops: u64,
-    write_allocs: u64,
-    instructions: u64,
+struct Totals {
+    counters: Counters,
+    /// Σ occupied MSHR entries × cycles.
+    mshr_occupied_cycles: u64,
+    /// SM-resident cycles: every SM contributes its clock ticks whether
+    /// it executed, stalled, or slept through them (the event-driven
+    /// driver replays parked windows via [`Telemetry::energy_cycles`]),
+    /// so static/leakage energy is priced identically to the lockstep
+    /// reference.
     sm_cycles: u64,
+    /// Σ resident warps × cycles.
+    warp_cycles: u64,
+    /// Σ issue-ready warps × cycles.
+    eligible_cycles: u64,
+    /// Issue slots that issued.
+    issued_slots: u64,
+    /// Issue slots owned.
+    total_slots: u64,
 }
 
 /// Lifecycle stamps of one coalesced global-memory transaction, as
@@ -182,12 +131,10 @@ pub struct MemTxn {
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     enabled: bool,
-    config: TelemetryConfig,
+    /// Cycles between interval snapshots (`u64::MAX` when disabled).
+    interval: u64,
     rings: Vec<RingBuffer>,
-    registry: MetricsRegistry,
-    series: IntervalSeries,
     span_names: Vec<String>,
-    ids: Option<HotIds>,
     profile: ProfileCollector,
     /// Per-PC adder statistics indexed by PC (an instruction index);
     /// PCs that never added hold zero ops.
@@ -195,11 +142,13 @@ pub struct Telemetry {
     last_issue: Vec<u64>,
     cur_sm: usize,
     cur_cycle: u64,
+    totals: Totals,
+    /// `totals` as of the last snapshot.
+    base: Totals,
+    histograms: Histograms,
+    /// Cycle of the last snapshot: the start of the open interval.
+    snapshot_cycle: u64,
     next_snapshot: u64,
-    base: SnapshotBase,
-    mem_series: IntervalSeries,
-    mem_base: MemBase,
-    mshr_occupied_cycles: u64,
     /// Fresh fills served per L2 partition, indexed by partition id
     /// (grown lazily to the highest partition observed). The
     /// partition-balance evidence for the crossbar model: a healthy
@@ -208,56 +157,14 @@ pub struct Telemetry {
     /// Per-SM peak MSHR occupancy within the current snapshot interval.
     /// The interval row publishes the *sum of per-SM peaks*.
     mshr_interval_peak: Vec<u32>,
-    /// Per-interval energy-event timeline (columns:
-    /// [`ENERGY_SERIES_COLUMNS`]). Every column is an extensive integer
-    /// event count; joules are applied downstream by
-    /// [`energy::EnergyWeights`], keeping the timeline pure integers.
-    energy_series: IntervalSeries,
-    energy_base: EnergyBase,
-    /// Cumulative SM-resident cycles: every SM contributes its clock
-    /// ticks whether it executed, stalled, or slept through them (the
-    /// event-driven driver replays parked windows via
-    /// [`Telemetry::energy_cycles`]), so static/leakage energy is
-    /// priced identically to the lockstep reference.
-    energy_sm_cycles: u64,
+    series: Vec<CorePoint>,
+    mem_series: Vec<MemPoint>,
+    /// Every column is an extensive integer event count; joules are
+    /// applied downstream by [`energy::EnergyWeights`].
+    energy_series: Vec<EnergyPoint>,
+    occupancy: Vec<OccPoint>,
     final_cycles: u64,
 }
-
-/// Interval-series column order (see [`Telemetry::series`]).
-pub(crate) const SERIES_COLUMNS: [&str; 4] =
-    ["adder.accuracy", "adder.ops", "adder.mispredicts", "ipc"];
-
-/// Memory interval-series column order (see [`Telemetry::mem_series`]).
-/// All columns are extensive integer sums over the interval:
-/// occupied MSHR-entry-cycles, the sum of per-SM peak occupancies,
-/// L2/DRAM requests granted, cycles requests spent queued for
-/// bandwidth slots, and cycles spent queued at crossbar injection
-/// ports (Little's law: divide by the interval length for the average
-/// queue depth).
-pub(crate) const MEM_SERIES_COLUMNS: [&str; 6] = [
-    "mem.mshr_occupied_cycles",
-    "mem.mshr_peak",
-    "mem.l2_requests",
-    "mem.dram_requests",
-    "mem.bw_wait_cycles",
-    "mem.xbar_wait_cycles",
-];
-
-/// Energy interval-series column order (see [`Telemetry::energy_series`]).
-/// All columns are extensive integer event counts over the interval:
-/// DRAM line fills, L2 slot grants (fresh fills entering the L2), MSHR
-/// merges, crossbar hops, write-allocate fills, issued warp
-/// instructions, and SM-resident cycles (awake or parked). Multiply by
-/// per-event joules ([`energy::EnergyWeights`]) to get interval energy.
-pub(crate) const ENERGY_SERIES_COLUMNS: [&str; 7] = [
-    "energy.dram_fills",
-    "energy.l2_grants",
-    "energy.mshr_merges",
-    "energy.xbar_hops",
-    "energy.write_allocs",
-    "energy.instructions",
-    "energy.sm_cycles",
-];
 
 impl Telemetry {
     /// A disabled collector: allocates nothing, records nothing.
@@ -265,105 +172,49 @@ impl Telemetry {
     pub fn disabled() -> Self {
         Telemetry {
             enabled: false,
-            config: TelemetryConfig {
-                ring_capacity: 0,
-                interval_cycles: u64::MAX,
-                profile_pc_capacity: 1,
-            },
-            rings: Vec::new(),
-            registry: MetricsRegistry::new(),
-            series: IntervalSeries::default(),
-            span_names: Vec::new(),
-            ids: None,
-            profile: ProfileCollector::new(0, 1),
-            pc_stats: Vec::new(),
-            last_issue: Vec::new(),
-            cur_sm: 0,
-            cur_cycle: 0,
-            next_snapshot: u64::MAX,
-            base: SnapshotBase::default(),
-            mem_series: IntervalSeries::default(),
-            mem_base: MemBase::default(),
-            mshr_occupied_cycles: 0,
-            part_fills: Vec::new(),
-            mshr_interval_peak: Vec::new(),
-            energy_series: IntervalSeries::default(),
-            energy_base: EnergyBase::default(),
-            energy_sm_cycles: 0,
-            final_cycles: 0,
+            ..Self::sized(0, 0, u64::MAX, 1)
         }
     }
 
     /// An enabled collector for a run on `num_sms` SMs.
     #[must_use]
-    pub fn for_run(num_sms: usize, config: TelemetryConfig) -> Self {
-        let mut registry = MetricsRegistry::new();
-        let ids = HotIds {
-            warp_instructions: registry.counter("sched.warp_instructions"),
-            adder_ops: registry.counter("adder.ops"),
-            adder_mispredicts: registry.counter("adder.mispredicts"),
-            history_reads: registry.counter("history.reads"),
-            history_writes: registry.counter("history.writes"),
-            crf_reads: registry.counter("crf.reads"),
-            crf_writes: registry.counter("crf.writes"),
-            crf_conflicts: registry.counter("crf.conflicts"),
-            l1_accesses: registry.counter("mem.l1_accesses"),
-            l1_misses: registry.counter("mem.l1_misses"),
-            l2_misses: registry.counter("mem.l2_misses"),
-            dram_accesses: registry.counter("mem.dram_accesses"),
-            mshr_merges: registry.counter("mem.mshr_merges"),
-            mshr_wait_cycles: registry.counter("mem.mshr_wait_cycles"),
-            bw_starved_cycles: registry.counter("mem.bw_starved_cycles"),
-            xbar_wait_cycles: registry.counter("mem.xbar_wait_cycles"),
-            xbar_hops: registry.counter("mem.xbar_hops"),
-            write_allocs: registry.counter("mem.write_allocs"),
-            barriers: registry.counter("sched.barriers"),
-            recompute_slices: registry.histogram("adder.recompute_slices"),
-            issue_gap: registry.histogram("sched.issue_gap"),
-            mem_latency: registry.histogram("mem.latency"),
-            fill_latency: registry.histogram("mem.fill_latency"),
-            mshr_wait: registry.histogram("mem.mshr_wait"),
-            xbar_wait: registry.histogram("mem.xbar_wait"),
-            l2_queue_wait: registry.histogram("mem.l2_queue_wait"),
-            dram_queue_wait: registry.histogram("mem.dram_queue_wait"),
-            load_latency: registry.histogram("mem.load_latency"),
-            store_latency: registry.histogram("mem.store_latency"),
-        };
+    pub fn for_run(num_sms: usize, _config: TelemetryConfig) -> Self {
+        Self::sized(
+            num_sms.max(1),
+            RING_CAPACITY,
+            INTERVAL_CYCLES,
+            PROFILE_PC_CAPACITY,
+        )
+    }
+
+    /// An enabled collector with `num_sms` event rings of
+    /// `ring_capacity` events, a snapshot every `interval` cycles and a
+    /// hotspot table of `pc_capacity` PCs.
+    fn sized(num_sms: usize, ring_capacity: usize, interval: u64, pc_capacity: usize) -> Self {
+        let interval = interval.max(1);
         Telemetry {
             enabled: true,
-            config,
-            rings: (0..num_sms.max(1))
-                .map(|_| RingBuffer::new(config.ring_capacity))
+            interval,
+            rings: (0..num_sms)
+                .map(|_| RingBuffer::new(ring_capacity))
                 .collect(),
-            registry,
-            series: IntervalSeries::new(SERIES_COLUMNS.iter().map(|s| (*s).to_string()).collect()),
             span_names: Vec::new(),
-            ids: Some(ids),
-            profile: ProfileCollector::new(num_sms, config.profile_pc_capacity),
+            profile: ProfileCollector::new(num_sms, pc_capacity),
             pc_stats: Vec::new(),
-            last_issue: vec![u64::MAX; num_sms.max(1)],
+            last_issue: vec![u64::MAX; num_sms],
             cur_sm: 0,
             cur_cycle: 0,
-            next_snapshot: config.interval_cycles.max(1),
-            base: SnapshotBase::default(),
-            mem_series: IntervalSeries::new(
-                MEM_SERIES_COLUMNS
-                    .iter()
-                    .map(|s| (*s).to_string())
-                    .collect(),
-            ),
-            mem_base: MemBase::default(),
-            mshr_occupied_cycles: 0,
+            totals: Totals::default(),
+            base: Totals::default(),
+            histograms: Histograms::default(),
+            snapshot_cycle: 0,
+            next_snapshot: interval,
             part_fills: Vec::new(),
-            mshr_interval_peak: vec![0; num_sms.max(1)],
-            energy_series: IntervalSeries::new(
-                ENERGY_SERIES_COLUMNS
-                    .iter()
-                    .map(|s| (*s).to_string())
-                    .collect(),
-            ),
-            energy_base: EnergyBase::default(),
-            energy_sm_cycles: 0,
+            mshr_interval_peak: vec![0; num_sms],
+            series: Vec::new(),
+            mem_series: Vec::new(),
+            energy_series: Vec::new(),
+            occupancy: Vec::new(),
             final_cycles: 0,
         }
     }
@@ -375,10 +226,12 @@ impl Telemetry {
         self.enabled
     }
 
-    /// The sizing/cadence configuration this collector was built with.
+    /// The first interval-snapshot boundary; later ones fall every that
+    /// many cycles. `u64::MAX` on a disabled collector, which never
+    /// snapshots.
     #[must_use]
-    pub fn config(&self) -> TelemetryConfig {
-        self.config
+    pub fn first_snapshot(&self) -> u64 {
+        self.interval
     }
 
     /// Sets the SM / cycle context subsequent sink callbacks attribute
@@ -422,12 +275,11 @@ impl Telemetry {
         if !self.enabled {
             return;
         }
-        let Some(ids) = self.ids else { return };
-        self.registry.inc(ids.warp_instructions, 1);
+        self.totals.counters.warp_instructions += 1;
         let idx = sm.min(self.last_issue.len().saturating_sub(1));
         let last = self.last_issue[idx];
         if last != u64::MAX && cycle > last {
-            self.registry.record(ids.issue_gap, cycle - last - 1);
+            self.histograms.issue_gap.record(cycle - last - 1);
         }
         self.last_issue[idx] = cycle;
         self.record_event(sm, cycle, EventKind::SchedIssue { warp, pc, pool });
@@ -437,50 +289,49 @@ impl Telemetry {
     /// lifecycle stamps. Updates the hit/miss counters and latency
     /// histograms (total plus a load/store split); fresh fills
     /// (`level` 1 or 2) additionally feed the per-stage queue-wait
-    /// histograms, the `mem.mshr_wait_cycles` / `mem.bw_starved_cycles`
-    /// counters and an `EventKind::MemFill` lifecycle event for the
-    /// Chrome-trace async spans.
+    /// histograms, the MSHR-wait, bandwidth-wait and crossbar counters
+    /// and an `EventKind::MemFill` lifecycle event for the Chrome-trace
+    /// async spans.
     pub fn mem_transaction(&mut self, sm: usize, cycle: u64, t: &MemTxn) {
         if !self.enabled {
             return;
         }
-        let Some(ids) = self.ids else { return };
-        self.registry.inc(ids.l1_accesses, 1);
+        let (c, h) = (&mut self.totals.counters, &mut self.histograms);
+        c.l1_accesses += 1;
         if t.level == 3 {
-            self.registry.inc(ids.mshr_merges, 1);
+            c.mshr_merges += 1;
         } else {
             if t.level >= 1 {
-                self.registry.inc(ids.l1_misses, 1);
+                c.l1_misses += 1;
             }
             if t.level >= 2 {
-                self.registry.inc(ids.l2_misses, 1);
-                self.registry.inc(ids.dram_accesses, 1);
+                c.l2_misses += 1;
+                c.dram_accesses += 1;
             }
         }
-        self.registry.record(ids.mem_latency, u64::from(t.latency));
+        h.mem_latency.record(u64::from(t.latency));
         let split = if t.store {
-            ids.store_latency
+            &mut h.store_latency
         } else {
-            ids.load_latency
+            &mut h.load_latency
         };
-        self.registry.record(split, u64::from(t.latency));
+        split.record(u64::from(t.latency));
         if t.level == 1 || t.level == 2 {
-            self.registry.record(ids.fill_latency, u64::from(t.latency));
-            self.registry.record(ids.mshr_wait, t.mshr_wait);
-            self.registry.record(ids.xbar_wait, t.xbar_wait);
-            self.registry.record(ids.l2_queue_wait, t.l2_wait);
+            h.fill_latency.record(u64::from(t.latency));
+            h.mshr_wait.record(t.mshr_wait);
+            h.xbar_wait.record(t.xbar_wait);
+            h.l2_queue_wait.record(t.l2_wait);
             if t.level == 2 {
-                self.registry.record(ids.dram_queue_wait, t.dram_wait);
+                h.dram_queue_wait.record(t.dram_wait);
             }
-            self.registry.inc(ids.mshr_wait_cycles, t.mshr_wait);
-            self.registry
-                .inc(ids.bw_starved_cycles, t.l2_wait + t.dram_wait);
-            self.registry.inc(ids.xbar_wait_cycles, t.xbar_wait);
+            c.mshr_wait_cycles += t.mshr_wait;
+            c.bw_starved_cycles += t.l2_wait + t.dram_wait;
+            c.xbar_wait_cycles += t.xbar_wait;
             if t.xbar_hop {
-                self.registry.inc(ids.xbar_hops, 1);
+                c.xbar_hops += 1;
             }
             if t.store {
-                self.registry.inc(ids.write_allocs, 1);
+                c.write_allocs += 1;
             }
             let part = t.partition as usize;
             if self.part_fills.len() <= part {
@@ -519,7 +370,7 @@ impl Telemetry {
         if !self.enabled {
             return;
         }
-        self.mshr_occupied_cycles += u64::from(occupied) * dt;
+        self.totals.mshr_occupied_cycles += u64::from(occupied) * dt;
         let idx = sm.min(self.mshr_interval_peak.len().saturating_sub(1));
         if let Some(p) = self.mshr_interval_peak.get_mut(idx) {
             *p = (*p).max(occupied);
@@ -537,7 +388,7 @@ impl Telemetry {
         if !self.enabled {
             return;
         }
-        self.energy_sm_cycles += cycles;
+        self.totals.sm_cycles += cycles;
     }
 
     /// A warp reached a block barrier.
@@ -545,8 +396,7 @@ impl Telemetry {
         if !self.enabled {
             return;
         }
-        let Some(ids) = self.ids else { return };
-        self.registry.inc(ids.barriers, 1);
+        self.totals.counters.barriers += 1;
         self.record_event(sm, cycle, EventKind::Barrier { warp });
     }
 
@@ -568,127 +418,68 @@ impl Telemetry {
         while cycle >= self.next_snapshot {
             let at = self.next_snapshot;
             self.take_snapshot(at);
-            self.next_snapshot += self.config.interval_cycles.max(1);
+            self.next_snapshot += self.interval;
         }
     }
 
+    /// Pushes one row per timeline for the interval ending at `cycle`:
+    /// each is the difference of the run totals against the previous
+    /// boundary.
     fn take_snapshot(&mut self, cycle: u64) {
-        self.profile.snapshot(cycle);
-        let Some(ids) = self.ids else { return };
-        // Memory timeline row: interval deltas of the extensive memory
-        // integrals plus the summed per-SM occupancy peaks, stored as
-        // exact f64s.
-        let l1m = self.registry.counter_value(ids.l1_misses);
-        let dram = self.registry.counter_value(ids.dram_accesses);
-        let bw = self.registry.counter_value(ids.bw_starved_cycles);
-        let xbar = self.registry.counter_value(ids.xbar_wait_cycles);
-        let peak_sum: u64 = self.mshr_interval_peak.iter().map(|&p| u64::from(p)).sum();
-        self.mem_series.push(
+        let (now, base) = (&self.totals, &self.base);
+        let (c, b) = (&now.counters, &base.counters);
+        let l1_misses = c.l1_misses - b.l1_misses;
+        let dram = c.dram_accesses - b.dram_accesses;
+        let instructions = c.warp_instructions - b.warp_instructions;
+        self.series.push(CorePoint {
+            start: self.snapshot_cycle,
             cycle,
-            vec![
-                (self.mshr_occupied_cycles - self.mem_base.occupied_cycles) as f64,
-                peak_sum as f64,
-                (l1m - self.mem_base.l1_misses) as f64,
-                (dram - self.mem_base.dram_accesses) as f64,
-                (bw - self.mem_base.bw_wait) as f64,
-                (xbar - self.mem_base.xbar_wait) as f64,
-            ],
-        );
-        self.mem_base = MemBase {
-            occupied_cycles: self.mshr_occupied_cycles,
-            l1_misses: l1m,
-            dram_accesses: dram,
-            bw_wait: bw,
-            xbar_wait: xbar,
-        };
-        for p in &mut self.mshr_interval_peak {
-            *p = 0;
-        }
-        // Energy timeline row: interval deltas of the cumulative
-        // energy-event counters, stored as exact f64s like the memory
-        // timeline.
-        let merges = self.registry.counter_value(ids.mshr_merges);
-        let hops = self.registry.counter_value(ids.xbar_hops);
-        let wallocs = self.registry.counter_value(ids.write_allocs);
-        let instructions = self.registry.counter_value(ids.warp_instructions);
-        self.energy_series.push(
+            adder_ops: c.adder_ops - b.adder_ops,
+            adder_mispredicts: c.adder_mispredicts - b.adder_mispredicts,
+            warp_instructions: instructions,
+        });
+        self.mem_series.push(MemPoint {
             cycle,
-            vec![
-                (dram - self.energy_base.dram_fills) as f64,
-                (l1m - self.energy_base.l2_grants) as f64,
-                (merges - self.energy_base.mshr_merges) as f64,
-                (hops - self.energy_base.xbar_hops) as f64,
-                (wallocs - self.energy_base.write_allocs) as f64,
-                (instructions - self.energy_base.instructions) as f64,
-                (self.energy_sm_cycles - self.energy_base.sm_cycles) as f64,
-            ],
-        );
-        self.energy_base = EnergyBase {
+            mshr_occupied_cycles: now.mshr_occupied_cycles - base.mshr_occupied_cycles,
+            mshr_peak: self.mshr_interval_peak.iter().map(|&p| u64::from(p)).sum(),
+            l2_requests: l1_misses,
+            dram_requests: dram,
+            bw_wait_cycles: c.bw_starved_cycles - b.bw_starved_cycles,
+            xbar_wait_cycles: c.xbar_wait_cycles - b.xbar_wait_cycles,
+        });
+        self.energy_series.push(EnergyPoint {
+            cycle,
             dram_fills: dram,
-            l2_grants: l1m,
-            mshr_merges: merges,
-            xbar_hops: hops,
-            write_allocs: wallocs,
+            l2_grants: l1_misses,
+            mshr_merges: c.mshr_merges - b.mshr_merges,
+            xbar_hops: c.xbar_hops - b.xbar_hops,
+            write_allocs: c.write_allocs - b.write_allocs,
             instructions,
-            sm_cycles: self.energy_sm_cycles,
-        };
-        let ops = self.registry.counter_value(ids.adder_ops);
-        let mis = self.registry.counter_value(ids.adder_mispredicts);
-        let ins = self.registry.counter_value(ids.warp_instructions);
-        let d_ops = ops - self.base.ops;
-        let d_mis = mis - self.base.mispredicts;
-        let d_ins = ins - self.base.instructions;
-        let dt = cycle.saturating_sub(self.base.cycle).max(1);
-        let accuracy = if d_ops == 0 {
-            1.0
-        } else {
-            1.0 - d_mis as f64 / d_ops as f64
-        };
-        self.series.push(
+            sm_cycles: now.sm_cycles - base.sm_cycles,
+        });
+        self.occupancy.push(OccPoint {
             cycle,
-            vec![
-                accuracy,
-                d_ops as f64,
-                d_mis as f64,
-                d_ins as f64 / dt as f64,
-            ],
-        );
-        self.base = SnapshotBase {
-            cycle,
-            ops,
-            mispredicts: mis,
-            instructions: ins,
-        };
+            warp_cycles: now.warp_cycles - base.warp_cycles,
+            eligible_cycles: now.eligible_cycles - base.eligible_cycles,
+            issued_slots: now.issued_slots - base.issued_slots,
+            total_slots: now.total_slots - base.total_slots,
+        });
+        self.base = self.totals;
+        self.snapshot_cycle = cycle;
+        self.mshr_interval_peak.fill(0);
     }
 
-    /// Ends the run at `cycles`: takes a final partial snapshot (if any
-    /// activity happened since the last boundary) and freezes summary
-    /// gauges.
+    /// Ends the run at `cycles`: takes a final partial snapshot if any
+    /// time passed since the last boundary.
     pub fn finalize(&mut self, cycles: u64) {
         if !self.enabled {
             return;
         }
         self.advance(cycles);
-        if cycles > self.base.cycle {
+        if cycles > self.snapshot_cycle {
             self.take_snapshot(cycles);
         }
         self.final_cycles = cycles;
-        let Some(ids) = self.ids else { return };
-        let ops = self.registry.counter_value(ids.adder_ops);
-        let mis = self.registry.counter_value(ids.adder_mispredicts);
-        let ins = self.registry.counter_value(ids.warp_instructions);
-        let acc_gauge = self.registry.gauge("adder.accuracy");
-        let ipc_gauge = self.registry.gauge("sim.ipc");
-        let cyc_gauge = self.registry.gauge("sim.cycles");
-        let accuracy = if ops == 0 {
-            1.0
-        } else {
-            1.0 - mis as f64 / ops as f64
-        };
-        self.registry.set(acc_gauge, accuracy);
-        self.registry
-            .set(ipc_gauge, ins as f64 / cycles.max(1) as f64);
-        self.registry.set(cyc_gauge, cycles as f64);
     }
 
     /// Total cycles as reported to [`Telemetry::finalize`].
@@ -697,29 +488,70 @@ impl Telemetry {
         self.final_cycles
     }
 
-    /// The metrics registry.
+    /// The run's cumulative counters.
     #[must_use]
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
+    pub fn counters(&self) -> &Counters {
+        &self.totals.counters
     }
 
-    /// The interval-snapshot series (columns: `SERIES_COLUMNS`).
+    /// The run's latency and gap histograms.
     #[must_use]
-    pub fn series(&self) -> &IntervalSeries {
+    pub fn histograms(&self) -> &Histograms {
+        &self.histograms
+    }
+
+    /// The run-level gauges as `(name, value)`: overall adder accuracy,
+    /// IPC and cycles, computed from the counters.
+    #[must_use]
+    pub(crate) fn gauges(&self) -> [(&'static str, f64); 3] {
+        let c = &self.totals.counters;
+        [
+            (
+                "adder.accuracy",
+                metrics::accuracy(c.adder_ops, c.adder_mispredicts),
+            ),
+            (
+                "sim.ipc",
+                c.warp_instructions as f64 / self.final_cycles.max(1) as f64,
+            ),
+            ("sim.cycles", self.final_cycles as f64),
+        ]
+    }
+
+    /// The core interval rows: adder accuracy and IPC over time.
+    #[must_use]
+    pub fn series(&self) -> &[CorePoint] {
         &self.series
     }
 
-    /// The memory interval timeline (columns: `MEM_SERIES_COLUMNS`).
+    /// The memory interval timeline.
     #[must_use]
-    pub fn mem_series(&self) -> &IntervalSeries {
+    pub fn mem_series(&self) -> &[MemPoint] {
         &self.mem_series
     }
 
-    /// The energy-event interval timeline (columns:
-    /// `ENERGY_SERIES_COLUMNS`).
+    /// The energy-event interval timeline.
     #[must_use]
-    pub fn energy_series(&self) -> &IntervalSeries {
+    pub fn energy_series(&self) -> &[EnergyPoint] {
         &self.energy_series
+    }
+
+    /// The energy timeline's column totals; `cycle` is the last row's.
+    /// Equal to the run's cumulative event counts once finalized.
+    #[must_use]
+    pub fn energy_totals(&self) -> EnergyPoint {
+        self.energy_series
+            .iter()
+            .fold(EnergyPoint::default(), |t, p| EnergyPoint {
+                cycle: p.cycle,
+                dram_fills: t.dram_fills + p.dram_fills,
+                l2_grants: t.l2_grants + p.l2_grants,
+                mshr_merges: t.mshr_merges + p.mshr_merges,
+                xbar_hops: t.xbar_hops + p.xbar_hops,
+                write_allocs: t.write_allocs + p.write_allocs,
+                instructions: t.instructions + p.instructions,
+                sm_cycles: t.sm_cycles + p.sm_cycles,
+            })
     }
 
     /// Cumulative SM-resident cycles integrated over the run (every SM
@@ -727,14 +559,14 @@ impl Telemetry {
     /// `num_sms x cycles` for a run that ends with all SMs drained).
     #[must_use]
     pub fn energy_sm_cycles(&self) -> u64 {
-        self.energy_sm_cycles
+        self.totals.sm_cycles
     }
 
     /// Cumulative MSHR occupied-entry-cycles integrated over the run
     /// (divide by SM-cycles for the average occupancy).
     #[must_use]
     pub fn mem_occupied_cycles(&self) -> u64 {
-        self.mshr_occupied_cycles
+        self.totals.mshr_occupied_cycles
     }
 
     /// Fresh fills served per L2 partition, indexed by partition id
@@ -751,22 +583,27 @@ impl Telemetry {
         &self.rings
     }
 
-    /// The warp-stall / hotspot / occupancy profile collector.
+    /// The warp-stall and hotspot profile collector.
     #[must_use]
     pub(crate) fn profile(&self) -> &ProfileCollector {
         &self.profile
     }
 
     /// Folds one SM's per-cycle profiling scratch (covering `dt` clock
-    /// ticks) into the profile collector. The simulator calls this once
-    /// per SM per stepped cycle, after the cycle's global length is
-    /// known.
+    /// ticks) into the profile collector and the occupancy totals. The
+    /// simulator calls this once per SM per stepped cycle, after the
+    /// cycle's global length is known.
     #[inline]
     pub fn profile_commit(&mut self, sm: usize, dt: u64, cp: &CycleProfile) {
         if !self.enabled {
             return;
         }
-        self.profile.commit(sm, dt, cp);
+        let slots = self.profile.commit(sm, dt, cp);
+        let t = &mut self.totals;
+        t.warp_cycles += u64::from(cp.active_warps) * dt;
+        t.eligible_cycles += u64::from(cp.eligible_warps) * dt;
+        t.issued_slots += u64::from(cp.issued);
+        t.total_slots += slots;
     }
 
     /// Per-PC prediction accuracy, worst first:
@@ -802,8 +639,7 @@ impl EventSink for Telemetry {
         if !self.enabled {
             return;
         }
-        let Some(ids) = self.ids else { return };
-        self.registry.inc(ids.adder_ops, 1);
+        self.totals.counters.adder_ops += 1;
         let pc = ctx.pc as usize;
         if pc >= self.pc_stats.len() {
             self.pc_stats.resize(pc + 1, PcStat::default());
@@ -812,9 +648,10 @@ impl EventSink for Telemetry {
         stat.ops += 1;
         if outcome.mispredicted {
             stat.mispredicts += 1;
-            self.registry.inc(ids.adder_mispredicts, 1);
-            self.registry
-                .record(ids.recompute_slices, u64::from(outcome.slices_recomputed));
+            self.totals.counters.adder_mispredicts += 1;
+            self.histograms
+                .recompute_slices
+                .record(u64::from(outcome.slices_recomputed));
             let (sm, cycle) = (self.cur_sm, self.cur_cycle);
             self.record_event(
                 sm,
@@ -831,27 +668,24 @@ impl EventSink for Telemetry {
         if !self.enabled {
             return;
         }
-        let Some(ids) = self.ids else { return };
-        self.registry.inc(ids.history_reads, reads);
-        self.registry.inc(ids.history_writes, writes);
+        self.totals.counters.history_reads += reads;
+        self.totals.counters.history_writes += writes;
     }
 
     fn crf_read(&mut self, _pc: u32) {
         if !self.enabled {
             return;
         }
-        let Some(ids) = self.ids else { return };
-        self.registry.inc(ids.crf_reads, 1);
+        self.totals.counters.crf_reads += 1;
     }
 
     fn crf_write(&mut self, pc: u32, conflict: bool) {
         if !self.enabled {
             return;
         }
-        let Some(ids) = self.ids else { return };
-        self.registry.inc(ids.crf_writes, 1);
+        self.totals.counters.crf_writes += 1;
         if conflict {
-            self.registry.inc(ids.crf_conflicts, 1);
+            self.totals.counters.crf_conflicts += 1;
             let (sm, cycle) = (self.cur_sm, self.cur_cycle);
             self.record_event(sm, cycle, EventKind::CrfConflict { row: pc & 0xF });
         }
@@ -896,8 +730,10 @@ mod tests {
         t.advance(100_000);
         t.finalize(100_000);
         assert!(t.rings().is_empty());
-        assert!(t.registry().counters().is_empty());
-        assert!(t.series().points().is_empty());
+        assert_eq!(*t.counters(), Counters::default());
+        assert_eq!(*t.histograms(), Histograms::default());
+        assert!(t.series().is_empty());
+        assert_eq!(t.first_snapshot(), u64::MAX);
     }
 
     #[test]
@@ -911,8 +747,8 @@ mod tests {
         };
         t.adder_op(&ctx, SliceLayout::INT64, &outcome(false));
         t.adder_op(&ctx, SliceLayout::INT64, &outcome(true));
-        assert_eq!(t.registry().counter_by_name("adder.ops"), Some(2));
-        assert_eq!(t.registry().counter_by_name("adder.mispredicts"), Some(1));
+        assert_eq!(t.counters().adder_ops, 2);
+        assert_eq!(t.counters().adder_mispredicts, 1);
         let pcs = t.pc_accuracy();
         assert_eq!(pcs, vec![(7, 2, 1)]);
         // The mispredict landed in SM 1's ring at cycle 42.
@@ -923,14 +759,7 @@ mod tests {
 
     #[test]
     fn interval_snapshots_track_accuracy() {
-        let mut t = Telemetry::for_run(
-            1,
-            TelemetryConfig {
-                ring_capacity: 16,
-                interval_cycles: 100,
-                profile_pc_capacity: 64,
-            },
-        );
+        let mut t = Telemetry::sized(1, 16, 100, 64);
         let ctx = OpContext::default();
         // Interval 1: 4 ops, 2 mispredicts -> accuracy 0.5.
         for i in 0..4 {
@@ -942,31 +771,20 @@ mod tests {
             t.adder_op(&ctx, SliceLayout::INT64, &outcome(false));
         }
         t.finalize(150);
-        let acc = t.series().column("adder.accuracy").unwrap();
-        assert_eq!(acc.len(), 2);
-        assert!((acc[0].1 - 0.5).abs() < 1e-12);
-        assert!((acc[1].1 - 1.0).abs() < 1e-12);
+        let s = t.series();
+        assert_eq!(s.len(), 2);
+        assert!((s[0].accuracy() - 0.5).abs() < 1e-12);
+        assert!((s[1].accuracy() - 1.0).abs() < 1e-12);
+        assert_eq!((s[1].start, s[1].cycle), (100, 150));
         // Overall gauge covers all 8 ops.
-        let g = t
-            .registry()
-            .gauges()
-            .iter()
-            .find(|(n, _)| n == "adder.accuracy")
-            .unwrap()
-            .1;
+        let (name, g) = t.gauges()[0];
+        assert_eq!(name, "adder.accuracy");
         assert!((g - 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn mem_transaction_records_lifecycle_channels() {
-        let mut t = Telemetry::for_run(
-            1,
-            TelemetryConfig {
-                ring_capacity: 16,
-                interval_cycles: 100,
-                profile_pc_capacity: 64,
-            },
-        );
+        let mut t = Telemetry::sized(1, 16, 100, 64);
         // A DRAM fill that queued at every stage (partition 1), a clean
         // L2 store fill (partition 0), and an L1 hit (no fill).
         t.mem_transaction(
@@ -1006,21 +824,18 @@ mod tests {
                 ..MemTxn::default()
             },
         );
-        let r = t.registry();
-        assert_eq!(r.counter_by_name("mem.bw_starved_cycles"), Some(5));
-        assert_eq!(r.counter_by_name("mem.mshr_wait_cycles"), Some(10));
-        assert_eq!(r.counter_by_name("mem.xbar_wait_cycles"), Some(4));
-        assert_eq!(r.histogram_by_name("mem.xbar_wait").unwrap().count(), 2);
-        assert_eq!(r.histogram_by_name("mem.xbar_wait").unwrap().max(), 4);
+        let (c, h) = (t.counters(), t.histograms());
+        assert_eq!(c.bw_starved_cycles, 5);
+        assert_eq!(c.mshr_wait_cycles, 10);
+        assert_eq!(c.xbar_wait_cycles, 4);
+        assert_eq!(h.xbar_wait.count(), 2);
+        assert_eq!(h.xbar_wait.max(), 4);
         assert_eq!(t.part_fills(), &[1, 1], "one fill per partition");
-        assert_eq!(r.histogram_by_name("mem.fill_latency").unwrap().count(), 2);
-        assert_eq!(r.histogram_by_name("mem.fill_latency").unwrap().max(), 140);
-        assert_eq!(r.histogram_by_name("mem.load_latency").unwrap().count(), 2);
-        assert_eq!(r.histogram_by_name("mem.store_latency").unwrap().count(), 1);
-        assert_eq!(
-            r.histogram_by_name("mem.dram_queue_wait").unwrap().count(),
-            1
-        );
+        assert_eq!(h.fill_latency.count(), 2);
+        assert_eq!(h.fill_latency.max(), 140);
+        assert_eq!(h.load_latency.count(), 2);
+        assert_eq!(h.store_latency.count(), 1);
+        assert_eq!(h.dram_queue_wait.count(), 1);
         let fills = t.rings()[0]
             .iter_in_order()
             .filter(|e| matches!(e.kind, EventKind::MemFill { .. }))
@@ -1033,14 +848,29 @@ mod tests {
         t.mem_occupancy(0, 5, 2);
         t.finalize(150);
         assert_eq!(t.mem_occupied_cycles(), 40);
-        let pts = t.mem_series().points();
+        let pts = t.mem_series();
         assert_eq!(pts.len(), 2, "boundary snapshot plus final partial");
         // First interval: all the activity above.
-        assert_eq!(pts[0].cycle, 100);
-        assert_eq!(pts[0].values, vec![40.0, 5.0, 2.0, 1.0, 5.0, 4.0]);
+        assert_eq!(
+            pts[0],
+            MemPoint {
+                cycle: 100,
+                mshr_occupied_cycles: 40,
+                mshr_peak: 5,
+                l2_requests: 2,
+                dram_requests: 1,
+                bw_wait_cycles: 5,
+                xbar_wait_cycles: 4,
+            }
+        );
         // Final partial interval: quiet, peak reset.
-        assert_eq!(pts[1].cycle, 150);
-        assert_eq!(pts[1].values, vec![0.0; 6]);
+        assert_eq!(
+            pts[1],
+            MemPoint {
+                cycle: 150,
+                ..MemPoint::default()
+            }
+        );
     }
 
     #[test]
@@ -1049,12 +879,7 @@ mod tests {
         t.issue(0, 10, 0, 0, 0);
         t.issue(0, 11, 0, 4, 0); // gap 0 (back-to-back)
         t.issue(0, 20, 0, 8, 0); // gap 8
-        let (_, h) = t
-            .registry()
-            .histograms()
-            .iter()
-            .find(|(n, _)| n == "sched.issue_gap")
-            .unwrap();
+        let h = &t.histograms().issue_gap;
         assert_eq!(h.count(), 2);
         assert_eq!(h.nonzero_buckets(), vec![(0, 0, 1), (8, 15, 1)]);
     }

@@ -1,22 +1,12 @@
-//! The metrics registry: named counters, gauges and log2-bucketed
-//! histograms, plus periodic interval snapshots for plotting metrics
-//! over simulated time.
+//! Typed run metrics: the [`Counters`] and [`Histograms`] the simulator
+//! updates on its hot path (a field update, no lookup), the
+//! log2-bucketed [`Histogram`], and the interval rows the collector
+//! pushes at every snapshot boundary ([`CorePoint`], [`MemPoint`],
+//! [`EnergyPoint`], [`OccPoint`]).
 //!
-//! Metrics are registered once by name (returning a dense id) and updated
-//! by id — the hot path is an array index and an add, no hashing and no
-//! allocation.
-
-/// Dense handle of a counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CounterId(usize);
-
-/// Dense handle of a gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct GaugeId(usize);
-
-/// Dense handle of a histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct HistogramId(usize);
+//! Every row holds exact integer deltas over its interval. The exporters
+//! name a row's columns through `IntervalRow` and convert to `f64` only
+//! when they write.
 
 /// Number of histogram buckets: one for zero plus one per power of two
 /// up to `2^63`.
@@ -30,7 +20,7 @@ pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 /// gap distributions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    buckets: Box<[u64; HISTOGRAM_BUCKETS]>,
+    buckets: [u64; HISTOGRAM_BUCKETS],
     count: u64,
     sum: u64,
     max: u64,
@@ -39,7 +29,7 @@ pub struct Histogram {
 impl Default for Histogram {
     fn default() -> Self {
         Histogram {
-            buckets: Box::new([0; HISTOGRAM_BUCKETS]),
+            buckets: [0; HISTOGRAM_BUCKETS],
             count: 0,
             sum: 0,
             max: 0,
@@ -161,170 +151,297 @@ impl Histogram {
     }
 }
 
-/// One interval-snapshot row: every registered column's value at the end
-/// of one snapshot interval.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IntervalPoint {
-    /// Cycle at which the snapshot was taken (end of the interval).
-    pub(crate) cycle: u64,
-    /// Values aligned with `IntervalSeries::columns`.
-    pub values: Vec<f64>,
-}
-
-/// A time series of periodic metric snapshots.
-#[derive(Debug, Clone, Default)]
-pub struct IntervalSeries {
-    columns: Vec<String>,
-    points: Vec<IntervalPoint>,
-}
-
-impl IntervalSeries {
-    /// A series with the given column names.
-    #[must_use]
-    pub(crate) fn new(columns: Vec<String>) -> Self {
-        IntervalSeries {
-            columns,
-            points: Vec::new(),
-        }
-    }
-
-    /// Column names, in value order.
-    #[must_use]
-    pub(crate) fn columns(&self) -> &[String] {
-        &self.columns
-    }
-
-    /// Appends one snapshot row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` does not match the column count.
-    pub(crate) fn push(&mut self, cycle: u64, values: Vec<f64>) {
-        assert_eq!(values.len(), self.columns.len(), "snapshot column mismatch");
-        self.points.push(IntervalPoint { cycle, values });
-    }
-
-    /// All snapshot rows in time order.
-    #[must_use]
-    pub fn points(&self) -> &[IntervalPoint] {
-        &self.points
-    }
-
-    /// One named column as `(cycle, value)` pairs.
-    #[must_use]
-    pub fn column(&self, name: &str) -> Option<Vec<(u64, f64)>> {
-        let idx = self.columns.iter().position(|c| c == name)?;
-        Some(
-            self.points
-                .iter()
-                .map(|p| (p.cycle, p.values[idx]))
-                .collect(),
-        )
+/// Adder prediction accuracy of `mispredicts` out of `ops` (1.0 when
+/// there were no ops).
+pub(crate) fn accuracy(ops: u64, mispredicts: u64) -> f64 {
+    if ops == 0 {
+        1.0
+    } else {
+        1.0 - mispredicts as f64 / ops as f64
     }
 }
 
-/// Named counters, gauges and histograms.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    counters: Vec<(String, u64)>,
-    gauges: Vec<(String, f64)>,
-    histograms: Vec<(String, Histogram)>,
+/// The run's cumulative event counters. [`Counters::named`] gives their
+/// exported names.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Counters {
+    /// Warp instructions issued.
+    pub warp_instructions: u64,
+    /// Speculative-adder warp operations.
+    pub adder_ops: u64,
+    /// Mispredicted adder warp operations.
+    pub adder_mispredicts: u64,
+    /// Carry-history table reads.
+    pub history_reads: u64,
+    /// Carry-history table writes.
+    pub history_writes: u64,
+    /// Carry Register File reads.
+    pub crf_reads: u64,
+    /// Carry Register File writes.
+    pub crf_writes: u64,
+    /// CRF writes that conflicted on a row.
+    pub crf_conflicts: u64,
+    /// Coalesced global-memory transactions.
+    pub l1_accesses: u64,
+    /// Fresh L1 misses (merges excluded).
+    pub l1_misses: u64,
+    /// L2 misses.
+    pub l2_misses: u64,
+    /// DRAM line fills.
+    pub dram_accesses: u64,
+    /// Misses merged into an in-flight MSHR fill.
+    pub mshr_merges: u64,
+    /// Cycles fills waited for a free MSHR entry.
+    pub mshr_wait_cycles: u64,
+    /// Cycles fills queued for an L2 or DRAM bandwidth slot.
+    pub bw_starved_cycles: u64,
+    /// Cycles fills queued at a crossbar injection port.
+    pub xbar_wait_cycles: u64,
+    /// Fills that crossed the SM↔partition crossbar.
+    pub xbar_hops: u64,
+    /// Store fills that installed a line (write-allocates).
+    pub write_allocs: u64,
+    /// Warps that reached a block barrier.
+    pub barriers: u64,
 }
 
-impl MetricsRegistry {
-    /// An empty registry.
+impl Counters {
+    /// `(name, value)` pairs in export order.
     #[must_use]
-    pub(crate) fn new() -> Self {
-        Self::default()
+    pub fn named(&self) -> [(&'static str, u64); 19] {
+        [
+            ("sched.warp_instructions", self.warp_instructions),
+            ("adder.ops", self.adder_ops),
+            ("adder.mispredicts", self.adder_mispredicts),
+            ("history.reads", self.history_reads),
+            ("history.writes", self.history_writes),
+            ("crf.reads", self.crf_reads),
+            ("crf.writes", self.crf_writes),
+            ("crf.conflicts", self.crf_conflicts),
+            ("mem.l1_accesses", self.l1_accesses),
+            ("mem.l1_misses", self.l1_misses),
+            ("mem.l2_misses", self.l2_misses),
+            ("mem.dram_accesses", self.dram_accesses),
+            ("mem.mshr_merges", self.mshr_merges),
+            ("mem.mshr_wait_cycles", self.mshr_wait_cycles),
+            ("mem.bw_starved_cycles", self.bw_starved_cycles),
+            ("mem.xbar_wait_cycles", self.xbar_wait_cycles),
+            ("mem.xbar_hops", self.xbar_hops),
+            ("mem.write_allocs", self.write_allocs),
+            ("sched.barriers", self.barriers),
+        ]
     }
+}
 
-    /// Registers (or finds) a counter by name.
-    pub(crate) fn counter(&mut self, name: &str) -> CounterId {
-        if let Some(i) = self.counters.iter().position(|(n, _)| n == name) {
-            return CounterId(i);
-        }
-        self.counters.push((name.to_string(), 0));
-        CounterId(self.counters.len() - 1)
-    }
+/// The run's latency and gap distributions. [`Histograms::named`] gives
+/// their exported names.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Histograms {
+    /// Slices recomputed per mispredicted adder op.
+    pub recompute_slices: Histogram,
+    /// Idle cycles between consecutive issues on one SM.
+    pub issue_gap: Histogram,
+    /// Latency of every global transaction.
+    pub mem_latency: Histogram,
+    /// Latency of fresh L2 and DRAM fills.
+    pub fill_latency: Histogram,
+    /// Cycles a fill waited for a free MSHR entry.
+    pub mshr_wait: Histogram,
+    /// Cycles a fill queued at a crossbar injection port.
+    pub xbar_wait: Histogram,
+    /// Cycles a fill queued for an L2 bandwidth slot.
+    pub l2_queue_wait: Histogram,
+    /// Cycles a DRAM fill queued for a DRAM bandwidth slot.
+    pub dram_queue_wait: Histogram,
+    /// Latency of loads.
+    pub load_latency: Histogram,
+    /// Latency of stores.
+    pub store_latency: Histogram,
+}
 
-    /// Adds `n` to a counter.
-    #[inline]
-    pub(crate) fn inc(&mut self, id: CounterId, n: u64) {
-        self.counters[id.0].1 += n;
-    }
-
-    /// Current value of a counter.
+impl Histograms {
+    /// `(name, histogram)` pairs in export order.
     #[must_use]
-    pub(crate) fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].1
+    pub fn named(&self) -> [(&'static str, &Histogram); 10] {
+        [
+            ("adder.recompute_slices", &self.recompute_slices),
+            ("sched.issue_gap", &self.issue_gap),
+            ("mem.latency", &self.mem_latency),
+            ("mem.fill_latency", &self.fill_latency),
+            ("mem.mshr_wait", &self.mshr_wait),
+            ("mem.xbar_wait", &self.xbar_wait),
+            ("mem.l2_queue_wait", &self.l2_queue_wait),
+            ("mem.dram_queue_wait", &self.dram_queue_wait),
+            ("mem.load_latency", &self.load_latency),
+            ("mem.store_latency", &self.store_latency),
+        ]
     }
+}
 
-    /// Registers (or finds) a gauge by name.
-    pub(crate) fn gauge(&mut self, name: &str) -> GaugeId {
-        if let Some(i) = self.gauges.iter().position(|(n, _)| n == name) {
-            return GaugeId(i);
-        }
-        self.gauges.push((name.to_string(), 0.0));
-        GaugeId(self.gauges.len() - 1)
-    }
+/// An interval row the exporters write as one named track per column.
+pub(crate) trait IntervalRow<const N: usize> {
+    /// Track names, in `values` order.
+    const COLUMNS: [&'static str; N];
+    /// Cycle at the end of the interval.
+    fn cycle(&self) -> u64;
+    /// The exported values, in column order.
+    fn values(&self) -> [f64; N];
+}
 
-    /// Sets a gauge.
-    #[inline]
-    pub(crate) fn set(&mut self, id: GaugeId, value: f64) {
-        self.gauges[id.0].1 = value;
-    }
+/// One core-metrics interval: adder activity and issued instructions.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CorePoint {
+    /// Cycle at which the interval began (the previous boundary).
+    pub(crate) start: u64,
+    /// Cycle at the end of the interval.
+    pub cycle: u64,
+    /// Adder warp operations during the interval.
+    pub(crate) adder_ops: u64,
+    /// Mispredicted adder warp operations during the interval.
+    pub(crate) adder_mispredicts: u64,
+    /// Warp instructions issued during the interval.
+    pub(crate) warp_instructions: u64,
+}
 
-    /// Registers (or finds) a histogram by name.
-    pub(crate) fn histogram(&mut self, name: &str) -> HistogramId {
-        if let Some(i) = self.histograms.iter().position(|(n, _)| n == name) {
-            return HistogramId(i);
-        }
-        self.histograms
-            .push((name.to_string(), Histogram::default()));
-        HistogramId(self.histograms.len() - 1)
-    }
-
-    /// Records one histogram sample.
-    #[inline]
-    pub(crate) fn record(&mut self, id: HistogramId, value: u64) {
-        self.histograms[id.0].1.record(value);
-    }
-
-    /// All counters as `(name, value)`.
+impl CorePoint {
+    /// Adder prediction accuracy over the interval (1.0 with no adder
+    /// ops).
     #[must_use]
-    pub fn counters(&self) -> &[(String, u64)] {
-        &self.counters
+    pub fn accuracy(&self) -> f64 {
+        accuracy(self.adder_ops, self.adder_mispredicts)
+    }
+}
+
+impl IntervalRow<4> for CorePoint {
+    const COLUMNS: [&'static str; 4] = ["adder.accuracy", "adder.ops", "adder.mispredicts", "ipc"];
+
+    fn cycle(&self) -> u64 {
+        self.cycle
     }
 
-    /// All gauges as `(name, value)`.
-    #[must_use]
-    pub(crate) fn gauges(&self) -> &[(String, f64)] {
-        &self.gauges
+    fn values(&self) -> [f64; 4] {
+        let dt = self.cycle.saturating_sub(self.start).max(1);
+        [
+            self.accuracy(),
+            self.adder_ops as f64,
+            self.adder_mispredicts as f64,
+            self.warp_instructions as f64 / dt as f64,
+        ]
+    }
+}
+
+/// One memory-timeline interval (extensive sums over the interval; by
+/// Little's law, a wait total over the interval length is the average
+/// queue depth).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemPoint {
+    /// Cycle at the end of the interval.
+    pub cycle: u64,
+    /// Σ occupied MSHR entries × cycles over the interval.
+    pub mshr_occupied_cycles: u64,
+    /// Sum of per-SM peak MSHR occupancy over the interval.
+    pub mshr_peak: u64,
+    /// L2 requests (fresh L1 misses) during the interval.
+    pub l2_requests: u64,
+    /// DRAM line fills during the interval.
+    pub dram_requests: u64,
+    /// Bandwidth-slot wait cycles accrued during the interval.
+    pub bw_wait_cycles: u64,
+    /// Crossbar injection-port wait cycles accrued during the interval.
+    pub xbar_wait_cycles: u64,
+}
+
+impl IntervalRow<6> for MemPoint {
+    const COLUMNS: [&'static str; 6] = [
+        "mem.mshr_occupied_cycles",
+        "mem.mshr_peak",
+        "mem.l2_requests",
+        "mem.dram_requests",
+        "mem.bw_wait_cycles",
+        "mem.xbar_wait_cycles",
+    ];
+
+    fn cycle(&self) -> u64 {
+        self.cycle
     }
 
-    /// All histograms as `(name, data)`.
-    #[must_use]
-    pub fn histograms(&self) -> &[(String, Histogram)] {
-        &self.histograms
+    fn values(&self) -> [f64; 6] {
+        [
+            self.mshr_occupied_cycles as f64,
+            self.mshr_peak as f64,
+            self.l2_requests as f64,
+            self.dram_requests as f64,
+            self.bw_wait_cycles as f64,
+            self.xbar_wait_cycles as f64,
+        ]
+    }
+}
+
+/// One energy-timeline interval: integer event counts over the
+/// interval. Joules are applied at report time by
+/// [`crate::energy::EnergyWeights`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EnergyPoint {
+    /// Cycle at the end of the interval.
+    pub cycle: u64,
+    /// DRAM line fills during the interval.
+    pub dram_fills: u64,
+    /// Fresh fills granted an L2 request slot.
+    pub l2_grants: u64,
+    /// Misses merged into in-flight MSHR fills.
+    pub mshr_merges: u64,
+    /// Fills that crossed the SM↔partition crossbar.
+    pub xbar_hops: u64,
+    /// Store misses that installed a line (write-allocates).
+    pub write_allocs: u64,
+    /// Warp instructions issued during the interval.
+    pub instructions: u64,
+    /// SM-resident clock ticks (awake or parked) during the interval.
+    pub sm_cycles: u64,
+}
+
+impl IntervalRow<7> for EnergyPoint {
+    const COLUMNS: [&'static str; 7] = [
+        "energy.dram_fills",
+        "energy.l2_grants",
+        "energy.mshr_merges",
+        "energy.xbar_hops",
+        "energy.write_allocs",
+        "energy.instructions",
+        "energy.sm_cycles",
+    ];
+
+    fn cycle(&self) -> u64 {
+        self.cycle
     }
 
-    /// Looks up a counter's value by name (exporters, tests).
-    #[must_use]
-    pub fn counter_by_name(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
+    fn values(&self) -> [f64; 7] {
+        [
+            self.dram_fills as f64,
+            self.l2_grants as f64,
+            self.mshr_merges as f64,
+            self.xbar_hops as f64,
+            self.write_allocs as f64,
+            self.instructions as f64,
+            self.sm_cycles as f64,
+        ]
     }
+}
 
-    /// Looks up a histogram by name (exporters, profile capture).
-    #[must_use]
-    pub fn histogram_by_name(&self, name: &str) -> Option<&Histogram> {
-        self.histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, h)| h)
-    }
+/// One occupancy-timeline interval (extensive sums over the interval;
+/// ratios are computed at render time).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OccPoint {
+    /// Cycle at the end of the interval.
+    pub cycle: u64,
+    /// Σ resident warps × cycles over the interval.
+    pub(crate) warp_cycles: u64,
+    /// Σ issue-ready warps × cycles over the interval.
+    pub(crate) eligible_cycles: u64,
+    /// Issue slots that issued during the interval.
+    pub issued_slots: u64,
+    /// Issue slots owned during the interval.
+    pub total_slots: u64,
 }
 
 #[cfg(test)]
@@ -429,34 +546,61 @@ mod tests {
     }
 
     #[test]
-    fn registry_ids_are_stable_and_idempotent() {
-        let mut r = MetricsRegistry::new();
-        let a = r.counter("a");
-        let b = r.counter("b");
-        assert_eq!(r.counter("a"), a, "re-registration returns the same id");
-        r.inc(a, 2);
-        r.inc(b, 5);
-        r.inc(a, 1);
-        assert_eq!(r.counter_value(a), 3);
-        assert_eq!(r.counter_by_name("b"), Some(5));
-        assert_eq!(r.counter_by_name("missing"), None);
+    fn named_lists_every_field_once() {
+        // Names are distinct, and each value surfaces under its own name
+        // in export order.
+        let c = Counters {
+            warp_instructions: 1,
+            adder_ops: 2,
+            barriers: 19,
+            ..Counters::default()
+        };
+        let named = c.named();
+        let mut names: Vec<&str> = named.iter().map(|&(n, _)| n).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), named.len(), "counter names are distinct");
+        assert_eq!(named[0], ("sched.warp_instructions", 1));
+        assert_eq!(named[1], ("adder.ops", 2));
+        assert_eq!(named[18], ("sched.barriers", 19));
+        assert_eq!(named.iter().map(|&(_, v)| v).sum::<u64>(), 22);
 
-        let g = r.gauge("ratio");
-        r.set(g, 0.25);
-        assert_eq!(r.gauges()[g.0].1, 0.25);
-
-        let h = r.histogram("lat");
-        r.record(h, 7);
-        assert_eq!(r.histograms()[h.0].1.count(), 1);
+        let mut h = Histograms::default();
+        h.store_latency.record(7);
+        let named = h.named();
+        let mut names: Vec<&str> = named.iter().map(|&(n, _)| n).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), named.len(), "histogram names are distinct");
+        assert_eq!(named[9].0, "mem.store_latency");
+        assert_eq!(named[9].1.count(), 1);
     }
 
     #[test]
-    fn interval_series_columns() {
-        let mut s = IntervalSeries::new(vec!["accuracy".into(), "ipc".into()]);
-        s.push(1000, vec![0.9, 1.5]);
-        s.push(2000, vec![0.95, 1.6]);
-        let acc = s.column("accuracy").unwrap();
-        assert_eq!(acc, vec![(1000, 0.9), (2000, 0.95)]);
-        assert!(s.column("nope").is_none());
+    fn interval_rows_export_their_columns() {
+        let p = CorePoint {
+            start: 1000,
+            cycle: 2000,
+            adder_ops: 20,
+            adder_mispredicts: 2,
+            warp_instructions: 1500,
+        };
+        assert_eq!(p.values(), [0.9, 20.0, 2.0, 1.5]);
+        assert_eq!(CorePoint::COLUMNS[0], "adder.accuracy");
+        // A zero-length interval divides IPC by one.
+        let q = CorePoint { start: 2000, ..p };
+        assert_eq!(q.values()[3], 1500.0);
+        let m = MemPoint {
+            cycle: 1024,
+            bw_wait_cycles: 5,
+            xbar_wait_cycles: 4,
+            ..MemPoint::default()
+        };
+        assert_eq!(m.values()[4..], [5.0, 4.0]);
+        assert_eq!(MemPoint::COLUMNS[5], "mem.xbar_wait_cycles");
+        assert_eq!(
+            EnergyPoint::COLUMNS.len(),
+            EnergyPoint::default().values().len()
+        );
     }
 }

@@ -1,5 +1,6 @@
-//! Warp-stall attribution profiling: per-PC hotspot counters, per-SM
-//! issue-slot accounting, and an occupancy/IPC interval timeline.
+//! Warp-stall attribution profiling: per-PC hotspot counters and per-SM
+//! issue-slot accounting, captured with the collector's interval
+//! timelines into a portable per-kernel profile.
 //!
 //! The cycle-level simulator classifies, every cycle, why each resident
 //! warp did not issue ([`StallReason`]) and reports the classification
@@ -13,7 +14,7 @@
 //!   [`SmProfile::unattributed`]), which is what lets per-kernel stall
 //!   breakdowns reconcile against total cycles the way CUPTI/nvprof
 //!   metrics do.
-//! * **Per-PC hotspots** ([`PcCounters`]) — a bounded table keyed by
+//! * **Per-PC hotspots** (`PcCounters`) — a bounded table keyed by
 //!   program counter: slots issued at that PC, and warp-cycles stalled
 //!   *at* that PC by reason (the PC of the instruction that could not
 //!   issue, as in nvprof's per-instruction stall attribution). Joined at
@@ -29,7 +30,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::json::Writer;
-use crate::metrics::{Histogram, IntervalSeries};
+use crate::metrics::{accuracy, EnergyPoint, MemPoint, OccPoint};
 use crate::Telemetry;
 
 /// Number of [`StallReason`] values (dense indices `0..NUM_STALL_REASONS`).
@@ -239,62 +240,33 @@ impl SmProfile {
 /// Per-PC hotspot counters: issue slots and warp-cycle stalls charged to
 /// one program counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PcCounters {
+pub(crate) struct PcCounters {
     /// Issue slots spent at this PC.
     pub(crate) issued: u64,
     /// Warp-cycles stalled at this PC, per reason (dense index).
     pub(crate) stalls: [u64; NUM_STALL_REASONS],
 }
 
-/// Occupancy-timeline column names (raw extensive sums per interval;
-/// ratios are computed at render time).
-pub(crate) const PROFILE_SERIES_COLUMNS: [&str; 4] = [
-    "occ.warp_cycles",
-    "occ.eligible_cycles",
-    "occ.issued_slots",
-    "occ.total_slots",
-];
-
-/// Cumulative occupancy totals (for interval deltas).
-#[derive(Debug, Clone, Copy, Default)]
-struct OccTotals {
-    warp_cycles: u64,
-    eligible_cycles: u64,
-    issued_slots: u64,
-    total_slots: u64,
-}
-
 /// PC key used for hotspot entries evicted by the table bound.
 pub(crate) const PC_OVERFLOW: u32 = u32::MAX;
 
-/// The stall/hotspot/occupancy collector carried inside [`Telemetry`].
+/// The stall and hotspot collector carried inside [`Telemetry`].
 #[derive(Debug, Clone)]
-pub struct ProfileCollector {
+pub(crate) struct ProfileCollector {
     sms: Vec<SmProfile>,
     pcs: HashMap<u32, PcCounters>,
     pc_capacity: usize,
-    series: IntervalSeries,
-    cum: OccTotals,
-    base: OccTotals,
 }
 
 impl ProfileCollector {
     /// A collector for `num_sms` SMs with a per-PC table bound of
     /// `pc_capacity` entries.
     #[must_use]
-    pub fn new(num_sms: usize, pc_capacity: usize) -> Self {
+    pub(crate) fn new(num_sms: usize, pc_capacity: usize) -> Self {
         ProfileCollector {
             sms: vec![SmProfile::default(); num_sms.max(1)],
             pcs: HashMap::new(),
             pc_capacity: pc_capacity.max(1),
-            series: IntervalSeries::new(
-                PROFILE_SERIES_COLUMNS
-                    .iter()
-                    .map(|s| (*s).to_string())
-                    .collect(),
-            ),
-            cum: OccTotals::default(),
-            base: OccTotals::default(),
         }
     }
 
@@ -308,8 +280,9 @@ impl ProfileCollector {
     /// Folds one SM's cycle scratch, covering `dt` clock ticks, into the
     /// collector. Issued slots always occur in `dt == 1` cycles (the
     /// driver only fast-forwards when nothing issued anywhere), so only
-    /// stall attribution is scaled.
-    pub fn commit(&mut self, sm: usize, dt: u64, cp: &CycleProfile) {
+    /// stall attribution is scaled. Returns the issue slots the cycle
+    /// covered (`width × dt`).
+    pub(crate) fn commit(&mut self, sm: usize, dt: u64, cp: &CycleProfile) -> u64 {
         let idx = sm.min(self.sms.len().saturating_sub(1));
         let s = &mut self.sms[idx];
         let width =
@@ -336,49 +309,22 @@ impl ProfileCollector {
         for &(pc, reason) in &cp.pc_stalls {
             self.pc_entry(pc).stalls[reason.index()] += dt;
         }
-
-        self.cum.warp_cycles += u64::from(cp.active_warps) * dt;
-        self.cum.eligible_cycles += u64::from(cp.eligible_warps) * dt;
-        self.cum.issued_slots += u64::from(cp.issued);
-        self.cum.total_slots += width * dt;
-    }
-
-    /// Takes an interval snapshot at `cycle` (deltas since the previous
-    /// snapshot). Driven by [`Telemetry::advance`] at the same boundaries
-    /// as the main metric series.
-    pub fn snapshot(&mut self, cycle: u64) {
-        self.series.push(
-            cycle,
-            vec![
-                (self.cum.warp_cycles - self.base.warp_cycles) as f64,
-                (self.cum.eligible_cycles - self.base.eligible_cycles) as f64,
-                (self.cum.issued_slots - self.base.issued_slots) as f64,
-                (self.cum.total_slots - self.base.total_slots) as f64,
-            ],
-        );
-        self.base = self.cum;
+        width * dt
     }
 
     /// Per-SM issue-slot profiles, SM-index order.
     #[must_use]
-    pub fn sms(&self) -> &[SmProfile] {
+    pub(crate) fn sms(&self) -> &[SmProfile] {
         &self.sms
     }
 
     /// The per-PC hotspot table, sorted by PC (the `PC_OVERFLOW`
     /// sentinel, if present, sorts last).
     #[must_use]
-    pub fn pcs_sorted(&self) -> Vec<(u32, PcCounters)> {
+    pub(crate) fn pcs_sorted(&self) -> Vec<(u32, PcCounters)> {
         let mut v: Vec<(u32, PcCounters)> = self.pcs.iter().map(|(&pc, &c)| (pc, c)).collect();
         v.sort_by_key(|(pc, _)| *pc);
         v
-    }
-
-    /// The occupancy interval series (columns:
-    /// `PROFILE_SERIES_COLUMNS`).
-    #[must_use]
-    pub fn series(&self) -> &IntervalSeries {
-        &self.series
     }
 }
 
@@ -404,11 +350,7 @@ impl PcRow {
     /// Adder prediction accuracy at this PC (1.0 when no adder ops).
     #[must_use]
     pub fn accuracy(&self) -> f64 {
-        if self.adder_ops == 0 {
-            1.0
-        } else {
-            1.0 - self.mispredicts as f64 / self.adder_ops as f64
-        }
+        accuracy(self.adder_ops, self.mispredicts)
     }
 
     /// Total stalled warp-cycles at this PC.
@@ -418,23 +360,7 @@ impl PcRow {
     }
 }
 
-/// One occupancy-timeline interval of a captured [`KernelProfile`] (raw
-/// extensive sums over the interval).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OccPoint {
-    /// Cycle at the end of the interval.
-    pub cycle: u64,
-    /// Σ resident warps × cycles over the interval.
-    pub(crate) warp_cycles: u64,
-    /// Σ issue-ready warps × cycles over the interval.
-    pub(crate) eligible_cycles: u64,
-    /// Issue slots that issued during the interval.
-    pub issued_slots: u64,
-    /// Issue slots owned during the interval.
-    pub total_slots: u64,
-}
-
-/// Memory-subsystem totals captured from the telemetry registry: the
+/// Memory-subsystem totals captured from the telemetry counters: the
 /// numbers that, next to the `mem_pending`/`mem_throttle` stall shares,
 /// say whether a kernel is memory-bound and why.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -503,51 +429,6 @@ impl MemSummary {
         let max = self.part_fills.iter().copied().max().unwrap_or(0);
         max as f64 / mean
     }
-}
-
-/// One memory-timeline interval of a captured [`KernelProfile`] (raw
-/// extensive sums over the interval, mirroring
-/// `crate::MEM_SERIES_COLUMNS`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemPoint {
-    /// Cycle at the end of the interval.
-    pub cycle: u64,
-    /// Σ occupied MSHR entries × cycles over the interval.
-    pub mshr_occupied_cycles: u64,
-    /// Sum of per-SM peak MSHR occupancy over the interval.
-    pub mshr_peak: u64,
-    /// L2 requests (fresh L1 misses) during the interval.
-    pub l2_requests: u64,
-    /// DRAM line fills during the interval.
-    pub dram_requests: u64,
-    /// Bandwidth-slot wait cycles accrued during the interval.
-    pub bw_wait_cycles: u64,
-    /// Crossbar injection-port wait cycles accrued during the interval.
-    pub xbar_wait_cycles: u64,
-}
-
-/// One energy-timeline interval of a captured [`KernelProfile`]: raw
-/// integer event counts over the interval, mirroring
-/// `crate::ENERGY_SERIES_COLUMNS`. Joules are applied at report time
-/// by [`crate::energy::EnergyWeights`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EnergyPoint {
-    /// Cycle at the end of the interval.
-    pub(crate) cycle: u64,
-    /// DRAM line fills during the interval.
-    pub dram_fills: u64,
-    /// Fresh fills granted an L2 request slot.
-    pub(crate) l2_grants: u64,
-    /// Misses merged into in-flight MSHR fills.
-    pub(crate) mshr_merges: u64,
-    /// Fills that crossed the SM↔partition crossbar.
-    pub(crate) xbar_hops: u64,
-    /// Store misses that installed a line (write-allocates).
-    pub(crate) write_allocs: u64,
-    /// Warp instructions issued during the interval.
-    pub(crate) instructions: u64,
-    /// SM-resident clock ticks (awake or parked) during the interval.
-    pub sm_cycles: u64,
 }
 
 /// A portable per-kernel profile snapshot: the nvprof-style report data,
@@ -620,74 +501,33 @@ impl KernelProfile {
                 }
             })
             .collect();
-        let occupancy = collector
-            .series()
-            .points()
-            .iter()
-            .map(|p| OccPoint {
-                cycle: p.cycle,
-                warp_cycles: p.values[0] as u64,
-                eligible_cycles: p.values[1] as u64,
-                issued_slots: p.values[2] as u64,
-                total_slots: p.values[3] as u64,
-            })
-            .collect();
-        let mem_timeline = tele
-            .mem_series()
-            .points()
-            .iter()
-            .map(|p| MemPoint {
-                cycle: p.cycle,
-                mshr_occupied_cycles: p.values[0] as u64,
-                mshr_peak: p.values[1] as u64,
-                l2_requests: p.values[2] as u64,
-                dram_requests: p.values[3] as u64,
-                bw_wait_cycles: p.values[4] as u64,
-                xbar_wait_cycles: p.values.get(5).copied().unwrap_or(0.0) as u64,
-            })
-            .collect();
-        let energy_timeline = tele
-            .energy_series()
-            .points()
-            .iter()
-            .map(|p| EnergyPoint {
-                cycle: p.cycle,
-                dram_fills: p.values[0] as u64,
-                l2_grants: p.values[1] as u64,
-                mshr_merges: p.values[2] as u64,
-                xbar_hops: p.values[3] as u64,
-                write_allocs: p.values[4] as u64,
-                instructions: p.values[5] as u64,
-                sm_cycles: p.values[6] as u64,
-            })
-            .collect();
-        let counter = |name: &str| tele.registry().counter_by_name(name).unwrap_or(0);
-        let fill = tele.registry().histogram_by_name("mem.fill_latency");
+        let c = tele.counters();
+        let fill = &tele.histograms().fill_latency;
         KernelProfile {
             kernel: kernel.to_string(),
             cycles: tele.cycles(),
-            warp_instructions: counter("sched.warp_instructions"),
+            warp_instructions: c.warp_instructions,
             mem: MemSummary {
-                l1_accesses: counter("mem.l1_accesses"),
-                l1_misses: counter("mem.l1_misses"),
-                l2_misses: counter("mem.l2_misses"),
-                dram_accesses: counter("mem.dram_accesses"),
-                mshr_merges: counter("mem.mshr_merges"),
-                fill_p50: fill.map_or(0, Histogram::p50),
-                fill_p95: fill.map_or(0, Histogram::p95),
-                fill_max: fill.map_or(0, Histogram::max),
+                l1_accesses: c.l1_accesses,
+                l1_misses: c.l1_misses,
+                l2_misses: c.l2_misses,
+                dram_accesses: c.dram_accesses,
+                mshr_merges: c.mshr_merges,
+                fill_p50: fill.p50(),
+                fill_p95: fill.p95(),
+                fill_max: fill.max(),
                 mshr_occupied_cycles: tele.mem_occupied_cycles(),
-                mshr_wait_cycles: counter("mem.mshr_wait_cycles"),
-                bw_starved_cycles: counter("mem.bw_starved_cycles"),
+                mshr_wait_cycles: c.mshr_wait_cycles,
+                bw_starved_cycles: c.bw_starved_cycles,
                 partitions: tele.part_fills().len() as u32,
-                xbar_wait_cycles: counter("mem.xbar_wait_cycles"),
+                xbar_wait_cycles: c.xbar_wait_cycles,
                 part_fills: tele.part_fills().to_vec(),
             },
             sms: collector.sms().to_vec(),
             pcs,
-            occupancy,
-            mem_timeline,
-            energy_timeline,
+            occupancy: tele.occupancy.clone(),
+            mem_timeline: tele.mem_series().to_vec(),
+            energy_timeline: tele.energy_series().to_vec(),
             energy: None,
         }
     }
@@ -698,9 +538,10 @@ impl KernelProfile {
     /// determinism comparisons are unaffected by when (or whether) this
     /// runs.
     pub fn attach_energy(&mut self, weights: &crate::energy::EnergyWeights) {
-        let (energy, mem) = self.interval_series();
-        self.energy = Some(crate::energy::EnergySummary::from_series(
-            &energy, &mem, weights,
+        self.energy = Some(crate::energy::EnergySummary::price(
+            &self.energy_timeline,
+            &self.mem_timeline,
+            weights,
         ));
     }
 
@@ -709,56 +550,10 @@ impl KernelProfile {
     /// intervals are skipped.
     #[must_use]
     pub fn power_timeline(&self, weights: &crate::energy::EnergyWeights) -> Vec<(u64, f64)> {
-        let (energy, mem) = self.interval_series();
-        let power = crate::energy::power_series(&energy, &mem, weights);
-        power
-            .column(crate::energy::POWER_SERIES_COLUMNS[0])
-            .unwrap_or_default()
-    }
-
-    /// Rebuilds the collector's (energy, memory) interval series from
-    /// the stored point vectors, for pricing.
-    fn interval_series(&self) -> (crate::IntervalSeries, crate::IntervalSeries) {
-        let mut energy = crate::IntervalSeries::new(
-            crate::ENERGY_SERIES_COLUMNS
-                .iter()
-                .map(|s| (*s).to_string())
-                .collect(),
-        );
-        for p in &self.energy_timeline {
-            energy.push(
-                p.cycle,
-                vec![
-                    p.dram_fills as f64,
-                    p.l2_grants as f64,
-                    p.mshr_merges as f64,
-                    p.xbar_hops as f64,
-                    p.write_allocs as f64,
-                    p.instructions as f64,
-                    p.sm_cycles as f64,
-                ],
-            );
-        }
-        let mut mem = crate::IntervalSeries::new(
-            crate::MEM_SERIES_COLUMNS
-                .iter()
-                .map(|s| (*s).to_string())
-                .collect(),
-        );
-        for p in &self.mem_timeline {
-            mem.push(
-                p.cycle,
-                vec![
-                    p.mshr_occupied_cycles as f64,
-                    p.mshr_peak as f64,
-                    p.l2_requests as f64,
-                    p.dram_requests as f64,
-                    p.bw_wait_cycles as f64,
-                    p.xbar_wait_cycles as f64,
-                ],
-            );
-        }
-        (energy, mem)
+        crate::energy::power_series(&self.energy_timeline, &self.mem_timeline, weights)
+            .iter()
+            .map(|p| (p.cycle, p.total_w))
+            .collect()
     }
 
     /// Device-wide slot totals (summed SM profiles; `cycles` is the max).
@@ -1333,7 +1128,6 @@ mod tests {
                 3,
             ),
         );
-        c.snapshot(1);
         let profile = KernelProfile {
             kernel: "probe".into(),
             cycles: 1,

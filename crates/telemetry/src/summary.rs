@@ -15,14 +15,8 @@ fn rate(part: u64, whole: u64) -> String {
 /// Renders a finalized [`Telemetry`] into a text summary.
 #[must_use]
 pub fn render(tele: &Telemetry, label: &str) -> String {
-    let reg = tele.registry();
-    let g = |name: &str| {
-        reg.gauges()
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0.0, |(_, v)| *v)
-    };
-    let c = |name: &str| reg.counter_by_name(name).unwrap_or(0);
+    let c = tele.counters();
+    let [(_, accuracy), (_, ipc), _] = tele.gauges();
 
     let mut out = String::new();
     let _ = writeln!(out, "== telemetry summary: {label} ==");
@@ -30,37 +24,32 @@ pub fn render(tele: &Telemetry, label: &str) -> String {
     let _ = writeln!(out, "cycles                 : {}", tele.cycles());
     let _ = writeln!(
         out,
-        "warp instructions      : {}  (IPC {:.3})",
-        c("sched.warp_instructions"),
-        g("sim.ipc")
+        "warp instructions      : {}  (IPC {ipc:.3})",
+        c.warp_instructions,
     );
 
-    let ops = c("adder.ops");
-    let mis = c("adder.mispredicts");
+    let (ops, mis) = (c.adder_ops, c.adder_mispredicts);
     let _ = writeln!(out, "adder ops              : {ops}");
     let _ = writeln!(
         out,
-        "adder mispredicts      : {mis}  ({} of ops, accuracy {:.4})",
+        "adder mispredicts      : {mis}  ({} of ops, accuracy {accuracy:.4})",
         rate(mis, ops).trim(),
-        g("adder.accuracy")
     );
 
-    let l1 = c("mem.l1_accesses");
-    let l1m = c("mem.l1_misses");
+    let (l1, l1m) = (c.l1_accesses, c.l1_misses);
     let _ = writeln!(
         out,
         "L1 accesses            : {l1}  (miss {})",
         rate(l1m, l1).trim()
     );
-    let _ = writeln!(out, "DRAM accesses          : {}", c("mem.dram_accesses"));
+    let _ = writeln!(out, "DRAM accesses          : {}", c.dram_accesses);
     let _ = writeln!(
         out,
         "CRF writes / conflicts : {} / {}",
-        c("crf.writes"),
-        c("crf.conflicts")
+        c.crf_writes, c.crf_conflicts
     );
 
-    for (name, hist) in reg.histograms() {
+    for (name, hist) in tele.histograms().named() {
         if hist.count() == 0 {
             continue;
         }

@@ -197,10 +197,7 @@ fn single_partition_reproduces_pre_crossbar_counters() {
             a.xbar_wait_cycles, 0,
             "{name}: single partition must never queue at the crossbar"
         );
-        let r = tele.registry();
-        let fill = r
-            .histogram_by_name("mem.fill_latency")
-            .expect("fill histogram");
+        let fill = &tele.histograms().fill_latency;
         assert_eq!(fill.count(), g.fill_count, "{name}: fill count");
         assert_eq!(fill.p50(), g.fill_p50, "{name}: fill p50");
         assert_eq!(fill.p95(), g.fill_p95, "{name}: fill p95");
@@ -211,13 +208,13 @@ fn single_partition_reproduces_pre_crossbar_counters() {
             "{name}: MSHR occupancy integral"
         );
         assert_eq!(
-            r.counter_by_name("mem.mshr_wait_cycles"),
-            Some(g.mshr_wait_cycles),
+            tele.counters().mshr_wait_cycles,
+            g.mshr_wait_cycles,
             "{name}: mshr_wait_cycles"
         );
         assert_eq!(
-            r.counter_by_name("mem.xbar_wait_cycles"),
-            Some(0),
+            tele.counters().xbar_wait_cycles,
+            0,
             "{name}: xbar_wait_cycles"
         );
     }
@@ -300,14 +297,11 @@ fn starved_memory_channels_are_populated() {
             &cfg,
             RunOptions::with_telemetry(&mut tele),
         );
-        let fill = tele
-            .registry()
-            .histogram_by_name("mem.fill_latency")
-            .expect("fill latency histogram registered");
+        let fill = &tele.histograms().fill_latency;
         assert!(fill.count() > 0, "{name}: no fills recorded");
         assert!(fill.p95() > 0, "{name}: fill p95 is zero under starvation");
         assert!(
-            !tele.mem_series().points().is_empty(),
+            !tele.mem_series().is_empty(),
             "{name}: empty memory timeline"
         );
         assert!(
@@ -354,18 +348,18 @@ fn assert_calendar_matches_lockstep(
     assert_eq!(out.activity, ref_out.activity, "{ctx}: activity");
     assert_eq!(mem, ref_mem, "{ctx}: results memory");
     assert_eq!(
-        tele.registry().counters(),
-        ref_tele.registry().counters(),
+        tele.counters(),
+        ref_tele.counters(),
         "{ctx}: telemetry counters"
     );
     assert_eq!(
-        tele.registry().histograms(),
-        ref_tele.registry().histograms(),
+        tele.histograms(),
+        ref_tele.histograms(),
         "{ctx}: latency histograms"
     );
     assert_eq!(
-        tele.mem_series().points(),
-        ref_tele.mem_series().points(),
+        tele.mem_series(),
+        ref_tele.mem_series(),
         "{ctx}: memory timeline"
     );
     assert_eq!(
@@ -377,8 +371,8 @@ fn assert_calendar_matches_lockstep(
     // the integer energy timeline — SM-resident cycles included — must
     // not see the calendar either.
     assert_eq!(
-        tele.energy_series().points(),
-        ref_tele.energy_series().points(),
+        tele.energy_series(),
+        ref_tele.energy_series(),
         "{ctx}: energy timeline"
     );
     assert_eq!(
@@ -387,9 +381,9 @@ fn assert_calendar_matches_lockstep(
         "{ctx}: SM-resident cycle integral"
     );
     assert_eq!(
-        tele.series().column("adder.accuracy"),
-        ref_tele.series().column("adder.accuracy"),
-        "{ctx}: accuracy series"
+        tele.series(),
+        ref_tele.series(),
+        "{ctx}: core interval rows"
     );
     assert_eq!(profile, ref_profile, "{ctx}: profile");
     profile

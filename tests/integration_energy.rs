@@ -11,7 +11,7 @@
 use st2::prelude::*;
 use st2::sim::run_timed_lockstep;
 use st2::telemetry::json::{self, Value};
-use st2::telemetry::{EnergySummary, EnergyWeights};
+use st2::telemetry::{EnergyPoint, EnergySummary, EnergyWeights};
 
 fn spec_by_name(name: &str) -> KernelSpec {
     suite(Scale::Test)
@@ -52,17 +52,6 @@ fn observe_with(
     (out, tele)
 }
 
-/// Sums one energy-series column over all intervals. The per-interval
-/// values are integer-valued deltas stored as exact f64s, so the sum is
-/// exact and must land back on the run's cumulative counter.
-fn column_total(tele: &Telemetry, col: usize) -> u64 {
-    tele.energy_series()
-        .points()
-        .iter()
-        .map(|p| p.values[col] as u64)
-        .sum()
-}
-
 #[test]
 fn energy_timeline_is_bit_identical_across_the_matrix() {
     // At {1,4} partitions: the energy timeline is pure integer counts,
@@ -75,8 +64,8 @@ fn energy_timeline_is_bit_identical_across_the_matrix() {
             let (_, ref_tele) = observe_with(run_timed_lockstep, &spec, &cfg);
             let (_, tele) = observe(&spec, &cfg);
             assert_eq!(
-                tele.energy_series().points(),
-                ref_tele.energy_series().points(),
+                tele.energy_series(),
+                ref_tele.energy_series(),
                 "{name}: energy timeline diverges at parts={parts}"
             );
         }
@@ -97,26 +86,37 @@ fn energy_timeline_conserves_run_totals() {
             let (out, tele) = observe(&spec, &cfg);
             let a = &out.activity;
             let ctx = format!("{name} parts={parts}");
-            assert_eq!(column_total(&tele, 0), a.dram_accesses, "{ctx}: DRAM fills");
-            assert_eq!(column_total(&tele, 2), a.mshr_merges, "{ctx}: MSHR merges");
-            assert_eq!(column_total(&tele, 3), a.xbar_hops, "{ctx}: crossbar hops");
+            let total = |field: fn(&EnergyPoint) -> u64| -> u64 {
+                tele.energy_series().iter().map(field).sum()
+            };
             assert_eq!(
-                column_total(&tele, 4),
+                total(|p| p.dram_fills),
+                a.dram_accesses,
+                "{ctx}: DRAM fills"
+            );
+            assert_eq!(
+                total(|p| p.mshr_merges),
+                a.mshr_merges,
+                "{ctx}: MSHR merges"
+            );
+            assert_eq!(total(|p| p.xbar_hops), a.xbar_hops, "{ctx}: crossbar hops");
+            assert_eq!(
+                total(|p| p.write_allocs),
                 a.write_allocates,
                 "{ctx}: write-allocates"
             );
             assert_eq!(
-                column_total(&tele, 5),
+                total(|p| p.instructions),
                 a.warp_instructions,
                 "{ctx}: instructions"
             );
             assert_eq!(
-                column_total(&tele, 6),
+                total(|p| p.sm_cycles),
                 u64::from(cfg.num_sms) * out.cycles,
                 "{ctx}: SM-resident cycles must cover every SM x every cycle"
             );
             assert_eq!(
-                column_total(&tele, 6),
+                total(|p| p.sm_cycles),
                 tele.energy_sm_cycles(),
                 "{ctx}: timeline drops SM cycles against the integral"
             );

@@ -53,8 +53,8 @@ fn starved_partitions_attribute_crossbar_waits_and_balance_fills() {
             "{name}: single-entry injection ports never queued a fill"
         );
         assert_eq!(
-            tele.registry().counter_by_name("mem.xbar_wait_cycles"),
-            Some(out.activity.xbar_wait_cycles),
+            tele.counters().xbar_wait_cycles,
+            out.activity.xbar_wait_cycles,
             "{name}: telemetry and activity disagree on crossbar waits"
         );
 

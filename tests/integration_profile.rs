@@ -168,7 +168,7 @@ proptest! {
             let mut order = cells.clone();
             let n = order.len();
             order.rotate_left(rot % n);
-            let mut collector = st2::prelude::ProfileCollector::new(4, 64);
+            let mut tele = Telemetry::for_run(4, TelemetryConfig::default());
             for &(sm, pc, reason, dt, issued) in &order {
                 let mut cp = CycleProfile {
                     issued,
@@ -182,15 +182,16 @@ proptest! {
                 let r = ALL_STALL_REASONS[reason];
                 cp.slot_stalls[r.index()] += 1;
                 cp.pc_stalls.push((pc, r));
-                collector.commit(sm, dt, &cp);
+                tele.profile_commit(sm, dt, &cp);
             }
-            collector.snapshot(1024);
-            collector
+            tele.finalize(1024);
+            KernelProfile::capture(&tele, "order", None)
         };
         let a = build(0);
         let b = build(rotate);
-        prop_assert_eq!(a.sms(), b.sms());
-        prop_assert_eq!(a.pcs_sorted(), b.pcs_sorted());
-        prop_assert_eq!(a.series().points(), b.series().points());
+        prop_assert_eq!(&a.sms, &b.sms);
+        prop_assert_eq!(&a.pcs, &b.pcs);
+        prop_assert_eq!(a.occupancy.len(), 1);
+        prop_assert_eq!(&a.occupancy, &b.occupancy);
     }
 }
