@@ -22,6 +22,7 @@
 //! per SM. A violation aborts the report — it would mean the profiler
 //! lost track of a cycle.
 
+use std::io;
 use std::process::ExitCode;
 
 use st2::prelude::*;
@@ -37,6 +38,7 @@ fn main() -> ExitCode {
         eprintln!("usage: profile_report [--scale test|tiny|full] [--kernels <substring>] [--out <dir>] [--mshr-entries <n>] [--l2-bw <n>] [--dram-bw <n>] [--l2-partitions <n>] [--xbar-queue <n>] [--gpu harness|titan-v|titan-v-full]");
         return ExitCode::FAILURE;
     }
+    let out = &mut io::stdout();
     let cfg = args.gpu().with_st2();
     let profiles = profile_suite(args.scale, &cfg, args.kernels.as_deref());
 
@@ -45,7 +47,7 @@ fn main() -> ExitCode {
         println!();
     }
 
-    header("profile summary");
+    header(out, "profile summary").expect("write to stdout");
     println!(
         "{:<14} {:>10} {:>7} {:>7} {:>9} {:>9}",
         "kernel", "cycles", "IPC", "util%", "top-stall", "fetch_oob"
@@ -74,7 +76,7 @@ fn main() -> ExitCode {
         );
     }
 
-    header("memory boundedness");
+    header(out, "memory boundedness").expect("write to stdout");
     println!(
         "{:<14} {:>12} {:>8} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8}",
         "kernel", "transactions", "L1-hit%", "merges", "dram", "throttled", "p50", "p95", "max"
@@ -98,7 +100,7 @@ fn main() -> ExitCode {
     // Only meaningful when the run modelled a sharded L2: with one
     // partition the crossbar is bypassed and every fill lands in bank 0.
     if profiles.iter().any(|p| p.mem.partitions > 1) {
-        header("L2 partition balance");
+        header(out, "L2 partition balance").expect("write to stdout");
         println!(
             "{:<14} {:>6} {:>11} {:>10} {:>24}",
             "kernel", "parts", "imbalance", "xbar-wait", "fills/partition"
@@ -123,7 +125,7 @@ fn main() -> ExitCode {
         }
     }
 
-    header("energy report (characterised model)");
+    header(out, "energy report (characterised model)").expect("write to stdout");
     println!(
         "{:<14} {:>12} {:>10} {:>10} {:>10} {:>9} {:>8} {:>12}",
         "kernel", "total-nJ", "dram-nJ", "issue-nJ", "static-nJ", "EPI-pJ", "peak-W", "peak@cycle"
@@ -143,7 +145,7 @@ fn main() -> ExitCode {
         );
     }
 
-    header("memory deep-dive (per-interval timeline)");
+    header(out, "memory deep-dive (per-interval timeline)").expect("write to stdout");
     // The same weights `profile_suite` priced the run totals with.
     let weights = EnergyModel::characterized().interval_weights(cfg.clock_ghz);
     for p in &profiles {

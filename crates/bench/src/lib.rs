@@ -2,15 +2,17 @@
 //! parsing, suite runners (parallelised across kernels), and table
 //! printing.
 //!
-//! Each `src/bin/*.rs` binary regenerates one table or figure of the
-//! paper; see DESIGN.md's per-experiment index.
+//! The `repro` binary regenerates each table and figure of the paper
+//! from [`figures`]; see DESIGN.md's per-experiment index.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod figures;
 pub mod summary;
 
 use std::fmt::Write as _;
+use std::io::{self, Write as _};
 
 use st2::prelude::*;
 
@@ -34,8 +36,9 @@ use st2::prelude::*;
 ///   [`GpuConfig::titan_v`], or the 80-SM [`GpuConfig::titan_v_full`]
 ///
 /// Other tokens land in [`BenchArgs::rest`] for binaries with
-/// positional arguments (e.g. `trace_report <kernel> [out_dir]`); an
-/// unrecognised `--flag` is rejected rather than taken as positional.
+/// positional arguments (`repro <figure>` and `trace_report <kernel>
+/// [out_dir]`); an unrecognised `--flag` is rejected rather than taken
+/// as positional.
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
     /// Problem scale (`--scale`).
@@ -65,7 +68,7 @@ pub struct BenchArgs {
 pub enum GpuPreset {
     /// The 4-SM harness slice ([`harness_gpu`], the default).
     Harness,
-    /// The paper's 20-SM TITAN V slice ([`GpuConfig::titan_v`]).
+    /// The 80-SM TITAN V with 4 L2 partitions ([`GpuConfig::titan_v`]).
     TitanV,
     /// The full 80-SM TITAN V ([`GpuConfig::titan_v_full`]).
     TitanVFull,
@@ -314,38 +317,45 @@ impl TimedPair {
 /// diverge, or the filter matches nothing.
 #[must_use]
 pub fn timed_suite(scale: Scale, cfg: &GpuConfig, filter: Option<&str>) -> Vec<TimedPair> {
-    let st2_cfg = cfg.with_st2();
     per_kernel(filter_specs(suite(scale), filter), |spec| {
-        let mut m1 = spec.memory.clone();
-        let baseline = run_timed_with(
+        timed_pair(spec, cfg)
+    })
+}
+
+/// Runs one kernel on the cycle-level engine under `cfg`, baseline and
+/// ST².
+///
+/// # Panics
+///
+/// Panics if the kernel fails verification or the two runs diverge.
+#[must_use]
+pub(crate) fn timed_pair(spec: KernelSpec, cfg: &GpuConfig) -> TimedPair {
+    let run = |cfg: &GpuConfig| {
+        let mut mem = spec.memory.clone();
+        let out = run_timed_with(
             &spec.program,
             spec.launch,
-            &mut m1,
+            &mut mem,
             cfg,
             RunOptions::default(),
         );
-        let mut m2 = spec.memory.clone();
-        let st2 = run_timed_with(
-            &spec.program,
-            spec.launch,
-            &mut m2,
-            &st2_cfg,
-            RunOptions::default(),
-        );
-        assert_eq!(
-            m1.as_bytes(),
-            m2.as_bytes(),
-            "{}: speculation changed results",
-            spec.name
-        );
-        spec.verify(&m1)
-            .unwrap_or_else(|e| panic!("{} failed verification: {e}", spec.name));
-        TimedPair {
-            name: spec.name,
-            baseline,
-            st2,
-        }
-    })
+        (out, mem)
+    };
+    let (baseline, m1) = run(cfg);
+    let (st2, m2) = run(&cfg.with_st2());
+    assert_eq!(
+        m1.as_bytes(),
+        m2.as_bytes(),
+        "{}: speculation changed results",
+        spec.name
+    );
+    spec.verify(&m1)
+        .unwrap_or_else(|e| panic!("{} failed verification: {e}", spec.name));
+    TimedPair {
+        name: spec.name,
+        baseline,
+        st2,
+    }
 }
 
 /// Profiles the suite on the cycle-level engine under `cfg`, in
@@ -416,10 +426,14 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
-/// Prints a ruled header line.
-pub fn header(title: &str) {
-    println!("\n== {title} ==");
-    println!("{:-<78}", "");
+/// Writes a ruled header line.
+///
+/// # Errors
+///
+/// Returns the first error writing to `w`.
+pub fn header(w: &mut impl io::Write, title: &str) -> io::Result<()> {
+    writeln!(w, "\n== {title} ==")?;
+    writeln!(w, "{:-<78}", "")
 }
 
 #[cfg(test)]
@@ -557,18 +571,23 @@ mod tests {
     }
 }
 
-/// Writes one CSV artifact (creating the directory as needed). Cells are
-/// quoted only when they contain commas.
+/// Writes one CSV artifact `<dir>/<name>.csv` (creating the directory
+/// as needed) and reports its path on `w`. Cells are quoted only when
+/// they contain commas.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on I/O errors — an unwritable artifact directory is an operator
-/// error the harness should surface immediately.
-pub fn write_csv(dir: &std::path::Path, name: &str, header: &[&str], rows: &[Vec<String>]) {
-    use std::io::Write as _;
-    std::fs::create_dir_all(dir).expect("create artifact directory");
+/// Returns the first I/O error, from the artifact or from `w`.
+pub fn write_csv(
+    w: &mut impl io::Write,
+    dir: &std::path::Path,
+    name: &str,
+    header: &[&str],
+    rows: &[Vec<String>],
+) -> io::Result<()> {
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.csv"));
-    let mut f = std::fs::File::create(&path).expect("create artifact file");
+    let mut f = std::fs::File::create(&path)?;
     let quote = |s: &str| {
         if s.contains(',') {
             format!("\"{s}\"")
@@ -576,12 +595,12 @@ pub fn write_csv(dir: &std::path::Path, name: &str, header: &[&str], rows: &[Vec
             s.to_string()
         }
     };
-    writeln!(f, "{}", header.join(",")).expect("write header");
+    writeln!(f, "{}", header.join(","))?;
     for row in rows {
         let cells: Vec<String> = row.iter().map(|c| quote(c)).collect();
-        writeln!(f, "{}", cells.join(",")).expect("write row");
+        writeln!(f, "{}", cells.join(","))?;
     }
-    println!("wrote {}", path.display());
+    writeln!(w, "wrote {}", path.display())
 }
 
 #[cfg(test)]
@@ -591,7 +610,9 @@ mod artifact_tests {
     #[test]
     fn csv_round_trips() {
         let dir = std::env::temp_dir().join("st2_csv_test");
+        let mut log = Vec::new();
         write_csv(
+            &mut log,
             &dir,
             "probe",
             &["kernel", "value"],
@@ -599,7 +620,10 @@ mod artifact_tests {
                 vec!["pathfinder".into(), "0.5".into()],
                 vec!["a,b".into(), "1".into()],
             ],
-        );
+        )
+        .expect("write artifact");
+        let path = dir.join("probe.csv");
+        assert_eq!(log, format!("wrote {}\n", path.display()).into_bytes());
         let text = std::fs::read_to_string(dir.join("probe.csv")).expect("read back");
         assert_eq!(text, "kernel,value\npathfinder,0.5\n\"a,b\",1\n");
         let _ = std::fs::remove_dir_all(&dir);
