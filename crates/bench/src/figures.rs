@@ -686,6 +686,15 @@ fn power_validation(inputs: &Inputs, w: &mut impl Write) -> io::Result<()> {
             )
         })
         .collect();
+    if runs.len() < 2 {
+        // MARE's confidence interval and Pearson's r need two kernels.
+        return writeln!(
+            w,
+            "validation skipped: it needs at least two suite kernels, and \
+             --kernels kept {}",
+            runs.len()
+        );
+    }
     let report = validate(&energy, &model, &runs, &mut oracle, cfg.clock_ghz);
     writeln!(
         w,

@@ -81,3 +81,31 @@ fn unknown_or_missing_figures_are_rejected() {
         );
     }
 }
+
+#[test]
+fn power_validation_skips_with_fewer_than_two_kernels() {
+    let dir = std::env::temp_dir();
+    let out = repro(
+        &dir,
+        &[
+            "power_validation",
+            "--scale",
+            "test",
+            "--kernels",
+            "pathfinder",
+        ],
+    );
+    assert!(out.status.success(), "{}", text(&out.stderr));
+    let stdout = text(&out.stdout);
+    assert!(
+        stdout.contains("fitted P_const"),
+        "the calibration still prints: {stdout}"
+    );
+    assert!(
+        stdout.contains(
+            "validation skipped: it needs at least two suite kernels, and --kernels kept 1"
+        ),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("MARE"), "{stdout}");
+}

@@ -115,8 +115,8 @@ impl SimtStack {
         }
         // Divergence: parent waits at the reconvergence point.
         self.top_mut().pc = reconv;
-        // Execute the fallthrough path after the taken path (taken pushed
-        // first ⇒ popped last).
+        // The fall-through path runs first and the taken path after it
+        // (taken pushed first ⇒ popped last).
         if target != reconv {
             self.entries.push(Entry {
                 mask: taken,

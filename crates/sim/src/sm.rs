@@ -63,10 +63,6 @@ struct TimedWarp {
     /// global load (profiler: distinguishes `MemPending` from
     /// `Scoreboard` stalls). Tracks the *latest* write per register.
     mem_dep: Vec<bool>,
-    /// Outstanding ST² mispredict repair cycles charged to this warp:
-    /// incremented per mispredicting issue, consumed by the profiler to
-    /// reclassify one observed dependency-stall cycle as `AdderRepair`.
-    repair_debt: u64,
     waiting_barrier: bool,
 }
 
@@ -164,8 +160,8 @@ impl Pool {
     }
 }
 
-/// What the scheduler's per-warp check and the issue path need to know
-/// about one instruction, decoded once per run — the software analogue
+/// What a warp's issue gate and the issue path need to know about one
+/// instruction, decoded once per run — the software analogue
 /// of the control bits a decoded instruction carries in hardware, so no
 /// check re-matches the instruction.
 #[derive(Debug, Clone, Copy)]
@@ -329,6 +325,162 @@ impl<'p> DecodedProgram<'p> {
     }
 }
 
+/// Where a warp's [`Gate`] stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum GateStatus {
+    /// Something the gate reads changed since it was built: the next
+    /// scan rebuilds it from the warp before reading it.
+    Stale,
+    /// Running: the other fields describe its next instruction.
+    Live,
+    /// Exited; never issues again.
+    Done,
+    /// Parked at a block barrier until [`SmCore::finish_cycle`]
+    /// releases it.
+    Barrier,
+}
+
+/// Everything the scheduler's per-warp check reads about one resident
+/// warp, kept dense and parallel to [`SmCore::warps`] so that a check
+/// reads one small record instead of the warp's SIMT stack, scoreboard
+/// and decoded instruction. A warp's gate only changes at an event that
+/// marks it [`GateStatus::Stale`]: its own issue, a load completion
+/// writing its scoreboard, a barrier release or its admission.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Gate {
+    /// Latest `reg_ready` over the next instruction's scoreboard
+    /// registers (0 when it reads none).
+    ready: u64,
+    /// Outstanding ST² mispredict repair cycles charged to this warp:
+    /// incremented per mispredicting issue, consumed by the profiler to
+    /// reclassify one observed dependency-stall cycle as `AdderRepair`.
+    /// The gate owns this count; rebuilding the gate keeps it.
+    repair_debt: u64,
+    /// The warp's PC (unread once it is done).
+    pc: u32,
+    status: GateStatus,
+    pool: Pool,
+    global_mem: bool,
+    /// The binding dependency — the first scoreboard register to reach
+    /// `ready` — is the destination of a deferred global load.
+    on_load: bool,
+}
+
+impl Gate {
+    fn stale() -> Self {
+        Gate {
+            ready: 0,
+            repair_debt: 0,
+            pc: 0,
+            status: GateStatus::Stale,
+            pool: Pool::Alu,
+            global_mem: false,
+            on_load: false,
+        }
+    }
+
+    /// Rebuilds the gate from the warp and its next instruction. Fields a
+    /// done or barrier-parked warp's checks never read are left as they
+    /// were.
+    fn refresh(&mut self, w: &TimedWarp, code: &DecodedProgram<'_>) {
+        if w.ctx.is_done() {
+            self.status = GateStatus::Done;
+            return;
+        }
+        self.pc = w.ctx.stack.pc();
+        if w.waiting_barrier {
+            self.status = GateStatus::Barrier;
+            return;
+        }
+        let d = code.at(self.pc);
+        // `>` keeps the first register among ties, so the binding
+        // dependency is deterministic.
+        let mut ready = 0;
+        let mut dep: Option<Reg> = None;
+        for &r in d.scoreboard_regs() {
+            let t = w.reg_ready[usize::from(r.0)];
+            if t > ready {
+                ready = t;
+                dep = Some(r);
+            }
+        }
+        self.status = GateStatus::Live;
+        self.ready = ready;
+        self.on_load = dep.is_some_and(|r| w.mem_dep[usize::from(r.0)]);
+        self.pool = d.pool;
+        self.global_mem = d.global_mem;
+    }
+
+    /// Whether the warp can issue at `now`: its operands are ready, its
+    /// pool has a free pipe, and a global LD/ST finds no MSHR credit at
+    /// zero (conservative — the access might route to a partition with
+    /// credit left — but cheap and deterministic).
+    fn can_issue(&self, now: u64, pool_free: &[u64; NUM_POOLS], credit_zero: bool) -> bool {
+        debug_assert_ne!(self.status, GateStatus::Stale, "stale gate read");
+        self.status == GateStatus::Live
+            && self.ready <= now
+            && pool_free[self.pool.index()] <= now
+            && !(self.global_mem && credit_zero)
+    }
+
+    /// Earliest cycle a warp that cannot issue at `now` could
+    /// (`u64::MAX` for done and barrier waits): its operands' ready
+    /// time, then its pool's free pipe, or the MSHR fill wake
+    /// `mem_wake` while the credit gate binds.
+    fn wake(
+        &self,
+        now: u64,
+        pool_free: &[u64; NUM_POOLS],
+        credit_zero: bool,
+        mem_wake: u64,
+    ) -> u64 {
+        match self.status {
+            GateStatus::Live => {
+                let pipe_free = pool_free[self.pool.index()];
+                if self.ready > now {
+                    self.ready.max(pipe_free)
+                } else if self.global_mem && credit_zero {
+                    mem_wake
+                } else {
+                    pipe_free
+                }
+            }
+            GateStatus::Done | GateStatus::Barrier => u64::MAX,
+            GateStatus::Stale => unreachable!("stale gate read"),
+        }
+    }
+
+    /// The profiler's stall reason for a warp that cannot issue at
+    /// `now`, and the earliest cycle that reason could change while the
+    /// SM is parked (see [`SmCore::stall_stable_until`]). A register
+    /// dependency binds before structural hazards (the operand must
+    /// exist first); it reclassifies when the register clears, and a
+    /// repair stall consumes debt every profiled cycle, so it pins the
+    /// SM awake. Done and barrier warps need a sibling to issue
+    /// (impossible while parked), throttle clears with the fill wake,
+    /// and a pipe stall's transition is its wake time.
+    fn stall(&self, now: u64, credit_zero: bool) -> (StallReason, u64) {
+        match self.status {
+            GateStatus::Done => (StallReason::Done, u64::MAX),
+            GateStatus::Barrier => (StallReason::Barrier, u64::MAX),
+            GateStatus::Live if self.ready > now => {
+                if self.on_load {
+                    (StallReason::MemPending, self.ready)
+                } else if self.repair_debt > 0 {
+                    (StallReason::AdderRepair, now + 1)
+                } else {
+                    (StallReason::Scoreboard, self.ready)
+                }
+            }
+            GateStatus::Live if self.global_mem && credit_zero => {
+                (StallReason::MemThrottle, u64::MAX)
+            }
+            GateStatus::Live => (StallReason::pipe(self.pool.index()), u64::MAX),
+            GateStatus::Stale => unreachable!("stale gate read"),
+        }
+    }
+}
+
 /// One global-memory access in flight between [`SmCore::step_cycle`] and
 /// [`SmCore::complete_memory`] (same cycle): which warp issued it and the
 /// scoreboard destination to resolve (None for stores, which retire
@@ -349,7 +501,10 @@ pub(crate) struct CycleReport {
     pub(crate) issued: bool,
     /// Earliest future cycle at which a currently-stalled warp could
     /// issue (`u64::MAX` = no stalled warp); lets the driver fast-forward
-    /// idle stretches. Memory stalls always publish a *finite* wake:
+    /// idle stretches. Computed only when nothing issued: the driver
+    /// reads it only then (the clock steps by one after any issue, and
+    /// an issuing SM never sleeps), so an issuing report carries
+    /// `u64::MAX`. Memory stalls always publish a *finite* wake:
     /// `MemPending` reports `ready_at.max(pipe_free)` (load completions
     /// resolve the same cycle the fill lands, via `complete_memory`) and
     /// `MemThrottle` reports the MSHR wake hint — only `Done`/`Barrier`
@@ -384,8 +539,16 @@ pub(crate) struct SmCore {
     /// with an order-preserving `retain`. The index order is therefore
     /// oldest first, which is GTO's "oldest" order without an age key.
     warps: Vec<TimedWarp>,
+    /// One [`Gate`] per resident warp, index-parallel to `warps`.
+    gates: Vec<Gate>,
+    /// Gate rebuilds so far: the scheduler checks that read a warp
+    /// rather than only its gate.
+    warp_checks: u64,
     slots: Vec<Option<BlockSlot>>,
     pipes: [Vec<u64>; NUM_POOLS],
+    /// Each pool's earliest free pipe, refreshed at each issue: the only
+    /// point a pipe changes.
+    pool_free: [u64; NUM_POOLS],
     spec: Option<SmSpec>,
     last_issued: Option<usize>,
     act: ActivityCounters,
@@ -405,20 +568,24 @@ pub(crate) struct SmCore {
     /// mid-step). Stale by at most the accesses issued since the last
     /// drain, which the per-segment decrement below accounts for.
     mem_credit: Vec<u32>,
+    /// Whether any partition's credit mirror is at zero, refreshed
+    /// wherever a mirror changes: at an issue and at the completion
+    /// phase. A sleeping SM issues nothing, so while it sleeps this is
+    /// the any-slice-full flag of its last completion phase, which
+    /// [`SmCore::replay_parked`] replays.
+    credit_zero: bool,
     /// Earliest in-flight fill time across this SM's MSHR slices
     /// (`u64::MAX` when none): the wake hint for `MemThrottle`-stalled
     /// warps, and the unconditional fill wake for the event-driven
     /// driver (sleeping past it would let a retirement change the
     /// credit mirrors behind the frozen report's back).
     mem_wake: u64,
-    /// Occupied-MSHR count and any-slice-full flag as of the last
-    /// [`SmCore::complete_memory`]: the values the skipped completion
-    /// phases of a sleeping SM would keep reproducing (no fill retires
-    /// mid-sleep — the driver wakes the core at `mem_wake` — and a
-    /// parked SM allocates nothing), replayed by
-    /// [`SmCore::replay_parked`].
+    /// Occupied-MSHR count as of the last [`SmCore::complete_memory`]:
+    /// the value the skipped completion phases of a sleeping SM would
+    /// keep reproducing (no fill retires mid-sleep — the driver wakes
+    /// the core at `mem_wake` — and a parked SM allocates nothing),
+    /// replayed by [`SmCore::replay_parked`].
     last_occupied: u32,
-    last_any_full: bool,
     /// Earliest future cycle at which a stalled warp's *stall
     /// classification* — not just its wake time — could change while the
     /// SM is parked: a scoreboard/mem-pending dependency clearing can
@@ -445,6 +612,8 @@ impl SmCore {
             index,
             cfg: *cfg,
             warps: Vec::new(),
+            gates: Vec::new(),
+            warp_checks: 0,
             slots: (0..block_slots).map(|_| None).collect(),
             pipes: [
                 vec![0u64; cfg.alu_pipes as usize],
@@ -454,6 +623,7 @@ impl SmCore {
                 vec![0u64; cfg.sfu_pipes as usize],
                 vec![0u64; cfg.ldst_pipes as usize],
             ],
+            pool_free: [0; NUM_POOLS],
             spec: cfg.st2.then(SmSpec::new),
             last_issued: None,
             act: ActivityCounters::default(),
@@ -466,13 +636,20 @@ impl SmCore {
                 (cfg.mshr_entries / cfg.l2_partitions.max(1)).max(1);
                 cfg.l2_partitions.max(1) as usize
             ],
+            credit_zero: false,
             mem_wake: u64::MAX,
             last_occupied: 0,
-            last_any_full: false,
             stall_stable_until: u64::MAX,
             cycle_profile: CycleProfile::default(),
             stall_scratch: Vec::new(),
         }
+    }
+
+    /// Scheduler checks that read a warp's own state (gate rebuilds) so
+    /// far.
+    #[must_use]
+    pub(crate) fn warp_checks(&self) -> u64 {
+        self.warp_checks
     }
 
     /// The per-SM activity accumulated so far.
@@ -540,9 +717,9 @@ impl SmCore {
                 slot,
                 reg_ready: vec![0; usize::from(program.num_regs())],
                 mem_dep: vec![false; usize::from(program.num_regs())],
-                repair_debt: 0,
                 waiting_barrier: false,
             });
+            self.gates.push(Gate::stale());
         }
         true
     }
@@ -552,11 +729,15 @@ impl SmCore {
     /// `global` and queueing coalesced global-memory transactions on
     /// `queue` (resolved later by [`SmCore::complete_memory`]).
     ///
-    /// Every per-warp check is constant-time and allocation-free: it
-    /// reads the instruction's decoded entry, the warp's scoreboard and
-    /// per-step copies of the issue gates (each pool's earliest free
-    /// pipe and the any-credit-exhausted flag), which are refreshed at
-    /// each issue — the only point either can change within a step.
+    /// Each per-warp check reads the warp's [`Gate`], each pool's
+    /// earliest free pipe and the any-credit-exhausted flag; the last two
+    /// are refreshed at each issue, the only point either can change
+    /// within a step. A check reads the warp itself only to rebuild a
+    /// stale gate. Unprofiled, the scan skips every warp whose gate
+    /// cannot issue and stops at the issue-width cap; profiled, it also
+    /// takes each skipped warp's stall reason from its gate, in
+    /// scheduler order. When nothing issued, one pass over the (then all
+    /// clean) gates computes `next_wake`.
     pub(crate) fn step_cycle(
         &mut self,
         now: u64,
@@ -583,12 +764,11 @@ impl SmCore {
             return report;
         }
         report.resident = true;
-
-        let mut pool_free = [u64::MAX; NUM_POOLS];
-        for (free, pipes) in pool_free.iter_mut().zip(&self.pipes) {
-            *free = pipes.iter().copied().min().unwrap_or(u64::MAX);
-        }
-        let mut credit_zero = self.mem_credit.contains(&0);
+        debug_assert!(
+            self.gates_match(code),
+            "SM {}: a clean gate disagrees with its warp",
+            self.index
+        );
 
         // Candidate order per the configured scheduler, over the
         // admission-ordered `warps`: GTO tries the last issuer first,
@@ -611,101 +791,25 @@ impl SmCore {
             };
             // When profiling, keep scanning past the issue-width cap so
             // every warp-cycle gets a stall attribution; otherwise stop
-            // early exactly as before. Issuing is capped either way, and
-            // the extra `next_wake` candidates the profiling scan finds
-            // are irrelevant: the clock only fast-forwards on cycles
-            // where *no* SM issued, and reaching the cap means we issued.
+            // early. Issuing is capped either way.
             if issued_this_sm >= cfg.issue_width && !profiling {
                 break;
             }
-            // Split-borrow dance: check conditions first. `reason` is the
-            // profiler's stall attribution (None when issuable),
-            // `consume_repair` flags a dependency stall reclassified as
-            // ST² mispredict repair, and `stable` is the earliest cycle
-            // this warp's classification could *change* while the SM is
-            // parked (`u64::MAX` = not before its wake): dependency
-            // stalls reclassify when the register clears, and repair
-            // stalls consume debt every profiled cycle so they pin the
-            // SM awake. Done/barrier warps need a sibling to issue
-            // (impossible while parked), throttle clears with the fill
-            // wake, and a pipe stall's transition *is* its wake time.
-            let (can_issue, wake, reason, consume_repair, stable) = {
-                let w = &self.warps[wi];
-                if w.ctx.is_done() {
-                    (false, u64::MAX, Some(StallReason::Done), false, u64::MAX)
-                } else if w.waiting_barrier {
-                    (false, u64::MAX, Some(StallReason::Barrier), false, u64::MAX)
-                } else {
-                    let d = code.at(w.ctx.stack.pc());
-                    // Track the first register attaining the max ready
-                    // time: the binding dependency for stall attribution
-                    // (`>` keeps the first among ties — deterministic).
-                    let mut ready_at = now;
-                    let mut dep_reg: Option<Reg> = None;
-                    for &r in d.scoreboard_regs() {
-                        let t = w.reg_ready[usize::from(r.0)];
-                        if t > ready_at {
-                            ready_at = t;
-                            dep_reg = Some(r);
-                        }
-                    }
-                    let pipe_free = pool_free[d.pool.index()];
-                    // Global LD/ST additionally needs free MSHR
-                    // credits: with any partition slice full the memory
-                    // subsystem back-pressures the LDST pipe until a
-                    // fill retires (conservative — the access might
-                    // route elsewhere — but cheap and deterministic).
-                    let throttled = d.global_mem && credit_zero;
-                    let at = ready_at.max(pipe_free);
-                    if at <= now && !throttled {
-                        (true, at, None, false, u64::MAX)
-                    } else if ready_at > now {
-                        // Register dependency binds (checked before the
-                        // pipe: the operand must exist before structural
-                        // hazards matter).
-                        let on_load = dep_reg
-                            .map(|r| w.mem_dep[usize::from(r.0)])
-                            .unwrap_or(false);
-                        if on_load {
-                            (false, at, Some(StallReason::MemPending), false, ready_at)
-                        } else if w.repair_debt > 0 {
-                            (false, at, Some(StallReason::AdderRepair), true, now + 1)
-                        } else {
-                            (false, at, Some(StallReason::Scoreboard), false, ready_at)
-                        }
-                    } else if throttled {
-                        (
-                            false,
-                            self.mem_wake,
-                            Some(StallReason::MemThrottle),
-                            false,
-                            u64::MAX,
-                        )
-                    } else {
-                        (
-                            false,
-                            at,
-                            Some(StallReason::pipe(d.pool.index())),
-                            false,
-                            u64::MAX,
-                        )
-                    }
-                }
-            };
-            if !can_issue {
-                if wake != u64::MAX {
-                    report.next_wake = report.next_wake.min(wake.max(now + 1));
-                }
+            let gate = &mut self.gates[wi];
+            if gate.status == GateStatus::Stale {
+                gate.refresh(&self.warps[wi], code);
+                self.warp_checks += 1;
+            }
+            if !gate.can_issue(now, &self.pool_free, self.credit_zero) {
                 if profiling {
+                    let (reason, stable) = gate.stall(now, self.credit_zero);
                     self.stall_stable_until = self.stall_stable_until.min(stable);
-                    if consume_repair {
-                        self.warps[wi].repair_debt -= 1;
+                    if reason == StallReason::AdderRepair {
+                        gate.repair_debt -= 1;
                     }
-                    let reason = reason.unwrap_or(StallReason::Scoreboard);
                     self.stall_scratch.push(reason);
                     if reason != StallReason::Done {
-                        let pc = self.warps[wi].ctx.stack.pc();
-                        self.cycle_profile.pc_stalls.push((pc, reason));
+                        self.cycle_profile.pc_stalls.push((gate.pc, reason));
                     }
                 }
                 continue;
@@ -714,7 +818,7 @@ impl SmCore {
                 // Profiling scan only: ready warp that lost arbitration
                 // (every issue slot already taken this cycle).
                 self.cycle_profile.eligible_warps += 1;
-                let pc = self.warps[wi].ctx.stack.pc();
+                let pc = self.gates[wi].pc;
                 self.cycle_profile
                     .pc_stalls
                     .push((pc, StallReason::NotSelected));
@@ -802,7 +906,7 @@ impl SmCore {
                     interval += 1;
                     latency += 1;
                     self.act.stall_cycles += 1;
-                    self.warps[wi].repair_debt += 1;
+                    self.gates[wi].repair_debt += 1;
                 }
             }
 
@@ -837,7 +941,7 @@ impl SmCore {
                             let part = self.decoder.decode(seg);
                             self.mem_credit[part] = self.mem_credit[part].saturating_sub(1);
                         }
-                        credit_zero = self.mem_credit.contains(&0);
+                        self.credit_zero = self.mem_credit.contains(&0);
                         self.pending.push(PendingAccess {
                             warp: wi,
                             dest: if m.store { None } else { d.dest },
@@ -858,7 +962,7 @@ impl SmCore {
             let pipes = &mut self.pipes[d.pool.index()];
             let pipe = pipes.iter_mut().min().expect("pools are non-empty");
             *pipe = now + interval;
-            pool_free[d.pool.index()] = pipes.iter().copied().min().unwrap_or(u64::MAX);
+            self.pool_free[d.pool.index()] = pipes.iter().copied().min().unwrap_or(u64::MAX);
 
             // Scoreboard. Global-load destinations are parked until the
             // drain phase supplies the hierarchy latency.
@@ -886,6 +990,9 @@ impl SmCore {
                 tele.barrier(self.index, now, wi as u32);
             }
 
+            // The issue moved the PC and may have written the scoreboard,
+            // exited or reached a barrier.
+            self.gates[wi].status = GateStatus::Stale;
             tele.issue(self.index, now, wi as u32, pc, d.pool.telemetry_code());
             if profiling {
                 self.cycle_profile.issued += 1;
@@ -895,6 +1002,23 @@ impl SmCore {
             self.last_issued = Some(wi);
             issued_this_sm += 1;
             report.issued = true;
+        }
+
+        if !report.issued {
+            // The scan visited, and so rebuilt, every gate, and with no
+            // issue the pipes and credits are as it saw them.
+            for g in &self.gates {
+                let wake = g.wake(now, &self.pool_free, self.credit_zero, self.mem_wake);
+                if wake != u64::MAX {
+                    report.next_wake = report.next_wake.min(wake.max(now + 1));
+                }
+            }
+            debug_assert_eq!(
+                report.next_wake,
+                self.wake_from_warps(now, code),
+                "SM {}: the gates' wake disagrees with the warps'",
+                self.index
+            );
         }
 
         if profiling {
@@ -988,6 +1112,7 @@ impl SmCore {
             for (p, &w) in self.pending.drain(..).zip(&self.worst) {
                 if let Some(d) = p.dest {
                     self.warps[p.warp].reg_ready[usize::from(d.0)] = w.max(now + 1);
+                    self.gates[p.warp].status = GateStatus::Stale;
                 }
             }
         }
@@ -1012,7 +1137,7 @@ impl SmCore {
         tele.energy_cycles(dt);
         self.mem_wake = earliest;
         self.last_occupied = occupied;
-        self.last_any_full = any_full;
+        self.credit_zero = any_full;
     }
 
     /// Replays the side effects of the driver iterations a sleeping SM
@@ -1029,7 +1154,7 @@ impl SmCore {
         if cycles == 0 {
             return;
         }
-        if self.last_any_full {
+        if self.credit_zero {
             self.act.mem_throttle += iters;
         }
         tele.mem_occupancy(self.index, self.last_occupied, cycles);
@@ -1065,18 +1190,25 @@ impl SmCore {
         if released {
             // A waiting warp's slot count only returns to zero at a
             // release, so this clears exactly the released slots' warps.
-            for w in &mut self.warps {
-                if slots[w.slot]
-                    .as_ref()
-                    .is_some_and(|bs| bs.warps_waiting == 0)
+            for (w, g) in self.warps.iter_mut().zip(&mut self.gates) {
+                if w.waiting_barrier
+                    && slots[w.slot]
+                        .as_ref()
+                        .is_some_and(|bs| bs.warps_waiting == 0)
                 {
                     w.waiting_barrier = false;
+                    g.status = GateStatus::Stale;
                 }
             }
         }
         if retired {
-            self.warps
-                .retain(|w| !slots[w.slot].as_ref().is_some_and(BlockSlot::finished));
+            let finished = |w: &TimedWarp| slots[w.slot].as_ref().is_some_and(BlockSlot::finished);
+            // `retain` visits the gates once each, in order, so `owners`
+            // walks the parallel warp list in step.
+            let mut owners = self.warps.iter();
+            self.gates
+                .retain(|_| owners.next().is_some_and(|w| !finished(w)));
+            self.warps.retain(|w| !finished(w));
             for slot in slots.iter_mut() {
                 if slot.as_ref().is_some_and(BlockSlot::finished) {
                     *slot = None;
@@ -1084,6 +1216,50 @@ impl SmCore {
             }
             self.last_issued = None;
         }
+    }
+
+    /// Whether there is one gate per warp and every clean gate equals a
+    /// fresh rebuild from its warp, i.e. no event changed a warp without
+    /// marking its gate stale.
+    fn gates_match(&self, code: &DecodedProgram<'_>) -> bool {
+        self.gates.len() == self.warps.len()
+            && self.gates.iter().zip(&self.warps).all(|(g, w)| {
+                let mut fresh = *g;
+                fresh.refresh(w, code);
+                g.status == GateStatus::Stale || fresh == *g
+            })
+    }
+
+    /// `next_wake` of a step that issued nothing, computed from the warps
+    /// themselves (SIMT stack, scoreboard and decoded instruction)
+    /// instead of their gates: the reference the gate pass is checked
+    /// against.
+    fn wake_from_warps(&self, now: u64, code: &DecodedProgram<'_>) -> u64 {
+        let mut next = u64::MAX;
+        for w in &self.warps {
+            if w.ctx.is_done() || w.waiting_barrier {
+                continue;
+            }
+            let d = code.at(w.ctx.stack.pc());
+            let ready_at = d
+                .scoreboard_regs()
+                .iter()
+                .map(|r| w.reg_ready[usize::from(r.0)])
+                .fold(now, u64::max);
+            let pipe_free = self.pipes[d.pool.index()].iter().copied().min();
+            let pipe_free = pipe_free.unwrap_or(u64::MAX);
+            let wake = if ready_at > now {
+                ready_at.max(pipe_free)
+            } else if d.global_mem && self.mem_credit.contains(&0) {
+                self.mem_wake
+            } else {
+                pipe_free
+            };
+            if wake != u64::MAX {
+                next = next.min(wake.max(now + 1));
+            }
+        }
+        next
     }
 
     /// Whether every slot's `resident`/`done` counters equal a recount

@@ -59,6 +59,15 @@ pub struct TimedOutput {
     /// boundary. Zero in the lockstep reference ([`run_timed_lockstep`]).
     /// Diagnostic only, like `sm_sleep_cycles`.
     pub mem_skip_cycles: u64,
+    /// SM steps the driver ran: one per awake SM per driver iteration.
+    /// Like `sm_sleep_cycles` it counts the engine's work, not the
+    /// modelled GPU's, so it differs between the calendar and
+    /// [`run_timed_lockstep`]; it does not depend on the host.
+    pub sm_steps: u64,
+    /// Scheduler checks that read a warp's own state (its SIMT stack,
+    /// scoreboard and decoded instruction) to rebuild the warp's issue
+    /// gate, summed over SMs; every other check reads only the gate.
+    pub warp_checks: u64,
 }
 
 /// Options shared by the unified run entry points
@@ -399,6 +408,7 @@ fn drive(
     let mut reports: Vec<CycleReport> = vec![CycleReport::default(); cfg.num_sms as usize];
     let mut cal = WakeCalendar::new(lockstep, tele, cfg.num_sms as usize);
     let mut due: Vec<usize> = Vec::new();
+    let mut sm_steps = 0u64;
 
     loop {
         // Phase 1: admission, at most one block per SM per cycle.
@@ -436,6 +446,7 @@ fn drive(
             next_wake = next_wake.min(r.next_wake);
             busy_sms += u64::from(r.resident);
         }
+        sm_steps += u64::from(awake_sms);
         if !any_resident && next_block >= launch.grid_dim {
             for (sm, core) in cores.iter_mut().enumerate() {
                 cal.flush_at_exit(sm, core, now, tele);
@@ -543,6 +554,8 @@ fn drive(
         sm_sleep_cycles: cal.sleep_cycles,
         ff_wakeups: cal.wakeups,
         mem_skip_cycles: cal.jumped_cycles,
+        sm_steps,
+        warp_checks: cores.iter().map(SmCore::warp_checks).sum(),
     }
 }
 

@@ -9,6 +9,7 @@
 
 use st2::prelude::*;
 use st2::sim::run_timed_lockstep;
+use SchedulerKind::{Gto, RoundRobin};
 
 /// A cross-section of the suite: memory-bound (pathfinder), shared-memory
 /// heavy (histo_K1), branch-structured (sortNets_K1) and ALU-bound
@@ -525,62 +526,79 @@ fn sleep_accounting_is_exact_at_termination_while_parked() {
     );
 }
 
+/// One scheduler/barrier golden run: both schedulers at issue widths 4
+/// and 1 on the harness machine with ST² on, over two barrier kernels
+/// (pathfinder, walsh_K1) and a throttling shared-memory kernel
+/// (histo_K1). The lockstep reference shares `SmCore::step_cycle` with
+/// the calendar, so it cannot catch a change to warp selection, stall
+/// attribution or barrier release; these constants can. They were
+/// captured before the SM step was rewritten to decode each instruction
+/// once per run and to keep per-slot block counters. `stalls` is the
+/// device-wide issue-slot stall breakdown in `ALL_STALL_REASONS` order.
+struct Golden {
+    kernel: &'static str,
+    scheduler: SchedulerKind,
+    issue_width: u32,
+    cycles: u64,
+    warp_instructions: u64,
+    stall_cycles: u64,
+    mem_throttle: u64,
+    stalls: [u64; 15],
+}
+
+#[rustfmt::skip]
+const SCHEDULER_GOLDENS: [Golden; 12] = [
+    Golden { kernel: "pathfinder", scheduler: Gto, issue_width: 4, cycles: 9004, warp_instructions: 2240, stall_cycles: 362, mem_throttle: 0,
+        stalls: [6324, 26794, 592, 62, 0, 0, 0, 0, 0, 0, 0, 2, 0, 36014, 72036] },
+    Golden { kernel: "pathfinder", scheduler: Gto, issue_width: 1, cycles: 9068, warp_instructions: 2240, stall_cycles: 338, mem_throttle: 0,
+        stalls: [2014, 13364, 488, 28, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 18136] },
+    Golden { kernel: "pathfinder", scheduler: RoundRobin, issue_width: 4, cycles: 8990, warp_instructions: 2240, stall_cycles: 336, mem_throttle: 0,
+        stalls: [6153, 26794, 765, 4, 0, 0, 0, 0, 0, 0, 0, 2, 0, 35958, 71924] },
+    Golden { kernel: "pathfinder", scheduler: RoundRobin, issue_width: 1, cycles: 9147, warp_instructions: 2240, stall_cycles: 338, mem_throttle: 0,
+        stalls: [2714, 13334, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 18294] },
+    Golden { kernel: "walsh_K1", scheduler: Gto, issue_width: 4, cycles: 1835, warp_instructions: 1632, stall_cycles: 134, mem_throttle: 0,
+        stalls: [5364, 6616, 144, 400, 0, 0, 0, 492, 0, 20, 0, 8, 0, 0, 14684] },
+    Golden { kernel: "walsh_K1", scheduler: Gto, issue_width: 1, cycles: 1991, warp_instructions: 1632, stall_cycles: 134, mem_throttle: 0,
+        stalls: [538, 1590, 112, 76, 0, 0, 0, 16, 0, 0, 0, 18, 0, 0, 3982] },
+    Golden { kernel: "walsh_K1", scheduler: RoundRobin, issue_width: 4, cycles: 1792, warp_instructions: 1632, stall_cycles: 134, mem_throttle: 0,
+        stalls: [5162, 6616, 136, 136, 0, 0, 0, 580, 0, 62, 0, 8, 0, 0, 14340] },
+    Golden { kernel: "walsh_K1", scheduler: RoundRobin, issue_width: 1, cycles: 2003, warp_instructions: 1632, stall_cycles: 134, mem_throttle: 0,
+        stalls: [650, 1628, 0, 0, 0, 0, 0, 96, 0, 0, 0, 0, 0, 0, 4006] },
+    Golden { kernel: "histo_K1", scheduler: Gto, issue_width: 4, cycles: 19056, warp_instructions: 1956, stall_cycles: 1, mem_throttle: 66,
+        stalls: [4624, 67037, 4, 0, 0, 0, 0, 2, 0, 215, 1635, 751, 0, 0, 228672] },
+    Golden { kernel: "histo_K1", scheduler: Gto, issue_width: 1, cycles: 19304, warp_instructions: 1956, stall_cycles: 1, mem_throttle: 76,
+        stalls: [2322, 13919, 1, 0, 0, 0, 0, 0, 0, 0, 776, 330, 0, 0, 57912] },
+    Golden { kernel: "histo_K1", scheduler: RoundRobin, issue_width: 4, cycles: 19138, warp_instructions: 1956, stall_cycles: 1, mem_throttle: 66,
+        stalls: [4715, 67034, 4, 0, 0, 0, 0, 2, 0, 256, 1636, 949, 0, 0, 229656] },
+    Golden { kernel: "histo_K1", scheduler: RoundRobin, issue_width: 1, cycles: 19152, warp_instructions: 1956, stall_cycles: 1, mem_throttle: 67,
+        stalls: [56, 16575, 0, 0, 0, 0, 0, 0, 0, 85, 432, 48, 0, 0, 57456] },
+];
+
+/// The harness machine a scheduler golden ran on.
+fn golden_cfg(g: &Golden) -> GpuConfig {
+    GpuConfig::scaled(4)
+        .with_st2()
+        .with_scheduler(g.scheduler)
+        .with_issue_width(g.issue_width)
+}
+
+/// Checks a golden run's verification and activity constants.
+fn assert_golden_run(g: &Golden, ctx: &str, spec: &KernelSpec, out: &TimedOutput, mem: &MemImage) {
+    spec.verify(mem)
+        .unwrap_or_else(|e| panic!("{ctx}: failed verification: {e}"));
+    let a = &out.activity;
+    assert_eq!(out.cycles, g.cycles, "{ctx}: cycles");
+    assert_eq!(a.warp_instructions, g.warp_instructions, "{ctx}: insts");
+    assert_eq!(a.stall_cycles, g.stall_cycles, "{ctx}: stall_cycles");
+    assert_eq!(a.mem_throttle, g.mem_throttle, "{ctx}: mem_throttle");
+}
+
 #[test]
 fn scheduler_and_barrier_paths_match_goldens() {
-    // Both schedulers at issue widths 4 and 1 on the harness machine
-    // with ST² on, over two barrier kernels (pathfinder, walsh_K1) and a
-    // throttling shared-memory kernel (histo_K1). The lockstep reference
-    // shares `SmCore::step_cycle` with the calendar, so it cannot catch
-    // a change to warp selection, stall attribution or barrier release;
-    // these constants can. They were captured before the SM step was
-    // rewritten to decode each instruction once per run and to keep
-    // per-slot block counters. `stalls` is the device-wide issue-slot
-    // stall breakdown in `ALL_STALL_REASONS` order.
-    struct Golden {
-        kernel: &'static str,
-        scheduler: SchedulerKind,
-        issue_width: u32,
-        cycles: u64,
-        warp_instructions: u64,
-        stall_cycles: u64,
-        mem_throttle: u64,
-        stalls: [u64; 15],
-    }
-    use SchedulerKind::{Gto, RoundRobin};
-    #[rustfmt::skip]
-    let goldens = [
-        Golden { kernel: "pathfinder", scheduler: Gto, issue_width: 4, cycles: 9004, warp_instructions: 2240, stall_cycles: 362, mem_throttle: 0,
-            stalls: [6324, 26794, 592, 62, 0, 0, 0, 0, 0, 0, 0, 2, 0, 36014, 72036] },
-        Golden { kernel: "pathfinder", scheduler: Gto, issue_width: 1, cycles: 9068, warp_instructions: 2240, stall_cycles: 338, mem_throttle: 0,
-            stalls: [2014, 13364, 488, 28, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 18136] },
-        Golden { kernel: "pathfinder", scheduler: RoundRobin, issue_width: 4, cycles: 8990, warp_instructions: 2240, stall_cycles: 336, mem_throttle: 0,
-            stalls: [6153, 26794, 765, 4, 0, 0, 0, 0, 0, 0, 0, 2, 0, 35958, 71924] },
-        Golden { kernel: "pathfinder", scheduler: RoundRobin, issue_width: 1, cycles: 9147, warp_instructions: 2240, stall_cycles: 338, mem_throttle: 0,
-            stalls: [2714, 13334, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 18294] },
-        Golden { kernel: "walsh_K1", scheduler: Gto, issue_width: 4, cycles: 1835, warp_instructions: 1632, stall_cycles: 134, mem_throttle: 0,
-            stalls: [5364, 6616, 144, 400, 0, 0, 0, 492, 0, 20, 0, 8, 0, 0, 14684] },
-        Golden { kernel: "walsh_K1", scheduler: Gto, issue_width: 1, cycles: 1991, warp_instructions: 1632, stall_cycles: 134, mem_throttle: 0,
-            stalls: [538, 1590, 112, 76, 0, 0, 0, 16, 0, 0, 0, 18, 0, 0, 3982] },
-        Golden { kernel: "walsh_K1", scheduler: RoundRobin, issue_width: 4, cycles: 1792, warp_instructions: 1632, stall_cycles: 134, mem_throttle: 0,
-            stalls: [5162, 6616, 136, 136, 0, 0, 0, 580, 0, 62, 0, 8, 0, 0, 14340] },
-        Golden { kernel: "walsh_K1", scheduler: RoundRobin, issue_width: 1, cycles: 2003, warp_instructions: 1632, stall_cycles: 134, mem_throttle: 0,
-            stalls: [650, 1628, 0, 0, 0, 0, 0, 96, 0, 0, 0, 0, 0, 0, 4006] },
-        Golden { kernel: "histo_K1", scheduler: Gto, issue_width: 4, cycles: 19056, warp_instructions: 1956, stall_cycles: 1, mem_throttle: 66,
-            stalls: [4624, 67037, 4, 0, 0, 0, 0, 2, 0, 215, 1635, 751, 0, 0, 228672] },
-        Golden { kernel: "histo_K1", scheduler: Gto, issue_width: 1, cycles: 19304, warp_instructions: 1956, stall_cycles: 1, mem_throttle: 76,
-            stalls: [2322, 13919, 1, 0, 0, 0, 0, 0, 0, 0, 776, 330, 0, 0, 57912] },
-        Golden { kernel: "histo_K1", scheduler: RoundRobin, issue_width: 4, cycles: 19138, warp_instructions: 1956, stall_cycles: 1, mem_throttle: 66,
-            stalls: [4715, 67034, 4, 0, 0, 0, 0, 2, 0, 256, 1636, 949, 0, 0, 229656] },
-        Golden { kernel: "histo_K1", scheduler: RoundRobin, issue_width: 1, cycles: 19152, warp_instructions: 1956, stall_cycles: 1, mem_throttle: 67,
-            stalls: [56, 16575, 0, 0, 0, 0, 0, 0, 0, 85, 432, 48, 0, 0, 57456] },
-    ];
-    for g in &goldens {
+    for g in &SCHEDULER_GOLDENS {
         let ctx = format!("{} {:?} width {}", g.kernel, g.scheduler, g.issue_width);
         let spec = spec_by_name(g.kernel);
-        let cfg = GpuConfig::scaled(4)
-            .with_st2()
-            .with_scheduler(g.scheduler)
-            .with_issue_width(g.issue_width);
+        let cfg = golden_cfg(g);
         let mut mem = spec.memory.clone();
         let mut tele = Telemetry::for_run(cfg.num_sms as usize, TelemetryConfig::default());
         let out = run_timed_with(
@@ -590,14 +608,53 @@ fn scheduler_and_barrier_paths_match_goldens() {
             &cfg,
             RunOptions::with_telemetry(&mut tele),
         );
-        spec.verify(&mem)
-            .unwrap_or_else(|e| panic!("{ctx}: failed verification: {e}"));
+        assert_golden_run(g, &ctx, &spec, &out, &mem);
         let profile = KernelProfile::capture(&tele, g.kernel, Some(&spec.program));
-        let a = &out.activity;
-        assert_eq!(out.cycles, g.cycles, "{ctx}: cycles");
-        assert_eq!(a.warp_instructions, g.warp_instructions, "{ctx}: insts");
-        assert_eq!(a.stall_cycles, g.stall_cycles, "{ctx}: stall_cycles");
-        assert_eq!(a.mem_throttle, g.mem_throttle, "{ctx}: mem_throttle");
         assert_eq!(profile.total().stalls, g.stalls, "{ctx}: slot stalls");
+    }
+}
+
+#[test]
+fn unprofiled_scheduler_paths_match_goldens() {
+    // The same runs without a telemetry collector: the SM step then
+    // skips every warp whose issue gate is shut and stops at the issue
+    // cap, a path the profiled test never takes.
+    for g in &SCHEDULER_GOLDENS {
+        let ctx = format!(
+            "unprofiled {} {:?} width {}",
+            g.kernel, g.scheduler, g.issue_width
+        );
+        let spec = spec_by_name(g.kernel);
+        let mut mem = spec.memory.clone();
+        let out = run_timed(&spec.program, spec.launch, &mut mem, &golden_cfg(g));
+        assert_golden_run(g, &ctx, &spec, &out, &mem);
+    }
+}
+
+#[test]
+fn chip_gather_work_counters_are_pinned() {
+    // The engine's own work on the calendar path, which does not depend
+    // on the host: SM steps run, and scheduler checks that read a warp
+    // rather than its issue gate. One block per SM is the gather of
+    // `calendars_are_bit_identical_to_lockstep`; eight put 16 warps on
+    // every SM, each of which a scan without gates would read every
+    // step until the issue cap.
+    let cfg = GpuConfig::titan_v_full();
+    for (blocks, sm_steps, warp_checks) in
+        [(cfg.num_sms, 6400, 7680), (8 * cfg.num_sms, 38180, 61836)]
+    {
+        let (program, launch, mut mem) = chip_gather(blocks);
+        let out = run_timed(&program, launch, &mut mem, &cfg);
+        assert_eq!(
+            (out.sm_steps, out.warp_checks),
+            (sm_steps, warp_checks),
+            "{blocks} blocks: (sm_steps, warp_checks)"
+        );
+        assert!(
+            out.warp_checks < 8 * out.sm_steps,
+            "{blocks} blocks: {} warp checks over {} SM steps",
+            out.warp_checks,
+            out.sm_steps
+        );
     }
 }
